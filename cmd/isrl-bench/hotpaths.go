@@ -455,12 +455,14 @@ var fixedWorkloadRows = map[string]bool{
 	"round_geometry_incremental": true,
 }
 
-// compareReports gates the fresh report against a committed baseline: any
-// speedup the baseline reported as a real win (≥1.1×) must not have decayed
-// into a slowdown (<1.0×), and fixed-workload allocation counts must not
-// blow past the baseline by more than 25% + 2 allocs. Timing noise is
-// expected — only sign flips and alloc growth fail — and a baseline recorded
-// on different hardware is incomparable, so the gate skips itself.
+// compareReports gates the fresh report against a committed baseline:
+// fixed-workload allocation counts must not blow past the baseline by more
+// than 25% + 2 allocs, and any speedup the baseline reported as a real win
+// (≥1.1×) must not have decayed into a slowdown (<1.0×). Allocation counts
+// do not depend on the hardware, so that gate runs on every host; speedups
+// do, so the sign-flip checks skip themselves when the baseline was recorded
+// on different hardware. Timing noise is expected — only sign flips and
+// alloc growth fail.
 func compareReports(basePath string, cur hotpathsReport) error {
 	raw, err := os.ReadFile(basePath)
 	if err != nil {
@@ -470,31 +472,31 @@ func compareReports(basePath string, cur hotpathsReport) error {
 	if err := json.Unmarshal(raw, &base); err != nil {
 		return fmt.Errorf("compare: parse %s: %w", basePath, err)
 	}
-	if base.GOOS != cur.GOOS || base.GOARCH != cur.GOARCH ||
-		base.NumCPU != cur.NumCPU || base.GOMAXPROCS != cur.GOMAXPROCS {
-		fmt.Printf("compare: baseline host (%s/%s, %d cpu, GOMAXPROCS %d) differs from this host (%s/%s, %d cpu, GOMAXPROCS %d); skipping regression gate\n",
-			base.GOOS, base.GOARCH, base.NumCPU, base.GOMAXPROCS,
-			cur.GOOS, cur.GOARCH, cur.NumCPU, cur.GOMAXPROCS)
-		return nil
-	}
 	var fails []string
 	gatedSpeedups, gatedAllocs := 0, 0
-	curSp := map[string]float64{}
-	for _, sp := range cur.Speedups {
-		curSp[sp.Name] = sp.Speedup
-	}
-	for _, sp := range base.Speedups {
-		if sp.Speedup < 1.1 {
-			continue // the baseline never claimed a win worth gating
+	if base.GOOS != cur.GOOS || base.GOARCH != cur.GOARCH ||
+		base.NumCPU != cur.NumCPU || base.GOMAXPROCS != cur.GOMAXPROCS {
+		fmt.Printf("compare: baseline host (%s/%s, %d cpu, GOMAXPROCS %d) differs from this host (%s/%s, %d cpu, GOMAXPROCS %d); skipping speedup checks\n",
+			base.GOOS, base.GOARCH, base.NumCPU, base.GOMAXPROCS,
+			cur.GOOS, cur.GOARCH, cur.NumCPU, cur.GOMAXPROCS)
+	} else {
+		curSp := map[string]float64{}
+		for _, sp := range cur.Speedups {
+			curSp[sp.Name] = sp.Speedup
 		}
-		gatedSpeedups++
-		got, ok := curSp[sp.Name]
-		if !ok {
-			fails = append(fails, fmt.Sprintf("speedup %s missing from this run", sp.Name))
-			continue
-		}
-		if got < 1.0 {
-			fails = append(fails, fmt.Sprintf("speedup %s regressed to %.2fx (baseline %.2fx)", sp.Name, got, sp.Speedup))
+		for _, sp := range base.Speedups {
+			if sp.Speedup < 1.1 {
+				continue // the baseline never claimed a win worth gating
+			}
+			gatedSpeedups++
+			got, ok := curSp[sp.Name]
+			if !ok {
+				fails = append(fails, fmt.Sprintf("speedup %s missing from this run", sp.Name))
+				continue
+			}
+			if got < 1.0 {
+				fails = append(fails, fmt.Sprintf("speedup %s regressed to %.2fx (baseline %.2fx)", sp.Name, got, sp.Speedup))
+			}
 		}
 	}
 	curRows := map[string]benchRow{}

@@ -306,8 +306,10 @@ func publishTraining(episodes int, avgRounds float64, stats rl.TrainStats) {
 }
 
 // buildFactory trains RL agents once up front and hands each session its
-// own algorithm instance (the RL agents keep per-call scratch state, so
-// sessions get independent handles; baselines are cheap to rebuild). The
+// own algorithm instance. An RL session's Load decodes nothing: every
+// session reads the one trained Q-network, decoded once and never written,
+// and owns only its forward scratch, so a live session costs tens of KiB;
+// baselines are cheap to rebuild. The
 // per-session seed comes from the server, which journals it: rebuilding an
 // instance with the same seed after a restart reproduces the identical
 // question sequence, the property session replay recovery rests on.

@@ -15,7 +15,8 @@ import (
 // the DQN relies on to make batched scoring a pure optimization.
 //
 // Like the single-vector path, batch passes cache activations on the layer,
-// so a network remains single-goroutine; concurrent users must Clone.
+// so a network remains single-goroutine. Concurrent scorers each take a
+// View (shared weights, private scratch); only a Clone can be trained.
 
 // weightMat views a Dense layer's row-major weight vector as an Out×In
 // matrix without copying.

@@ -5,8 +5,9 @@
 // external dependencies.
 //
 // Layers cache their last input, so a network instance is not safe for
-// concurrent use; training and inference in this codebase are sequential,
-// and separate goroutines should Clone the network.
+// concurrent use. Network.View gives each goroutine its own forward scratch
+// over shared, read-only weights, so views of one network can run forward
+// passes concurrently; only a Clone owns its weights and can be trained.
 package nn
 
 import (
@@ -124,8 +125,8 @@ func (d *Dense) Params() []*Param { return []*Param{d.Weight, d.Bias} }
 func (d *Dense) CloneLayer() Layer {
 	c := &Dense{
 		In: d.In, Out: d.Out,
-		Weight: &Param{W: append([]float64(nil), d.Weight.W...), Grad: make([]float64, len(d.Weight.Grad))},
-		Bias:   &Param{W: append([]float64(nil), d.Bias.W...), Grad: make([]float64, len(d.Bias.Grad))},
+		Weight: &Param{W: append([]float64(nil), d.Weight.W...), Grad: make([]float64, len(d.Weight.W))},
+		Bias:   &Param{W: append([]float64(nil), d.Bias.W...), Grad: make([]float64, len(d.Bias.W))},
 		out:    make([]float64, d.Out),
 		gin:    make([]float64, d.In),
 	}

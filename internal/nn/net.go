@@ -83,6 +83,27 @@ func (n *Network) Clone() *Network {
 	return c
 }
 
+// View returns a network that reads n's weight tensors in place and owns
+// only its forward scratch. Views of one network can run forward passes on
+// separate goroutines concurrently, as long as nothing writes n's weights;
+// a view has no gradient buffers, so it cannot be trained — Clone it first.
+func (n *Network) View() *Network {
+	v := &Network{Layers: make([]Layer, len(n.Layers))}
+	for i, l := range n.Layers {
+		if d, ok := l.(*Dense); ok {
+			v.Layers[i] = &Dense{
+				In: d.In, Out: d.Out,
+				Weight: &Param{W: d.Weight.W},
+				Bias:   &Param{W: d.Bias.W},
+				out:    make([]float64, d.Out),
+			}
+			continue
+		}
+		v.Layers[i] = l.CloneLayer() // parameter-free: a fresh copy is a view
+	}
+	return v
+}
+
 // CopyWeightsFrom overwrites this network's parameters with src's — the
 // periodic target-network synchronization of DQN. The architectures must
 // match.
@@ -127,35 +148,47 @@ func (n *Network) MarshalBinary() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// UnmarshalBinary restores a network serialized by MarshalBinary.
+// UnmarshalBinary restores a network serialized by MarshalBinary. It
+// rejects, rather than panics on, any blob that could not run a forward
+// pass: unknown layer kinds, non-positive or mismatched dense shapes, dense
+// layers that do not chain, and missing weight arrays.
 func (n *Network) UnmarshalBinary(data []byte) error {
 	var blob netBlob
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&blob); err != nil {
 		return fmt.Errorf("nn: decode: %w", err)
 	}
 	var layers []Layer
-	wi := 0
+	wi, width := 0, -1 // width: output size of the last dense layer so far
 	for _, k := range blob.Kinds {
 		var a, b int
 		if _, err := fmt.Sscanf(k, "dense:%d:%d", &a, &b); err == nil {
-			if wi+1 >= len(blob.Weights)+1 && wi+1 > len(blob.Weights) {
+			if wi+1 >= len(blob.Weights) {
 				return fmt.Errorf("nn: truncated weights")
 			}
-			d := &Dense{
-				In: a, Out: b,
-				Weight: &Param{W: blob.Weights[wi], Grad: make([]float64, a*b)},
-				Bias:   &Param{W: blob.Weights[wi+1], Grad: make([]float64, b)},
-				out:    make([]float64, b),
-				gin:    make([]float64, a),
-			}
-			if len(d.Weight.W) != a*b || len(d.Bias.W) != b {
+			w, bias := blob.Weights[wi], blob.Weights[wi+1]
+			// Checking b against the bias first bounds a*b, so the product
+			// cannot overflow into a false match.
+			if a <= 0 || b <= 0 || len(bias) != b || a > len(w) || a*b != len(w) {
 				return fmt.Errorf("nn: weight shape mismatch for %q", k)
 			}
+			if width >= 0 && a != width {
+				return fmt.Errorf("nn: layer %q does not chain from width %d", k, width)
+			}
+			layers = append(layers, &Dense{
+				In: a, Out: b,
+				Weight: &Param{W: w, Grad: make([]float64, a*b)},
+				Bias:   &Param{W: bias, Grad: make([]float64, b)},
+				out:    make([]float64, b),
+				gin:    make([]float64, a),
+			})
 			wi += 2
-			layers = append(layers, d)
+			width = b
 			continue
 		}
 		if _, err := fmt.Sscanf(k, "act:%d", &a); err == nil {
+			if a < int(SELU) || a > int(Tanh) {
+				return fmt.Errorf("nn: unknown activation in %q", k)
+			}
 			layers = append(layers, NewActivate(Activation(a)))
 			continue
 		}

@@ -1,9 +1,13 @@
 package nn
 
 import (
+	"bytes"
+	"encoding/gob"
 	"math"
 	"math/rand"
 	"testing"
+
+	"isrl/internal/vec"
 )
 
 func TestDenseForwardKnown(t *testing.T) {
@@ -191,6 +195,66 @@ func TestUnmarshalGarbage(t *testing.T) {
 	var n Network
 	if err := n.UnmarshalBinary([]byte("not gob")); err == nil {
 		t.Error("garbage must fail to decode")
+	}
+}
+
+// A view shares the source's weight storage, scores bit-identically on both
+// the single and the batched path, keeps its own scratch, and clones into a
+// trainable, independent network.
+func TestViewSharesWeights(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	net := NewMLP([]int{3, 5, 1}, SELU, rng)
+	v1, v2 := net.View(), net.View()
+	if &v1.Params()[0].W[0] != &net.Params()[0].W[0] {
+		t.Fatal("view copied the weights")
+	}
+	x := []float64{0.3, -0.2, 0.7}
+	want := net.Forward1(x)
+	if a, b := v1.Forward1(x), v2.Forward1(x); a != want || b != want {
+		t.Errorf("view outputs %v, %v, want %v", a, b, want)
+	}
+	rest := &vec.Mat{Rows: 2, Cols: 1, Data: []float64{0.7, -1}}
+	got := v1.ForwardBatchShared(x[:2], rest)
+	if got.At(0, 0) != want {
+		t.Errorf("view shared-prefix row 0 = %v, want %v", got.At(0, 0), want)
+	}
+	if v2.ForwardBatchShared(x[:2], rest) == got {
+		t.Error("views share batch scratch")
+	}
+
+	c := v1.Clone()
+	c.ZeroGrad()
+	c.Forward(x)
+	c.Backward([]float64{1})
+	NewSGD(0.1, 0).Step(c.Params())
+	if c.Forward1(x) == want {
+		t.Error("clone of a view did not train")
+	}
+	if net.Forward1(x) != want || v2.Forward1(x) != want {
+		t.Error("training a clone of a view wrote the shared weights")
+	}
+}
+
+func TestUnmarshalMalformed(t *testing.T) {
+	cases := map[string]netBlob{
+		"bias missing":     {Kinds: []string{"dense:2:1"}, Weights: [][]float64{{1, 2}}},
+		"no weights":       {Kinds: []string{"dense:2:1"}},
+		"negative dims":    {Kinds: []string{"dense:-1:-1"}, Weights: [][]float64{{1}, {}}},
+		"overflowing dims": {Kinds: []string{"dense:4294967296:4294967296"}, Weights: [][]float64{{}, {}}},
+		"wrong shape":      {Kinds: []string{"dense:2:1"}, Weights: [][]float64{{1, 2, 3}, {0}}},
+		"unchained":        {Kinds: []string{"dense:2:1", "dense:3:1"}, Weights: [][]float64{{1, 2}, {0}, {1, 2, 3}, {0}}},
+		"bad activation":   {Kinds: []string{"act:9"}},
+		"unknown kind":     {Kinds: []string{"conv:3"}},
+	}
+	for name, blob := range cases {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(blob); err != nil {
+			t.Fatal(err)
+		}
+		var n Network
+		if err := n.UnmarshalBinary(buf.Bytes()); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
 	}
 }
 

@@ -1,9 +1,11 @@
 package rl
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 
 	"isrl/internal/nn"
 	"isrl/internal/vec"
@@ -91,6 +93,12 @@ func PaperConfig() Config {
 // Agent is a DQN over (state, action)-feature pairs: Q(s,a;Θ) is an MLP fed
 // the concatenation s ⊕ a with a scalar head. Target network Q̂(·;Θ′) is
 // synchronized from the main network every SyncEvery updates.
+//
+// An agent from UnmarshalAgent starts as a read-only View of a decoded model
+// shared with every other agent loaded from the same bytes, and Target is
+// nil. Its first TrainBatchTD or SyncTarget call clones Main into private
+// weights and builds Target and the optimizer, so the shared weights are
+// never written.
 type Agent struct {
 	StateDim, ActionDim int
 
@@ -124,21 +132,36 @@ func NewAgent(stateDim, actionDim int, cfg Config, rng *rand.Rand) *Agent {
 	cfg = cfg.Defaults()
 	inDim := stateDim + actionDim
 	main := nn.NewMLP([]int{inDim, cfg.Hidden, 1}, cfg.Activation, rng)
-	var opt nn.Optimizer
-	if cfg.UseSGD {
-		opt = nn.NewSGD(cfg.LR, 0)
-	} else {
-		opt = nn.NewAdam(cfg.LR)
-	}
 	return &Agent{
 		StateDim:  stateDim,
 		ActionDim: actionDim,
 		Main:      main,
 		Target:    main.Clone(),
 		cfg:       cfg,
-		opt:       opt,
+		opt:       newOptimizer(cfg),
 		in:        make([]float64, inDim),
 	}
+}
+
+func newOptimizer(cfg Config) nn.Optimizer {
+	if cfg.UseSGD {
+		return nn.NewSGD(cfg.LR, 0)
+	}
+	return nn.NewAdam(cfg.LR)
+}
+
+// own gives a loaded agent its training state on first use: private weights
+// cloned from the shared view, a Target synchronized to them, and a fresh
+// optimizer. The clone is bit-identical to the view, so a loaded agent
+// trains bit-identically to a privately decoded copy (checkpoint resume
+// relies on this).
+func (a *Agent) own() {
+	if a.Target != nil {
+		return
+	}
+	a.Main = a.Main.Clone()
+	a.Target = a.Main.Clone()
+	a.opt = newOptimizer(a.cfg)
 }
 
 // Config returns the resolved hyperparameters.
@@ -307,6 +330,7 @@ func (a *Agent) TrainBatchTD(batch []Transition, tdErrs []float64) (float64, []f
 	if tdErrs != nil && len(tdErrs) != len(batch) {
 		tdErrs = make([]float64, len(batch))
 	}
+	a.own()
 	a.Main.ZeroGrad()
 	a.computeTargets(batch)
 
@@ -379,6 +403,7 @@ func (a *Agent) Updates() int { return a.updates }
 
 // SyncTarget forces an immediate target-network synchronization.
 func (a *Agent) SyncTarget() {
+	a.own()
 	a.Target.CopyWeightsFrom(a.Main)
 	a.syncs++
 }
@@ -420,9 +445,46 @@ func (a *Agent) MarshalBinary() ([]byte, error) {
 	return append([]byte(hdr), net...), nil
 }
 
-// UnmarshalBinary restores an agent saved with MarshalBinary. cfg supplies
-// the hyperparameters (they are not serialized).
+// decoded caches the most recently decoded agent blob with its network, so
+// every session that loads the same model shares one copy of the weights.
+// One entry suffices: a process serves one model at a time.
+var decoded struct {
+	sync.Mutex
+	blob   []byte // private copy of the bytes, compared in full
+	sd, ad int
+	net    *nn.Network // never run or written; agents get Views of it
+}
+
+// UnmarshalAgent restores an agent saved with MarshalBinary. cfg supplies
+// the hyperparameters (they are not serialized). Main is a View of a network
+// decoded once per distinct blob and shared with every other agent loaded
+// from the same bytes; training state is built on first training use (see
+// Agent). A blob that fails to decode or whose header disagrees with its
+// network is rejected and never cached.
 func UnmarshalAgent(data []byte, cfg Config) (*Agent, error) {
+	decoded.Lock()
+	defer decoded.Unlock()
+	if decoded.net == nil || !bytes.Equal(decoded.blob, data) {
+		sd, ad, net, err := decodeAgent(data)
+		if err != nil {
+			return nil, err
+		}
+		decoded.blob = bytes.Clone(data)
+		decoded.sd, decoded.ad, decoded.net = sd, ad, net
+	}
+	return &Agent{
+		StateDim:  decoded.sd,
+		ActionDim: decoded.ad,
+		Main:      decoded.net.View(),
+		cfg:       cfg.Defaults(),
+		in:        make([]float64, decoded.sd+decoded.ad),
+	}, nil
+}
+
+// decodeAgent parses a MarshalBinary blob and checks that the network can
+// score the header's (state, action) features: its first layer is Dense over
+// StateDim+ActionDim inputs and its head is one wide.
+func decodeAgent(data []byte) (sd, ad int, net *nn.Network, err error) {
 	// Header is "dqn:<stateDim>:<actionDim>:" followed by the gob payload.
 	colons := 0
 	idx := -1
@@ -436,29 +498,33 @@ func UnmarshalAgent(data []byte, cfg Config) (*Agent, error) {
 		}
 	}
 	if idx < 0 {
-		return nil, fmt.Errorf("rl: truncated agent blob")
+		return 0, 0, nil, fmt.Errorf("rl: truncated agent blob")
 	}
-	var sd, ad int
 	if _, err := fmt.Sscanf(string(data[:idx]), "dqn:%d:%d:", &sd, &ad); err != nil {
-		return nil, fmt.Errorf("rl: bad agent header: %w", err)
+		return 0, 0, nil, fmt.Errorf("rl: bad agent header: %w", err)
 	}
-	var net nn.Network
+	if sd <= 0 || ad <= 0 {
+		return 0, 0, nil, fmt.Errorf("rl: agent dims (%d,%d) must be positive", sd, ad)
+	}
+	net = &nn.Network{}
 	if err := net.UnmarshalBinary(data[idx:]); err != nil {
-		return nil, err
+		return 0, 0, nil, err
 	}
-	cfg = cfg.Defaults()
-	a := &Agent{
-		StateDim:  sd,
-		ActionDim: ad,
-		Main:      &net,
-		Target:    net.Clone(),
-		cfg:       cfg,
-		in:        make([]float64, sd+ad),
+	if len(net.Layers) == 0 {
+		return 0, 0, nil, fmt.Errorf("rl: agent network has no layers")
 	}
-	if cfg.UseSGD {
-		a.opt = nn.NewSGD(cfg.LR, 0)
-	} else {
-		a.opt = nn.NewAdam(cfg.LR)
+	first, ok := net.Layers[0].(*nn.Dense)
+	if !ok || first.In != sd+ad {
+		return 0, 0, nil, fmt.Errorf("rl: agent network input does not match dims (%d,%d)", sd, ad)
 	}
-	return a, nil
+	head := 0 // UnmarshalBinary checked that dense layers chain
+	for _, l := range net.Layers {
+		if d, ok := l.(*nn.Dense); ok {
+			head = d.Out
+		}
+	}
+	if head != 1 {
+		return 0, 0, nil, fmt.Errorf("rl: agent network head is %d wide, want 1", head)
+	}
+	return sd, ad, net, nil
 }

@@ -14,18 +14,29 @@ go test -race -run 'Fault|Noisy|Chaos|Recover|Journal|Proxy|Client|Repl|Failover
 
 # Fuzz smoke: the WAL frame parser must survive a short fuzzing burst (the
 # seed corpus plus a few seconds of mutation) — it guards both the on-disk
-# journal and the replication wire.
+# journal and the replication wire. The model loader gets the same burst: a
+# malformed model file must be rejected, never panic a serving session. Its
+# seeds are whole model files of ~10 KiB, which the default 60 s input
+# minimization would spend the entire burst shrinking, so minimization is
+# capped and the burst goes to mutation.
 go test -fuzz '^FuzzReadFrame$' -fuzztime=5s -run '^FuzzReadFrame$' ./internal/wal/
+go test -fuzz '^FuzzUnmarshalAgent$' -fuzztime=5s -fuzzminimizetime=1s -run '^FuzzUnmarshalAgent$' ./internal/rl/
+
+# End-to-end benchmark harness (its own module): vet it and run its smoke
+# test under the race detector — it drives isrl-serve over HTTP, loading a
+# model per session, the way the benchmark does.
+go -C e2ebench vet .
+go -C e2ebench test -race .
 
 # Benchmark smoke + regression gate: the hot-path harness must run end to
 # end, emit well-formed JSON (checked with grep to stay dependency-free),
 # and not regress against the committed baseline — speedups the baseline
 # reports as real wins (>=1.1x) must not flip into slowdowns, and
 # fixed-workload allocation counts must stay within 25% + 2 allocs of the
-# baseline. The gate skips itself when the baseline was recorded on
-# different hardware. The trace_disabled_span row doubles as the
-# tracing-overhead gate — the harness itself fails if the disabled path
-# costs any allocations.
+# baseline. The allocation floors gate on every host; only the speedup
+# checks skip when the baseline was recorded on different hardware. The
+# trace_disabled_span row doubles as the tracing-overhead gate — the
+# harness itself fails if the disabled path costs any allocations.
 go run ./cmd/isrl-bench -hotpaths -quick -out /tmp/isrl_hotpaths_smoke.json -compare BENCH_hotpaths.json
 grep -q '"speedup"' /tmp/isrl_hotpaths_smoke.json
 grep -q '"dqn_candidate_scoring"' /tmp/isrl_hotpaths_smoke.json
