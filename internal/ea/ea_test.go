@@ -1,6 +1,7 @@
 package ea
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -34,27 +35,43 @@ func TestConfigDefaults(t *testing.T) {
 	}
 }
 
-// The exactness guarantee: EA returns a point with regret ratio ≤ ε w.r.t.
-// the user's hidden vector even when the agent is untrained (certificates do
-// the work; RL only shortens the path).
+// The exactness guarantee (Lemma 6): EA returns a point with regret ratio
+// ≤ ε w.r.t. the user's hidden vector even when the agent is untrained
+// (certificates do the work; RL only shortens the path). The property is
+// checked across all three synthetic dataset shapes, d = 2…6 and three
+// thresholds, with seeded users per cell.
 func TestUntrainedEAIsExact(t *testing.T) {
-	ds := testData(t, 300, 3, 1)
-	rng := rand.New(rand.NewSource(2))
-	e := New(ds, 0.1, smallCfg(), rng)
-	for trial := 0; trial < 8; trial++ {
-		u := geom.SampleSimplex(rng, 3)
-		res, err := e.Run(ds, core.SimulatedUser{Utility: u}, 0.1, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rr := ds.RegretRatio(res.Point, u); rr > 0.1+1e-9 {
-			t.Errorf("trial %d: regret %v > eps (rounds=%d)", trial, rr, res.Rounds)
-		}
-		if res.Rounds >= smallCfg().MaxRounds {
-			t.Errorf("trial %d: hit round cap", trial)
-		}
-		if len(res.Trace) != res.Rounds {
-			t.Errorf("trace length %d != rounds %d", len(res.Trace), res.Rounds)
+	seed := int64(0)
+	for _, kind := range []string{"anti", "indep", "corr"} {
+		for d := 2; d <= 6; d++ {
+			for _, eps := range []float64{0.05, 0.1, 0.2} {
+				seed++
+				t.Run(fmt.Sprintf("%s/d%d/eps%g", kind, d, eps), func(t *testing.T) {
+					rng := rand.New(rand.NewSource(seed))
+					raw, err := dataset.Generate(kind, rng, 200, d)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ds := raw.Skyline()
+					e := New(ds, eps, smallCfg(), rng)
+					for user := 0; user < 3; user++ {
+						u := geom.SampleSimplex(rng, d)
+						res, err := e.Run(ds, core.SimulatedUser{Utility: u}, eps, nil)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if res.Degraded {
+							t.Errorf("user %d: degraded result (%s)", user, res.DegradedReason)
+						}
+						if rr := ds.RegretRatio(res.Point, u); rr > eps+1e-9 {
+							t.Errorf("user %d: regret %v > eps (rounds=%d)", user, rr, res.Rounds)
+						}
+						if len(res.Trace) != res.Rounds {
+							t.Errorf("user %d: trace length %d != rounds %d", user, len(res.Trace), res.Rounds)
+						}
+					}
+				})
+			}
 		}
 	}
 }
