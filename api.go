@@ -1,6 +1,7 @@
 package isrl
 
 import (
+	"context"
 	"io"
 	"math/rand"
 	"net/http"
@@ -54,7 +55,7 @@ var ErrSessionClosed = core.ErrSessionClosed
 // pull-based handle: Next yields the question to show, Answer submits the
 // choice, Result returns the outcome.
 func NewSession(alg Algorithm, ds *Dataset, eps float64) *Session {
-	return core.NewSession(alg, ds, eps)
+	return core.NewSession(context.Background(), alg, ds, eps, nil)
 }
 
 // The paper's algorithms.

@@ -1,6 +1,7 @@
 package isrl
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -105,7 +106,7 @@ func TestChaosSessionOraclePanicContained(t *testing.T) {
 
 	ds := chaosDataset()
 	alg := baselines.NewUHRandom(baselines.UHConfig{MaxRounds: 60}, rand.New(rand.NewSource(3)))
-	s := core.NewSession(alg, ds, 0.1)
+	s := core.NewSession(context.Background(), alg, ds, 0.1, nil)
 	defer s.Close()
 
 	// The first oracle call panics before the question is published, so the

@@ -347,53 +347,41 @@ func runHotpaths(quick bool, outPath, comparePath string) error {
 	speed("round_geometry_d4", scr, inc)
 
 	// End-to-end sessions at d=4: one op runs a full seeded interaction to
-	// completion; rounds_per_sec divides the deterministic round count by the
-	// per-op wall time. Engine off vs on is the user-visible payoff.
+	// completion on the round-incremental engine; rounds_per_sec divides the
+	// deterministic round count by the per-op wall time.
 	dsEA := dataset.Anticorrelated(rand.New(rand.NewSource(21)), 300, 4).Skyline()
 	benchUser := core.SimulatedUser{Utility: []float64{0.4, 0.3, 0.2, 0.1}}
-	runEASession := func(scratch bool) (core.Result, error) {
-		cfg := ea.Config{Me: 3, Mh: 4, NumSamples: 24, MaxRounds: 60, ScratchGeometry: scratch}
+	runEASession := func() (core.Result, error) {
+		cfg := ea.Config{Me: 3, Mh: 4, NumSamples: 24, MaxRounds: 60}
 		e := ea.New(dsEA, 0.1, cfg, rand.New(rand.NewSource(22)))
 		return e.Run(dsEA, benchUser, 0.1, nil)
 	}
-	runAASession := func(scratch bool) (core.Result, error) {
-		cfg := aa.Config{Mh: 4, TopK: 10, RandPairs: 40, MaxLPChecks: 30, MaxRounds: 120, ScratchGeometry: scratch}
+	runAASession := func() (core.Result, error) {
+		cfg := aa.Config{Mh: 4, TopK: 10, RandPairs: 40, MaxLPChecks: 30, MaxRounds: 120}
 		a := aa.New(dsEA, 0.1, cfg, rand.New(rand.NewSource(23)))
 		return a.Run(dsEA, benchUser, 0.1, nil)
 	}
-	session := func(name string, run func(bool) (core.Result, error), scratch bool) (benchRow, error) {
-		ref, err := run(scratch)
+	for _, sc := range []struct {
+		name string
+		run  func() (core.Result, error)
+	}{{"ea_session_d4_incremental", runEASession}, {"aa_session_d4_incremental", runAASession}} {
+		ref, err := sc.run()
 		if err != nil {
-			return benchRow{}, fmt.Errorf("hotpaths: %s: %w", name, err)
+			return fmt.Errorf("hotpaths: %s: %w", sc.name, err)
 		}
 		if ref.Degraded || ref.Rounds == 0 {
-			return benchRow{}, fmt.Errorf("hotpaths: %s: degenerate session (%+v)", name, ref)
+			return fmt.Errorf("hotpaths: %s: degenerate session (%+v)", sc.name, ref)
 		}
-		r := row(name, func(b *testing.B) {
+		r := row(sc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := run(scratch); err != nil {
+				if _, err := sc.run(); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 		r.RoundsPerSec = float64(ref.Rounds) / (r.NsPerOp * 1e-9)
-		return r, nil
-	}
-	for _, sc := range []struct {
-		prefix string
-		run    func(bool) (core.Result, error)
-	}{{"ea_session_d4", runEASession}, {"aa_session_d4", runAASession}} {
-		base, err := session(sc.prefix+"_scratch", sc.run, true)
-		if err != nil {
-			return err
-		}
-		opt, err := session(sc.prefix+"_incremental", sc.run, false)
-		if err != nil {
-			return err
-		}
-		add(base, opt)
-		speed(sc.prefix+"_rounds_per_sec", base, opt)
+		add(r)
 	}
 
 	// Disabled-path tracing overhead: a span start attempt on a context with
@@ -453,6 +441,8 @@ var fixedWorkloadRows = map[string]bool{
 	"trace_disabled_span":        true,
 	"round_geometry_scratch":     true,
 	"round_geometry_incremental": true,
+	"ea_session_d4_incremental":  true,
+	"aa_session_d4_incremental":  true,
 }
 
 // compareReports gates the fresh report against a committed baseline:

@@ -18,7 +18,6 @@ import (
 	"isrl/internal/core"
 	"isrl/internal/dataset"
 	"isrl/internal/geom"
-	"isrl/internal/par"
 	"isrl/internal/rl"
 	"isrl/internal/trace"
 	"isrl/internal/vec"
@@ -39,14 +38,6 @@ type Config struct {
 	// consistent halfspaces are dropped (geom.RepairFeasibility) and the
 	// interaction continues instead of stopping at the centroid.
 	Resilient bool
-
-	// ScratchGeometry disables the round-incremental geometry engine: every
-	// inner-sphere/outer-rectangle LP is built and solved from scratch and
-	// cut probes run uncached (the pre-engine behavior, with the parallel
-	// speculative probe window). The engine replaces those with warm-started
-	// re-solves and a cross-round probe cache; optima agree within LP
-	// tolerance but floating-point drift can reorder near-tie decisions.
-	ScratchGeometry bool
 
 	// RandomActions is an ablation switch (DESIGN.md §5): candidate pairs
 	// are taken in random order instead of nearest-to-center order.
@@ -154,41 +145,20 @@ type round struct {
 	reason   string // why, when degraded
 }
 
-// newGeo returns the round-incremental engine over poly, or nil when the
-// scratch path was requested.
-func (a *AA) newGeo(poly *geom.Polytope) *geom.Incremental {
-	if a.cfg.ScratchGeometry {
-		return nil
-	}
-	return geom.NewIncremental(poly)
-}
-
-func innerBall(ctx context.Context, poly *geom.Polytope, geo *geom.Incremental) (geom.Ball, error) {
-	if geo != nil {
-		return geo.InnerBallCtx(ctx)
-	}
-	return poly.InnerBallCtx(ctx)
-}
-
-func outerRect(ctx context.Context, poly *geom.Polytope, geo *geom.Incremental) (emin, emax []float64, err error) {
-	if geo != nil {
-		return geo.OuterRectCtx(ctx)
-	}
-	return poly.OuterRectCtx(ctx)
-}
-
 // computeRound derives AA's MDP view from the halfspace set: the inner
 // sphere and outer rectangle (state + stopping test) and the
-// nearest-to-center candidate questions (action space).
-func (a *AA) computeRound(ctx context.Context, poly *geom.Polytope, geo *geom.Incremental, eps float64) (*round, error) {
+// nearest-to-center candidate questions (action space). Both LPs run on the
+// round-incremental engine's warm solvers; their optima agree with the
+// from-scratch programs within LP tolerance.
+func (a *AA) computeRound(ctx context.Context, geo *geom.Incremental, eps float64) (*round, error) {
 	d := a.ds.Dim()
-	ball, err := innerBall(ctx, poly, geo)
-	if err != nil && a.cfg.Resilient && len(poly.Halfspaces) > 0 {
+	ball, err := geo.InnerBallCtx(ctx)
+	if err != nil && a.cfg.Resilient && len(geo.P.Halfspaces) > 0 {
 		// Contradictory answers emptied R: drop the least consistent
 		// constraints and continue (§VI future work). The repair mutates the
 		// polytope directly; the engine resynchronizes on the re-read.
-		poly.RepairFeasibility(0)
-		ball, err = innerBall(ctx, poly, geo)
+		geo.P.RepairFeasibility(0)
+		ball, err = geo.InnerBallCtx(ctx)
 	}
 	if err != nil {
 		// Empty range (noisy users): stop at the centroid.
@@ -198,7 +168,7 @@ func (a *AA) computeRound(ctx context.Context, poly *geom.Polytope, geo *geom.In
 			degraded: true, reason: "utility range empty (contradictory answers)",
 		}, nil
 	}
-	emin, emax, err := outerRect(ctx, poly, geo)
+	emin, emax, err := geo.OuterRectCtx(ctx)
 	if err != nil {
 		return nil, fmt.Errorf("aa: %w", err)
 	}
@@ -212,7 +182,7 @@ func (a *AA) computeRound(ctx context.Context, poly *geom.Polytope, geo *geom.In
 		r.terminal = true
 		return r, nil
 	}
-	r.actions = a.selectActions(ctx, poly, geo, ball.Center)
+	r.actions = a.selectActions(ctx, geo, ball.Center)
 	if len(r.actions) == 0 {
 		// No hyperplane can strictly narrow R further; more questions are
 		// pointless, so stop with the midpoint estimate.
@@ -226,8 +196,8 @@ func (a *AA) computeRound(ctx context.Context, poly *geom.Polytope, geo *geom.In
 // random pairs), keep the m_h pairs whose hyperplane is nearest the
 // inner-sphere center and properly splits R (both sides non-empty, checked
 // by LP — Lemma 8).
-func (a *AA) selectActions(ctx context.Context, poly *geom.Polytope, geo *geom.Incremental, center []float64) []action {
-	ctx, sp := trace.Start(ctx, "aa.select_actions")
+func (a *AA) selectActions(ctx context.Context, geo *geom.Incremental, center []float64) []action {
+	_, sp := trace.Start(ctx, "aa.select_actions")
 	type cand struct {
 		i, j int
 		dist float64
@@ -281,50 +251,20 @@ func (a *AA) selectActions(ctx context.Context, poly *geom.Polytope, geo *geom.I
 		sort.Slice(cands, func(x, y int) bool { return cands[x].dist < cands[y].dist })
 	}
 
-	// LP feasibility probes dominate this loop. CutsBothSides is a pure
-	// function of the (fixed-for-this-round) polytope and the candidate
-	// pair, so results for a speculative window of upcoming candidates are
-	// computed by the worker pool and consumed by the serial accept loop —
-	// budget accounting, the diversity filter, and accept order are
-	// untouched, so the selected actions are identical for any worker count.
-	//
-	// With the incremental engine the probes run serially instead: the warm
-	// LP solver is single-threaded state, and its cross-round negative cache
-	// (a no-cut verdict stays no-cut as R shrinks) eliminates most probes
-	// outright, which is worth more than the speculative window.
+	// LP feasibility probes dominate this loop. They run serially through
+	// the engine's warm solver, whose cross-round negative cache (a no-cut
+	// verdict stays no-cut as R shrinks) eliminates most probes outright;
+	// the per-round memo keeps a candidate probed at most once per round.
 	cuts := make([]int8, len(cands)) // 0 = unprobed, 1 = cuts both sides, 2 = no
 	probe := func(ci int) bool {
 		if cuts[ci] == 0 {
-			if geo != nil {
-				c := cands[ci]
-				h := geom.NewHalfspace(a.ds.Points[c.i], a.ds.Points[c.j])
-				if geo.CutsBothSides(uint64(c.i)<<32|uint64(c.j), h, 1e-9) {
-					cuts[ci] = 1
-				} else {
-					cuts[ci] = 2
-				}
-				return cuts[ci] == 1
+			c := cands[ci]
+			h := geom.NewHalfspace(a.ds.Points[c.i], a.ds.Points[c.j])
+			if geo.CutsBothSides(uint64(c.i)<<32|uint64(c.j), h, 1e-9) {
+				cuts[ci] = 1
+			} else {
+				cuts[ci] = 2
 			}
-			window := 1
-			if w := par.Workers(); w > 1 {
-				window = 2 * w
-			}
-			hi := ci + window
-			if hi > len(cands) {
-				hi = len(cands)
-			}
-			par.DoCtx(ctx, hi-ci, func(k int) {
-				if cuts[ci+k] != 0 {
-					return
-				}
-				c := cands[ci+k]
-				h := geom.NewHalfspace(a.ds.Points[c.i], a.ds.Points[c.j])
-				if poly.CutsBothSides(h, 1e-9) {
-					cuts[ci+k] = 1
-				} else {
-					cuts[ci+k] = 2
-				}
-			})
 		}
 		return cuts[ci] == 1
 	}
@@ -435,9 +375,8 @@ func (a *AA) Train(users [][]float64) (TrainStats, error) {
 
 func (a *AA) episode(user core.User, epsilon float64, replay *rl.Replay) (int, error) {
 	ctx := context.Background()
-	poly := geom.NewPolytope(a.ds.Dim())
-	geo := a.newGeo(poly)
-	cur, err := a.computeRound(ctx, poly, geo, a.eps)
+	geo := geom.NewIncremental(geom.NewPolytope(a.ds.Dim()))
+	cur, err := a.computeRound(ctx, geo, a.eps)
 	if err != nil {
 		return 0, err
 	}
@@ -447,13 +386,13 @@ func (a *AA) episode(user core.User, epsilon float64, replay *rl.Replay) (int, e
 		act := cur.actions[ai]
 		pi, pj := a.ds.Points[act.I], a.ds.Points[act.J]
 		if user.Prefer(pi, pj) {
-			a.addCut(ctx, poly, geo, geom.NewHalfspace(pi, pj))
+			geo.AddCtx(ctx, geom.NewHalfspace(pi, pj))
 		} else {
-			a.addCut(ctx, poly, geo, geom.NewHalfspace(pj, pi))
+			geo.AddCtx(ctx, geom.NewHalfspace(pj, pi))
 		}
 		rounds++
-		a.maybeReduce(poly, geo, rounds)
-		next, err := a.computeRound(ctx, poly, geo, a.eps)
+		maybeReduce(geo, rounds)
+		next, err := a.computeRound(ctx, geo, a.eps)
 		if err != nil {
 			return rounds, err
 		}
@@ -474,26 +413,12 @@ func (a *AA) episode(user core.User, epsilon float64, replay *rl.Replay) (int, e
 	return rounds, nil
 }
 
-// addCut records one answer halfspace, through the incremental engine when
-// it is enabled so the maintained vertex set and warm solvers track the cut.
-func (a *AA) addCut(ctx context.Context, poly *geom.Polytope, geo *geom.Incremental, h geom.Halfspace) {
-	if geo != nil {
-		geo.AddCtx(ctx, h)
-		return
-	}
-	poly.Add(h)
-}
-
 // maybeReduce prunes redundant halfspaces periodically so the per-round LPs
 // stay small on long interactions. The set representation is AA's only
 // state, and reduction preserves R exactly.
-func (a *AA) maybeReduce(poly *geom.Polytope, geo *geom.Incremental, rounds int) {
-	if rounds%8 == 0 && len(poly.Halfspaces) > 2*poly.Dim {
-		if geo != nil {
-			geo.Reduce()
-		} else {
-			poly.ReduceRedundant()
-		}
+func maybeReduce(geo *geom.Incremental, rounds int) {
+	if rounds%8 == 0 && len(geo.P.Halfspaces) > 2*geo.P.Dim {
+		geo.Reduce()
 	}
 }
 
@@ -508,8 +433,8 @@ func feats(actions []action) [][]float64 {
 // safeRound is computeRound behind a panic-containment boundary: a panic in
 // the LP machinery (degenerate tableau, injected fault) surfaces as an error
 // the serving path can degrade on instead of a dead process.
-func (a *AA) safeRound(ctx context.Context, poly *geom.Polytope, geo *geom.Incremental, eps float64) (r *round, err error) {
-	if perr := core.Guard(func() { r, err = a.computeRound(ctx, poly, geo, eps) }); perr != nil {
+func (a *AA) safeRound(ctx context.Context, geo *geom.Incremental, eps float64) (r *round, err error) {
+	if perr := core.Guard(func() { r, err = a.computeRound(ctx, geo, eps) }); perr != nil {
 		return nil, perr
 	}
 	return r, err
@@ -535,8 +460,7 @@ func (a *AA) RunContext(ctx context.Context, ds *dataset.Dataset, user core.User
 	if ds != a.ds && (ds.Len() != a.ds.Len() || ds.Dim() != a.ds.Dim()) {
 		return core.Result{}, core.ErrDatasetMismatch
 	}
-	poly := geom.NewPolytope(a.ds.Dim())
-	geo := a.newGeo(poly)
+	geo := geom.NewIncremental(geom.NewPolytope(a.ds.Dim()))
 	var lastCenter []float64
 	var qas []core.QA
 	rounds, recovered := 0, 0
@@ -552,7 +476,7 @@ func (a *AA) RunContext(ctx context.Context, ds *dataset.Dataset, user core.User
 		}
 		return degrade(err.Error())
 	}
-	cur, err := a.safeRound(ctx, poly, geo, eps)
+	cur, err := a.safeRound(ctx, geo, eps)
 	if err != nil {
 		return fail(err)
 	}
@@ -570,17 +494,17 @@ func (a *AA) RunContext(ctx context.Context, ds *dataset.Dataset, user core.User
 		prefI := user.Prefer(pi, pj)
 		osp.End()
 		if prefI {
-			a.addCut(rctx, poly, geo, geom.NewHalfspace(pi, pj))
+			geo.AddCtx(rctx, geom.NewHalfspace(pi, pj))
 		} else {
-			a.addCut(rctx, poly, geo, geom.NewHalfspace(pj, pi))
+			geo.AddCtx(rctx, geom.NewHalfspace(pj, pi))
 		}
 		rounds++
-		a.maybeReduce(poly, geo, rounds)
+		maybeReduce(geo, rounds)
 		qas = append(qas, core.QA{I: act.I, J: act.J, PreferredI: prefI})
 		if obs != nil {
-			obs.Round(rounds, poly.Halfspaces)
+			obs.Round(rounds, geo.P.Halfspaces)
 		}
-		cur, err = a.safeRound(rctx, poly, geo, eps)
+		cur, err = a.safeRound(rctx, geo, eps)
 		if rsp != nil {
 			rsp.SetBool("error", err != nil)
 			rsp.End()

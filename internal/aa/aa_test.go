@@ -173,7 +173,7 @@ func TestActionDirectionDiversity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	acts := a.selectActions(context.Background(), poly, a.newGeo(poly), ball.Center)
+	acts := a.selectActions(context.Background(), geom.NewIncremental(poly), ball.Center)
 	if len(acts) < 2 {
 		t.Skipf("only %d actions available", len(acts))
 	}

@@ -6,27 +6,25 @@ import (
 
 	"isrl/internal/core"
 	"isrl/internal/fault"
-	"isrl/internal/par"
 )
 
-// An LP panic injected while the worker pool is probing candidate cuts must
-// flow worker → par.Do re-raise → safeRound's core.Guard → Degraded result:
-// the process survives, the pool drains, and the session still answers.
-func TestChaosInjectedLPPanicDegradesUnderPool(t *testing.T) {
-	defer par.SetMaxWorkers(par.SetMaxWorkers(4))
+// A panic injected into the engine's warm LP solver must flow through
+// safeRound's core.Guard into a Degraded result: the process survives and
+// the session still answers with a best-effort point.
+func TestChaosInjectedLPPanicDegrades(t *testing.T) {
 	ds := testData(t, 300, 3, 61)
-	// The fanned-out probe window only exists on the scratch path; the
-	// incremental engine probes serially through its warm solver.
-	cfg := smallCfg()
-	cfg.ScratchGeometry = true
-	a := New(ds, 0.1, cfg, rand.New(rand.NewSource(62)))
-	// After skips the session's first serial LPs (inner ball, outer rect) so
-	// the armed panic lands during the fanned-out feasibility probes.
-	fault.Install(fault.NewPlan(63).Set(fault.PointLPSolve, fault.Spec{PanicProb: 1, After: 12}))
+	a := New(ds, 0.1, smallCfg(), rand.New(rand.NewSource(62)))
+	// After skips the session's first warm re-solves (the outer rectangle)
+	// so the armed panic lands during the candidate feasibility probes.
+	plan := fault.NewPlan(63).Set(fault.PointLPWarm, fault.Spec{PanicProb: 1, After: 12})
+	fault.Install(plan)
 	defer fault.Install(nil)
 	res, err := a.Run(ds, core.SimulatedUser{Utility: []float64{0.3, 0.4, 0.3}}, 0.1, nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if plan.Injections(fault.PointLPWarm) == 0 {
+		t.Fatal("warm-LP panic was never injected")
 	}
 	if !res.Degraded {
 		t.Fatalf("expected degraded result, got %+v", res)

@@ -9,8 +9,8 @@ import (
 )
 
 // A seeded AA session must produce the identical Result for any worker
-// count: the speculative LP probes only memoize a pure predicate, and the
-// serial accept loop keeps budget and ordering unchanged.
+// count. The LP probes run serially on the engine, so AA's only worker-count
+// dependence is dataset.Scores, whose chunks each own a disjoint index range.
 func TestRunDeterministicAcrossWorkers(t *testing.T) {
 	run := func(workers int) core.Result {
 		defer par.SetMaxWorkers(par.SetMaxWorkers(workers))

@@ -170,7 +170,7 @@ type Algorithm interface {
 
 // ContextAlgorithm is an Algorithm whose run accepts a context. The context
 // carries values only — per-session tracing in particular — never
-// cancellation: lifecycle still belongs to the session. NewSessionCtx
+// cancellation: lifecycle still belongs to the session. NewSession
 // type-asserts for this interface and prefers RunContext when present, so
 // existing Algorithm implementations keep working unchanged.
 type ContextAlgorithm interface {

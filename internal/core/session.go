@@ -51,24 +51,16 @@ var errSessionAborted = errors.New("core: session aborted")
 // NewSession starts alg on ds with threshold eps, returning the handle the
 // application drives. The algorithm runs in its own goroutine and blocks
 // whenever it needs an answer.
-func NewSession(alg Algorithm, ds *dataset.Dataset, eps float64) *Session {
-	return NewReplaySessionCtx(context.Background(), alg, ds, eps, nil)
-}
-
-// NewSessionCtx is NewSession with a context handed to the algorithm
-// goroutine. When alg implements ContextAlgorithm its RunContext method
-// receives ctx — the hook per-session tracing rides on; otherwise ctx is
-// ignored and plain Run is called. The context carries values only: the
-// session lifecycle is still governed by Close, not ctx cancellation.
-func NewSessionCtx(ctx context.Context, alg Algorithm, ds *dataset.Dataset, eps float64) *Session {
-	return NewReplaySessionCtx(ctx, alg, ds, eps, nil)
-}
-
-// NewReplaySession is NewSession with a recorded answer prefix: the first
+//
+// When alg implements ContextAlgorithm its RunContext method receives ctx —
+// the hook per-session tracing rides on; otherwise ctx is ignored and plain
+// Run is called. The context carries values only: the session lifecycle is
+// still governed by Close, not ctx cancellation.
+//
+// replay is a recorded answer prefix, nil for a fresh session: the first
 // len(replay) oracle questions are answered from the trace inside the
 // algorithm goroutine — no channel round-trips, no fault injection — and
 // only then does the session go live and surface questions through Next.
-//
 // This is the crash-recovery primitive: every algorithm here is
 // deterministic given its seed and answer trace (the invariant the
 // determinism suites pin down), so feeding a journaled prefix back through
@@ -76,13 +68,7 @@ func NewSessionCtx(ctx context.Context, alg Algorithm, ds *dataset.Dataset, eps 
 // eventual Result of the interrupted run. If the algorithm finishes before
 // exhausting the prefix (the crash lost a finish tombstone, not answers),
 // the leftovers are ignored and Next reports done immediately.
-func NewReplaySession(alg Algorithm, ds *dataset.Dataset, eps float64, replay []bool) *Session {
-	return NewReplaySessionCtx(context.Background(), alg, ds, eps, replay)
-}
-
-// NewReplaySessionCtx is NewReplaySession with a context for the algorithm
-// goroutine (see NewSessionCtx).
-func NewReplaySessionCtx(ctx context.Context, alg Algorithm, ds *dataset.Dataset, eps float64, replay []bool) *Session {
+func NewSession(ctx context.Context, alg Algorithm, ds *dataset.Dataset, eps float64, replay []bool) *Session {
 	s := &Session{
 		questions: make(chan [2][]float64),
 		answers:   make(chan bool),

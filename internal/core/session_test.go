@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -43,7 +44,7 @@ func sessionData() *dataset.Dataset {
 
 func TestSessionFullExchange(t *testing.T) {
 	ds := sessionData()
-	s := NewSession(fixedAlgorithm{pairs: [][2]int{{0, 1}, {2, 0}}}, ds, 0.1)
+	s := NewSession(context.Background(), fixedAlgorithm{pairs: [][2]int{{0, 1}, {2, 0}}}, ds, 0.1, nil)
 
 	// Question 1.
 	pi, pj, done := s.Next()
@@ -81,7 +82,7 @@ func TestSessionFullExchange(t *testing.T) {
 }
 
 func TestSessionAnswerWithoutQuestion(t *testing.T) {
-	s := NewSession(fixedAlgorithm{pairs: [][2]int{{0, 1}}}, sessionData(), 0.1)
+	s := NewSession(context.Background(), fixedAlgorithm{pairs: [][2]int{{0, 1}}}, sessionData(), 0.1, nil)
 	defer s.Close()
 	if err := s.Answer(true); err == nil {
 		t.Error("Answer before Next must error")
@@ -89,7 +90,7 @@ func TestSessionAnswerWithoutQuestion(t *testing.T) {
 }
 
 func TestSessionResultWithPendingQuestion(t *testing.T) {
-	s := NewSession(fixedAlgorithm{pairs: [][2]int{{0, 1}}}, sessionData(), 0.1)
+	s := NewSession(context.Background(), fixedAlgorithm{pairs: [][2]int{{0, 1}}}, sessionData(), 0.1, nil)
 	defer s.Close()
 	if _, _, done := s.Next(); done {
 		t.Fatal("expected a question")
@@ -100,7 +101,7 @@ func TestSessionResultWithPendingQuestion(t *testing.T) {
 }
 
 func TestSessionClose(t *testing.T) {
-	s := NewSession(fixedAlgorithm{pairs: [][2]int{{0, 1}, {1, 2}}}, sessionData(), 0.1)
+	s := NewSession(context.Background(), fixedAlgorithm{pairs: [][2]int{{0, 1}, {1, 2}}}, sessionData(), 0.1, nil)
 	if _, _, done := s.Next(); done {
 		t.Fatal("expected a question")
 	}
@@ -116,7 +117,7 @@ func TestSessionClose(t *testing.T) {
 }
 
 func TestSessionZeroQuestionAlgorithm(t *testing.T) {
-	s := NewSession(fixedAlgorithm{}, sessionData(), 0.1)
+	s := NewSession(context.Background(), fixedAlgorithm{}, sessionData(), 0.1, nil)
 	if _, _, done := s.Next(); !done {
 		t.Fatal("no-question algorithm must finish immediately")
 	}
@@ -135,7 +136,7 @@ func TestSessionWithRealAlgorithmShape(t *testing.T) {
 	ds := &dataset.Dataset{Points: geom.SimplexVertices(3)}
 	// Simple scripted algorithm standing in for EA (core cannot import ea —
 	// the cross-package integration lives in the root api tests).
-	s := NewSession(fixedAlgorithm{pairs: [][2]int{{0, 1}, {1, 2}, {0, 2}}}, ds, 0.1)
+	s := NewSession(context.Background(), fixedAlgorithm{pairs: [][2]int{{0, 1}, {1, 2}, {0, 2}}}, ds, 0.1, nil)
 	truth := SimulatedUser{Utility: []float64{0.2, 0.3, 0.5}}
 	for {
 		pi, pj, done := s.Next()
@@ -165,7 +166,7 @@ func TestReplaySessionRecoversMidSession(t *testing.T) {
 	answers := []bool{true, false, true}
 
 	// Uninterrupted baseline.
-	base := NewSession(fixedAlgorithm{pairs: pairs}, ds, 0.1)
+	base := NewSession(context.Background(), fixedAlgorithm{pairs: pairs}, ds, 0.1, nil)
 	for _, a := range answers {
 		if _, _, done := base.Next(); done {
 			t.Fatal("baseline finished early")
@@ -183,7 +184,7 @@ func TestReplaySessionRecoversMidSession(t *testing.T) {
 	}
 
 	// "Crash" after two committed answers; replay the prefix.
-	s := NewReplaySession(fixedAlgorithm{pairs: pairs}, ds, 0.1, answers[:2])
+	s := NewSession(context.Background(), fixedAlgorithm{pairs: pairs}, ds, 0.1, answers[:2])
 	pi, pj, done := s.Next()
 	if done {
 		t.Fatal("replayed session finished before the pending question")
@@ -218,7 +219,7 @@ func TestReplaySessionRecoversMidSession(t *testing.T) {
 // A replay prefix longer than the algorithm needs (the crash lost the
 // finish tombstone, not answers) finishes immediately instead of hanging.
 func TestReplaySessionOverlongPrefixFinishes(t *testing.T) {
-	s := NewReplaySession(fixedAlgorithm{pairs: [][2]int{{0, 1}}}, sessionData(), 0.1, []bool{true, false, true})
+	s := NewSession(context.Background(), fixedAlgorithm{pairs: [][2]int{{0, 1}}}, sessionData(), 0.1, []bool{true, false, true})
 	if _, _, done := s.Next(); !done {
 		t.Fatal("overlong prefix should complete the session")
 	}

@@ -37,12 +37,6 @@ type Config struct {
 	// interaction continues instead of terminating with a fallback point.
 	Resilient bool
 
-	// ScratchGeometry disables the round-incremental geometry engine and
-	// recomputes the vertex set from scratch every round (the pre-engine
-	// behavior). The engine is deterministic and bit-identical to scratch —
-	// this switch exists for benchmarking and as an escape hatch.
-	ScratchGeometry bool
-
 	// Ablation switches (see DESIGN.md §5). All default off.
 	NoExtremeState bool // zero out the selected-extreme-vectors state part
 	NoSphereState  bool // zero out the outer-sphere state part
@@ -146,7 +140,6 @@ type action struct {
 
 // round captures everything EA derives from the current utility range.
 type round struct {
-	poly     *geom.Polytope
 	verts    [][]float64
 	state    []float64
 	actions  []action
@@ -156,46 +149,16 @@ type round struct {
 	reason   string // why, when degraded
 }
 
-// newGeo returns the round-incremental engine over poly, or nil when the
-// scratch path was requested. A nil handle makes every helper below fall
-// through to the plain Polytope methods.
-func (e *EA) newGeo(poly *geom.Polytope) *geom.Incremental {
-	if e.cfg.ScratchGeometry {
-		return nil
-	}
-	return geom.NewIncremental(poly)
-}
-
-// vertices reads the current vertex set through the engine when one is
-// active. The engine serves its maintained list (bit-identical to scratch
-// enumeration) and rebuilds from scratch whenever it cannot vouch for it.
-func vertices(ctx context.Context, poly *geom.Polytope, geo *geom.Incremental) ([][]float64, error) {
-	if geo != nil {
-		return geo.VerticesCtx(ctx)
-	}
-	return poly.VerticesCtx(ctx)
-}
-
-// applyCut intersects the range with the learned halfspace and prunes
-// redundant constraints, through the engine when one is active. Both paths
-// make identical keep/remove decisions; the engine additionally folds the
-// cut into its maintained vertex set and warm solvers.
-func applyCut(ctx context.Context, poly *geom.Polytope, geo *geom.Incremental, h geom.Halfspace) {
-	if geo != nil {
-		geo.AddCtx(ctx, h)
-		geo.Reduce()
-		return
-	}
-	poly.Add(h)
-	poly.ReduceRedundant()
-}
-
 // computeRound derives the MDP view of the current utility range: the
 // Lemma-6 terminal test, the two-part state vector, and the restricted
-// action pool from terminal-polyhedron representatives.
-func (e *EA) computeRound(ctx context.Context, poly *geom.Polytope, geo *geom.Incremental, eps float64) (*round, error) {
-	r := &round{poly: poly, stopIdx: -1}
-	verts, err := vertices(ctx, poly, geo)
+// action pool from terminal-polyhedron representatives. The vertex set is
+// read through the round-incremental engine, which serves its maintained
+// list (bit-identical to scratch enumeration) and rebuilds from scratch
+// whenever it cannot vouch for it.
+func (e *EA) computeRound(ctx context.Context, geo *geom.Incremental, eps float64) (*round, error) {
+	poly := geo.P
+	r := &round{stopIdx: -1}
+	verts, err := geo.VerticesCtx(ctx)
 	if err != nil {
 		return nil, fmt.Errorf("ea: %w", err)
 	}
@@ -205,7 +168,7 @@ func (e *EA) computeRound(ctx context.Context, poly *geom.Polytope, geo *geom.In
 		// polytope directly; the engine notices via the mutation generation
 		// and resynchronizes on the re-read.
 		poly.RepairFeasibility(0)
-		if verts, err = vertices(ctx, poly, geo); err != nil {
+		if verts, err = geo.VerticesCtx(ctx); err != nil {
 			return nil, fmt.Errorf("ea: %w", err)
 		}
 	}
@@ -357,8 +320,8 @@ func (e *EA) fallbackPoint(poly *geom.Polytope) int {
 // safeRound is computeRound behind a panic-containment boundary: a panic in
 // the LP/vertex machinery (degenerate polytope, injected fault) surfaces as
 // an error the serving path can degrade on instead of a dead process.
-func (e *EA) safeRound(ctx context.Context, poly *geom.Polytope, geo *geom.Incremental, eps float64) (r *round, err error) {
-	if perr := core.Guard(func() { r, err = e.computeRound(ctx, poly, geo, eps) }); perr != nil {
+func (e *EA) safeRound(ctx context.Context, geo *geom.Incremental, eps float64) (r *round, err error) {
+	if perr := core.Guard(func() { r, err = e.computeRound(ctx, geo, eps) }); perr != nil {
 		return nil, perr
 	}
 	return r, err
@@ -426,9 +389,8 @@ func (e *EA) Train(users [][]float64) (TrainStats, error) {
 // inference. It returns the number of rounds and feeds obs if non-nil.
 func (e *EA) episode(user core.User, epsilon float64, replay *rl.Replay, obs core.Observer) (int, error) {
 	ctx := context.Background()
-	poly := geom.NewPolytope(e.ds.Dim())
-	geo := e.newGeo(poly)
-	cur, err := e.computeRound(ctx, poly, geo, e.eps)
+	geo := geom.NewIncremental(geom.NewPolytope(e.ds.Dim()))
+	cur, err := e.computeRound(ctx, geo, e.eps)
 	if err != nil {
 		return 0, err
 	}
@@ -451,12 +413,13 @@ func (e *EA) episode(user core.User, epsilon float64, replay *rl.Replay, obs cor
 		} else {
 			h = geom.NewHalfspace(pj, pi)
 		}
-		applyCut(ctx, poly, geo, h)
+		geo.AddCtx(ctx, h)
+		geo.Reduce()
 		rounds++
 		if obs != nil {
-			obs.Round(rounds, poly.Halfspaces)
+			obs.Round(rounds, geo.P.Halfspaces)
 		}
-		next, err := e.computeRound(ctx, poly, geo, e.eps)
+		next, err := e.computeRound(ctx, geo, e.eps)
 		if err != nil {
 			return rounds, err
 		}
@@ -533,8 +496,7 @@ func (e *EA) RunContext(ctx context.Context, ds *dataset.Dataset, user core.User
 	e.eps = eps
 	defer func() { e.eps = savedEps }()
 
-	poly := geom.NewPolytope(e.ds.Dim())
-	geo := e.newGeo(poly)
+	geo := geom.NewIncremental(geom.NewPolytope(e.ds.Dim()))
 	var lastCenter []float64
 	var qas []core.QA
 	rounds, recovered := 0, 0
@@ -550,7 +512,7 @@ func (e *EA) RunContext(ctx context.Context, ds *dataset.Dataset, user core.User
 		}
 		return degrade(err.Error())
 	}
-	cur, err := e.safeRound(ctx, poly, geo, eps)
+	cur, err := e.safeRound(ctx, geo, eps)
 	if err != nil {
 		return fail(err)
 	}
@@ -572,17 +534,20 @@ func (e *EA) RunContext(ctx context.Context, ds *dataset.Dataset, user core.User
 		osp := trace.StartLeaf(rctx, "oracle.wait")
 		prefI := user.Prefer(pi, pj)
 		osp.End()
+		var h geom.Halfspace
 		if prefI {
-			applyCut(rctx, poly, geo, geom.NewHalfspace(pi, pj))
+			h = geom.NewHalfspace(pi, pj)
 		} else {
-			applyCut(rctx, poly, geo, geom.NewHalfspace(pj, pi))
+			h = geom.NewHalfspace(pj, pi)
 		}
+		geo.AddCtx(rctx, h)
+		geo.Reduce()
 		rounds++
 		qas = append(qas, core.QA{I: act.I, J: act.J, PreferredI: prefI})
 		if obs != nil {
-			obs.Round(rounds, poly.Halfspaces)
+			obs.Round(rounds, geo.P.Halfspaces)
 		}
-		cur, err = e.safeRound(rctx, poly, geo, eps)
+		cur, err = e.safeRound(rctx, geo, eps)
 		if rsp != nil {
 			rsp.SetBool("error", err != nil)
 			rsp.End()
@@ -599,7 +564,7 @@ func (e *EA) RunContext(ctx context.Context, ds *dataset.Dataset, user core.User
 	}
 	idx := cur.stopIdx
 	if idx < 0 {
-		idx = e.fallbackPoint(poly)
+		idx = e.fallbackPoint(geo.P)
 	}
 	return core.Result{
 		PointIndex:      idx,

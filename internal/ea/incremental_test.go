@@ -1,6 +1,8 @@
 package ea
 
 import (
+	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -10,16 +12,27 @@ import (
 )
 
 // runSeeded executes one seeded EA session and returns its result. Each call
-// builds a fresh EA so the RNG stream starts from the same state.
+// builds a fresh EA so the RNG stream starts from the same state. With
+// scratch set, the geom.inc.clip fault fails every halfspace clip, so the
+// engine serves every vertex read from Polytope.VerticesCtx — the scratch
+// enumeration — and the run is the reference the engine must reproduce; the
+// test fails if the fault never fired.
 func runSeeded(t *testing.T, scratch bool, dataSeed, rngSeed int64, u []float64) core.Result {
 	t.Helper()
 	ds := testData(t, 250, len(u), dataSeed)
-	cfg := smallCfg()
-	cfg.ScratchGeometry = scratch
-	e := New(ds, 0.1, cfg, rand.New(rand.NewSource(rngSeed)))
+	var plan *fault.Plan
+	if scratch {
+		plan = fault.NewPlan(17).Set(fault.PointIncClip, fault.Spec{ErrProb: 1})
+		fault.Install(plan)
+		defer fault.Install(nil)
+	}
+	e := New(ds, 0.1, smallCfg(), rand.New(rand.NewSource(rngSeed)))
 	res, err := e.Run(ds, core.SimulatedUser{Utility: u}, 0.1, nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if plan != nil && plan.Injections(fault.PointIncClip) == 0 {
+		t.Fatal("clip fault was never exercised")
 	}
 	return res
 }
@@ -43,34 +56,26 @@ func sameResult(t *testing.T, label string, a, b core.Result) {
 // The incremental engine's contract for EA is bit-identity, not mere
 // closeness: vertex maintenance reproduces the scratch enumeration float for
 // float and the sampling path is untouched, so a seeded session must ask the
-// exact same questions and return the exact same tuple with the engine on or
-// off.
+// exact same questions and return the exact same tuple as the clip-fault
+// reference run, which re-enumerates from scratch every round.
 func TestEngineBitIdenticalToScratch(t *testing.T) {
+	type seeded struct {
+		dataSeed, rngSeed int64
+		u                 []float64
+	}
 	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 4; trial++ {
-		d := 3 + trial%2
-		u := geom.SampleSimplex(rng, d)
-		inc := runSeeded(t, false, 100+int64(trial), 200+int64(trial), u)
-		scr := runSeeded(t, true, 100+int64(trial), 200+int64(trial), u)
-		sameResult(t, "engine vs scratch", inc, scr)
+	var cases []seeded
+	for trial := int64(0); trial < 4; trial++ {
+		cases = append(cases, seeded{100 + trial, 200 + trial, geom.SampleSimplex(rng, 3+int(trial%2))})
 	}
-}
-
-// Forcing every halfspace clip to fail must leave the session bit-identical
-// to the scratch run: the engine falls back to full re-enumeration, which is
-// the same code the scratch path runs.
-func TestChaosIncClipFaultFallsBackBitIdentical(t *testing.T) {
-	u := []float64{0.5, 0.2, 0.2, 0.1}
-	scr := runSeeded(t, true, 300, 301, u)
-
-	plan := fault.NewPlan(17).Set(fault.PointIncClip, fault.Spec{ErrProb: 1})
-	fault.Install(plan)
-	defer fault.Install(nil)
-	inc := runSeeded(t, false, 300, 301, u)
-	if plan.Injections(fault.PointIncClip) == 0 {
-		t.Fatal("clip fault was never exercised")
+	cases = append(cases, seeded{300, 301, []float64{0.5, 0.2, 0.2, 0.1}})
+	for _, c := range cases {
+		t.Run(fmt.Sprintf("seed%d_d%d", c.dataSeed, len(c.u)), func(t *testing.T) {
+			inc := runSeeded(t, false, c.dataSeed, c.rngSeed, c.u)
+			scr := runSeeded(t, true, c.dataSeed, c.rngSeed, c.u)
+			sameResult(t, "engine vs scratch", inc, scr)
+		})
 	}
-	sameResult(t, "clip-fault engine vs scratch", inc, scr)
 }
 
 // Crash-recovery with the engine enabled: journal a prefix of answers, kill
@@ -109,7 +114,7 @@ func TestEAReplayRecoverIncremental(t *testing.T) {
 	}
 
 	// Reference: uninterrupted run.
-	_, want, finished := drive(core.NewSession(newEA(), ds, 0.1), -1)
+	_, want, finished := drive(core.NewSession(context.Background(), newEA(), ds, 0.1, nil), -1)
 	if !finished {
 		t.Fatal("reference session did not finish")
 	}
@@ -118,11 +123,11 @@ func TestEAReplayRecoverIncremental(t *testing.T) {
 	}
 
 	// Crash after 3 answers, then recover by replaying the journal.
-	prefix, _, finished := drive(core.NewSession(newEA(), ds, 0.1), 3)
+	prefix, _, finished := drive(core.NewSession(context.Background(), newEA(), ds, 0.1, nil), 3)
 	if finished {
 		t.Fatal("session finished before the simulated crash")
 	}
-	_, got, finished := drive(core.NewReplaySession(newEA(), ds, 0.1, prefix), -1)
+	_, got, finished := drive(core.NewSession(context.Background(), newEA(), ds, 0.1, prefix), -1)
 	if !finished {
 		t.Fatal("recovered session did not finish")
 	}

@@ -129,13 +129,13 @@ func BenchmarkIncrementalClip4D(b *testing.B) {
 		p := NewPolytope(d)
 		g := NewIncremental(p)
 		for _, h := range cuts[:10] {
-			g.Add(h)
+			g.AddCtx(context.Background(), h)
 		}
 		if _, err := g.VerticesCtx(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		g.Add(cuts[10])
+		g.AddCtx(context.Background(), cuts[10])
 		if _, err := g.VerticesCtx(context.Background()); err != nil {
 			b.Fatal(err)
 		}

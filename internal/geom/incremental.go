@@ -325,7 +325,7 @@ func NewIncremental(p *Polytope) *Incremental {
 
 // sync drops whatever an out-of-band polytope mutation invalidated. Mutations
 // through the handle re-read the generation themselves, so only foreign ones
-// (direct Add, RepairFeasibility, scratch ReduceRedundant) land here.
+// (direct Add, RepairFeasibility, ReduceRedundant) land here.
 func (g *Incremental) sync() {
 	if g.P.gen != g.seenGen {
 		g.vsFresh = false
@@ -339,12 +339,9 @@ func (g *Incremental) sync() {
 	}
 }
 
-// Add intersects the polytope with h, folding it into every maintained
+// AddCtx intersects the polytope with h, folding it into every maintained
 // structure: the vertex set by halfspace clip, the warm solvers by
-// constraint push. See AddCtx.
-func (g *Incremental) Add(h Halfspace) { g.AddCtx(context.Background(), h) }
-
-// AddCtx is Add with tracing: a successful or degraded clip shows up as a
+// constraint push. A successful or degraded clip shows up as a
 // "geom.inc.clip" span when ctx carries an active trace.
 func (g *Incremental) AddCtx(ctx context.Context, h Halfspace) {
 	g.sync()
@@ -493,45 +490,29 @@ func (g *Incremental) CutsBothSides(key uint64, h Halfspace, margin float64) boo
 	return true
 }
 
-// Reduce is Polytope.ReduceRedundant with maintained-state upkeep: probes
-// use the same from-scratch relaxation LPs (identical removal decisions),
-// the vertex set survives each removal by reindexing (a redundant halfspace
-// is active at no vertex of a simple polytope), and the warm solvers are
-// dropped for lazy rebuild — the inner-ball program normalizes every row
-// into a ball constraint, so a removed redundant halfspace does change its
-// optimum, and rebuilding also keeps tableau width bounded by the live
-// constraint count.
+// Reduce is Polytope.ReduceRedundant with maintained-state upkeep: it runs
+// the same removal loop (identical removal decisions), the vertex set
+// survives each removal by reindexing (a redundant halfspace is active at no
+// vertex of a simple polytope), and the warm solvers are dropped for lazy
+// rebuild — the inner-ball program normalizes every row into a ball
+// constraint, so a removed redundant halfspace does change its optimum, and
+// rebuilding also keeps tableau width bounded by the live constraint count.
 func (g *Incremental) Reduce() int {
 	g.sync()
 	p := g.P
-	removed := 0
-	rest := make([]Halfspace, 0, len(p.Halfspaces))
-	neg := make([]float64, p.Dim)
-	for i := 0; i < len(p.Halfspaces); {
-		h := p.Halfspaces[i]
-		rest = append(rest[:0], p.Halfspaces[:i]...)
-		rest = append(rest, p.Halfspaces[i+1:]...)
-		q := &Polytope{Dim: p.Dim, Halfspaces: rest}
-		if q.sideFeasible(vec.Scale(neg, -1, h.Normal), 1e-9) {
-			i++ // h actively cuts; keep it
-			continue
+	removed := p.reduceRedundant(func(i int, clean bool) {
+		if g.vs == nil || !g.vsFresh {
+			return
 		}
-		wasFresh := g.vsFresh && !p.vertsDirty
-		p.Halfspaces = append(p.Halfspaces[:i], p.Halfspaces[i+1:]...)
-		p.vertsDirty = true
-		p.gen++
-		removed++
-		if g.vs != nil && g.vsFresh {
-			if g.vs.remove(i) {
-				if wasFresh {
-					p.vertsDirty = false
-				}
-			} else {
-				g.vsFresh = false
-				incFallbacks.Inc()
-			}
+		if !g.vs.remove(i) {
+			g.vsFresh = false
+			incFallbacks.Inc()
+			return
 		}
-	}
+		if clean {
+			p.vertsDirty = false
+		}
+	})
 	if removed > 0 {
 		g.inner, g.base = nil, nil
 	}

@@ -73,7 +73,7 @@ func TestIncrementalMatchesScratchProperty(t *testing.T) {
 		steps := 12 + rng.Intn(10)
 		for step := 0; step < steps; step++ {
 			w := randCut(rng, d, uStar)
-			g.Add(Halfspace{Normal: w})
+			g.AddCtx(ctx, Halfspace{Normal: w})
 			pScr.Add(Halfspace{Normal: vec.Clone(w)})
 
 			if rng.Intn(3) == 0 {
@@ -113,7 +113,7 @@ func TestIncrementalMatchesScratchProperty(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d step %d: incremental outer rect: %v", seed, step, err)
 			}
-			minScr, maxScr, err := pScr.OuterRectCtx(ctx)
+			minScr, maxScr, err := pScr.OuterRect()
 			if err != nil {
 				t.Fatalf("seed %d step %d: scratch outer rect: %v", seed, step, err)
 			}
@@ -159,7 +159,7 @@ func TestIncrementalClipFaultFallsBackScratch(t *testing.T) {
 	g := NewIncremental(pInc)
 	for step := 0; step < 15; step++ {
 		w := randCut(rng, d, uStar)
-		g.Add(Halfspace{Normal: w})
+		g.AddCtx(ctx, Halfspace{Normal: w})
 		pScr.Add(Halfspace{Normal: vec.Clone(w)})
 		vInc, err := g.VerticesCtx(ctx)
 		if err != nil {
@@ -190,7 +190,7 @@ func TestIncrementalSyncAfterForeignMutation(t *testing.T) {
 	for step := 0; step < 10; step++ {
 		w := randCut(rng, d, uStar)
 		if step%2 == 0 {
-			g.Add(Halfspace{Normal: w}) // through the handle
+			g.AddCtx(ctx, Halfspace{Normal: w}) // through the handle
 		} else {
 			p.Add(Halfspace{Normal: vec.Clone(w)}) // behind its back
 		}

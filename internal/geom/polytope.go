@@ -170,15 +170,6 @@ func (p *Polytope) sideFeasible(w []float64, margin float64) bool {
 // OuterRect returns e_min and e_max, the per-dimension extrema of u over R,
 // computed with 2d LPs (paper §IV-C). It fails when R is empty.
 func (p *Polytope) OuterRect() (emin, emax []float64, err error) {
-	return p.OuterRectCtx(context.Background())
-}
-
-// OuterRectCtx is OuterRect with tracing: when ctx carries an active trace
-// the 2d solves are grouped under a "geom.outer_rect" span with each
-// lp.solve as a child.
-func (p *Polytope) OuterRectCtx(ctx context.Context) (emin, emax []float64, err error) {
-	ctx, sp := trace.Start(ctx, "geom.outer_rect")
-	defer sp.End()
 	d := p.Dim
 	emin = make([]float64, d)
 	emax = make([]float64, d)
@@ -186,13 +177,13 @@ func (p *Polytope) OuterRectCtx(ctx context.Context) (emin, emax []float64, err 
 	for i := 0; i < d; i++ {
 		vec.Fill(prob.Maximize, 0)
 		prob.Maximize[i] = 1
-		res := solveLPCtx(ctx, prob)
+		res := solveLP(prob)
 		if res.Status != lp.Optimal {
 			return nil, nil, fmt.Errorf("geom: outer rect max dim %d: %v", i, res.Status)
 		}
 		emax[i] = res.Objective
 		prob.Maximize[i] = -1
-		res = solveLPCtx(ctx, prob)
+		res = solveLP(prob)
 		if res.Status != lp.Optimal {
 			return nil, nil, fmt.Errorf("geom: outer rect min dim %d: %v", i, res.Status)
 		}
@@ -315,8 +306,15 @@ func (p *Polytope) RepairFeasibility(maxDrops int) int {
 // max −w·u over R\{h} is ≤ 0 (every point of the relaxation already
 // satisfies h). Keeping the set small bounds the vertex-enumeration pool.
 // Returns the number of halfspaces removed.
-func (p *Polytope) ReduceRedundant() int {
-	removed := 0
+func (p *Polytope) ReduceRedundant() int { return p.reduceRedundant(nil) }
+
+// reduceRedundant is the removal loop behind ReduceRedundant and
+// Incremental.Reduce, so both make the same keep/remove decisions by
+// construction. After each removal it calls removed, when non-nil, with the
+// list index the halfspace occupied and whether the vertex cache was clean
+// just before the removal.
+func (p *Polytope) reduceRedundant(removed func(i int, clean bool)) int {
+	n := 0
 	// One scratch relaxation and one negated-normal buffer serve every
 	// probe; the actual removal splices p.Halfspaces in place.
 	rest := make([]Halfspace, 0, len(p.Halfspaces))
@@ -330,10 +328,14 @@ func (p *Polytope) ReduceRedundant() int {
 			i++ // h actively cuts; keep it
 			continue
 		}
+		clean := !p.vertsDirty
 		p.Halfspaces = append(p.Halfspaces[:i], p.Halfspaces[i+1:]...)
 		p.vertsDirty = true
 		p.gen++ // R itself is unchanged (h was redundant), so grow stays put
-		removed++
+		n++
+		if removed != nil {
+			removed(i, clean)
+		}
 	}
-	return removed
+	return n
 }

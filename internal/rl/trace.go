@@ -18,15 +18,3 @@ func (a *Agent) BestCtx(ctx context.Context, state []float64, actions [][]float6
 	defer sp.End()
 	return a.Best(state, actions)
 }
-
-// TrainBatchCtx is TrainBatch with a tracing leaf span ("rl.train_step",
-// batch size attached).
-func (a *Agent) TrainBatchCtx(ctx context.Context, batch []Transition) float64 {
-	sp := trace.StartLeaf(ctx, "rl.train_step")
-	if sp == nil {
-		return a.TrainBatch(batch)
-	}
-	sp.SetInt("batch", int64(len(batch)))
-	defer sp.End()
-	return a.TrainBatch(batch)
-}

@@ -389,7 +389,7 @@ func (s *Server) Recover(states []wal.SessionState) int {
 			continue
 		}
 		e := &session{
-			sess:      core.NewReplaySession(alg, s.ds, s.eps, st.Answers),
+			sess:      core.NewSession(context.Background(), alg, s.ds, s.eps, st.Answers),
 			lastTouch: s.now(),
 		}
 		s.mu.Lock()
@@ -809,7 +809,7 @@ func (s *Server) create(w http.ResponseWriter, r *http.Request) {
 	if root != nil {
 		ctx = trace.ContextWithSpan(ctx, root)
 	}
-	e := &session{sess: core.NewSessionCtx(ctx, alg, s.ds, s.eps), lastTouch: now, tr: tr, root: root}
+	e := &session{sess: core.NewSession(ctx, alg, s.ds, s.eps, nil), lastTouch: now, tr: tr, root: root}
 	s.sessions[id] = e
 	if key != "" {
 		s.idem.put(key, id)
