@@ -18,6 +18,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"strconv"
@@ -242,6 +243,9 @@ func parseUtility(s string, d int) ([]float64, error) {
 		if err != nil {
 			return nil, fmt.Errorf("component %d: %w", i+1, err)
 		}
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("component %d is not finite", i+1)
+		}
 		if v < 0 {
 			return nil, fmt.Errorf("component %d is negative", i+1)
 		}
@@ -250,6 +254,9 @@ func parseUtility(s string, d int) ([]float64, error) {
 	}
 	if sum <= 0 {
 		return nil, fmt.Errorf("utility vector sums to zero")
+	}
+	if math.IsInf(sum, 0) {
+		return nil, fmt.Errorf("utility vector sum overflows")
 	}
 	for i := range u {
 		u[i] /= sum

@@ -26,7 +26,7 @@ func TestParseUtility(t *testing.T) {
 	if math.Abs(u[0]-0.5) > 1e-12 {
 		t.Errorf("unnormalized parse: %v", u)
 	}
-	for _, bad := range []string{"1,2", "a,b,c", "-1,1,1", "0,0,0"} {
+	for _, bad := range []string{"1,2", "a,b,c", "-1,1,1", "0,0,0", "NaN,0.2,0.3", "+Inf,0.2,0.3", "1e308,1e308,1"} {
 		if _, err := parseUtility(bad, 3); err == nil {
 			t.Errorf("parseUtility(%q) should fail", bad)
 		}

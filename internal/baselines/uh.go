@@ -126,6 +126,7 @@ func (u *UHSimplex) Run(ds *dataset.Dataset, user core.User, eps float64, obs co
 func runUH(ds *dataset.Dataset, user core.User, eps float64, obs core.Observer, cfg UHConfig,
 	rng *rand.Rand, pick func(pairs [][2]int, verts [][]float64) [2]int) (core.Result, error) {
 
+	ds.BuildTopIndex()
 	d := ds.Dim()
 	poly := geom.NewPolytope(d)
 	// Candidate set: initially every (skyline) point; pruned each round by
@@ -149,10 +150,11 @@ func runUH(ds *dataset.Dataset, user core.User, eps float64, obs core.Observer, 
 			degReason = "utility range empty (contradictory answers)"
 			break
 		}
-		if idx := core.StoppablePoint(ds, verts, eps); idx >= 0 {
+		vtops := ds.TopPoints(verts, nil)
+		if idx := core.StoppablePoint(ds, verts, vtops, eps); idx >= 0 {
 			return core.Result{PointIndex: idx, Point: ds.Points[idx], Rounds: rounds, Trace: trace}, nil
 		}
-		cands = pruneByTops(ds, cands, verts)
+		cands = pruneByTops(ds, cands, verts, vtops)
 		if cfg.HullFilter > 0 && len(cands) > 1 && len(cands) <= cfg.HullFilter {
 			cands = hullCandidates(ds, cands)
 		}
@@ -213,10 +215,11 @@ func hullCandidates(ds *dataset.Dataset, cands []int) []int {
 // pruneByTops drops candidates that are utility-dominated inside R by one of
 // the current vertex-top points: if v·(p_t − p_c) ≥ 0 at every vertex v of R
 // (strict somewhere), then by convexity p_t beats p_c everywhere in R and
-// p_c can never be top-1 again — the SIGMOD'19 pruning rule.
-func pruneByTops(ds *dataset.Dataset, cands []int, verts [][]float64) []int {
+// p_c can never be top-1 again — the SIGMOD'19 pruning rule. vtops[k] is
+// the top-1 point of verts[k], shared with the round's stopping test.
+func pruneByTops(ds *dataset.Dataset, cands []int, verts [][]float64, vtops []int) []int {
 	tops := map[int]bool{}
-	for _, t := range ds.TopPoints(verts, nil) {
+	for _, t := range vtops {
 		tops[t] = true
 	}
 	topIdx := make([]int, 0, len(tops))

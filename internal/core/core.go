@@ -214,21 +214,24 @@ func BestEffortResult(ds *dataset.Dataset, center []float64, rounds int, trace [
 // which certifies regratio(p,u) ≤ ε for every u ∈ R (any u is a convex
 // combination of E, and both sides are linear in u). Returns −1 when no
 // point qualifies, i.e. R is not yet a terminal polyhedron.
-func StoppablePoint(ds *dataset.Dataset, E [][]float64, eps float64) int {
+//
+// tops[k] must be ds.TopPoint(E[k]) — the caller computes the vertex tops
+// once (ds.TopPoints) and reuses them, e.g. for its action pool.
+func StoppablePoint(ds *dataset.Dataset, E [][]float64, tops []int, eps float64) int {
 	if len(E) == 0 {
 		return -1
 	}
-	// Per-vertex thresholds and candidate tops (checked first: the top-1
-	// point of a vertex is the most likely certificate).
+	// Per-vertex thresholds and distinct candidate tops (checked first: the
+	// top-1 point of a vertex is the most likely certificate).
 	thr := make([]float64, len(E))
-	tops := make([]int, 0, len(E))
+	cands := make([]int, 0, len(E))
 	seen := map[int]bool{}
 	for k, e := range E {
-		ti := ds.TopPoint(e)
+		ti := tops[k]
 		thr[k] = (1 - eps) * vec.Dot(e, ds.Points[ti])
 		if !seen[ti] {
 			seen[ti] = true
-			tops = append(tops, ti)
+			cands = append(cands, ti)
 		}
 	}
 	ok := func(pi int) bool {
@@ -240,7 +243,7 @@ func StoppablePoint(ds *dataset.Dataset, E [][]float64, eps float64) int {
 		}
 		return true
 	}
-	for _, ti := range tops {
+	for _, ti := range cands {
 		if ok(ti) {
 			return ti
 		}

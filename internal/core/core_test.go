@@ -66,11 +66,11 @@ func TestStoppablePointFullSimplex(t *testing.T) {
 	E := geom.SimplexVertices(2)
 	// With ε = 0 over the whole simplex no single point works (different
 	// corners have different winners).
-	if got := StoppablePoint(d, E, 0); got != -1 {
+	if got := StoppablePoint(d, E, d.TopPoints(E, nil), 0); got != -1 {
 		t.Errorf("eps=0 full simplex: got %d want -1", got)
 	}
 	// With ε = 1 any point qualifies (regret ≤ 1 always).
-	if got := StoppablePoint(d, E, 1); got < 0 {
+	if got := StoppablePoint(d, E, d.TopPoints(E, nil), 1); got < 0 {
 		t.Error("eps=1 must stop immediately")
 	}
 }
@@ -79,7 +79,7 @@ func TestStoppablePointAfterNarrowing(t *testing.T) {
 	d := tableIII()
 	// Narrow to vertices around u=(0.3,0.7): p3 wins at both with margin.
 	E := [][]float64{{0.25, 0.75}, {0.35, 0.65}}
-	got := StoppablePoint(d, E, 0.05)
+	got := StoppablePoint(d, E, d.TopPoints(E, nil), 0.05)
 	if got != 2 {
 		t.Errorf("StoppablePoint = %d want 2 (p3)", got)
 	}
@@ -105,7 +105,7 @@ func TestStoppablePointConvexityGuarantee(t *testing.T) {
 			E[k] = e
 		}
 		eps := 0.05 + rng.Float64()*0.2
-		pi := StoppablePoint(d, E, eps)
+		pi := StoppablePoint(d, E, d.TopPoints(E, nil), eps)
 		if pi < 0 {
 			continue
 		}
@@ -137,7 +137,7 @@ func clampNorm(u []float64) {
 }
 
 func TestStoppablePointEmptyVertices(t *testing.T) {
-	if got := StoppablePoint(tableIII(), nil, 0.5); got != -1 {
+	if got := StoppablePoint(tableIII(), nil, nil, 0.5); got != -1 {
 		t.Errorf("empty E: got %d want -1", got)
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"isrl/internal/par"
 	"isrl/internal/vec"
@@ -24,6 +25,9 @@ type Dataset struct {
 	Name   string
 	Points [][]float64
 	Attrs  []string // optional attribute names, len == Dim when present
+
+	topOnce sync.Once                // guards the one BuildTopIndex attempt
+	top     atomic.Pointer[topIndex] // nil until BuildTopIndex succeeds
 }
 
 // Dim returns the dimensionality (0 for an empty dataset).
@@ -221,17 +225,6 @@ func parallelLocalSkylines(pts [][]float64) [][]float64 {
 		merged = append(merged, l...)
 	}
 	return merged
-}
-
-// TopPoint returns the index of the point with the highest utility w.r.t. u.
-func (d *Dataset) TopPoint(u []float64) int {
-	best, bi := math.Inf(-1), -1
-	for i, p := range d.Points {
-		if s := vec.Dot(u, p); s > best {
-			best, bi = s, i
-		}
-	}
-	return bi
 }
 
 // scoreChunk is the number of points one pool task scores in Scores; large

@@ -56,3 +56,33 @@ func FuzzSkyline(f *testing.F) {
 		}
 	})
 }
+
+// FuzzTopIndex builds the top-1 index over small random datasets whose
+// values sit on a coarse grid — so rows repeat, and integer-weight
+// utilities tie exactly — and requires the indexed TopPoint and TopPoints
+// to return the full scan's index for random, axis, sparse and tied
+// utilities alike.
+func FuzzTopIndex(f *testing.F) {
+	f.Add(int64(1), uint8(40), uint8(2), uint8(4))
+	f.Add(int64(2), uint8(120), uint8(3), uint8(8))
+	f.Add(int64(3), uint8(200), uint8(5), uint8(2))
+	f.Fuzz(func(t *testing.T, seed int64, n8, d8, levels8 uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + int(n8)
+		d := 2 + int(d8)%5
+		levels := 1 + int(levels8)%16
+		ds := &Dataset{}
+		for i := 0; i < n; i++ {
+			p := make([]float64, d)
+			for k := range p {
+				p[k] = float64(1+rng.Intn(levels)) / float64(levels)
+			}
+			ds.Points = append(ds.Points, p)
+		}
+		ds.BuildTopIndex()
+		if rows := ds.TopIndexRows(); rows <= 0 || rows > n {
+			t.Fatalf("index keeps %d of %d rows", rows, n)
+		}
+		checkTopEquivalence(t, ds, topUtilities(rng, d, 40))
+	})
+}

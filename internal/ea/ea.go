@@ -80,6 +80,7 @@ type EA struct {
 // errors a caller cannot meaningfully handle at run time.
 func New(ds *dataset.Dataset, eps float64, cfg Config, rng *rand.Rand) *EA {
 	validate("ea", ds, eps)
+	ds.BuildTopIndex()
 	cfg = cfg.Defaults()
 	d := ds.Dim()
 	stateDim := cfg.Me*d + d + 1 // mₑ vertices ⊕ sphere center ⊕ radius
@@ -119,6 +120,7 @@ func Load(ds *dataset.Dataset, eps float64, cfg Config, blob []byte, rng *rand.R
 		return nil, fmt.Errorf("ea: load: model dims (%d,%d) do not match dataset/config (%d,%d)",
 			agent.StateDim, agent.ActionDim, cfg.Me*d+d+1, 2*d)
 	}
+	ds.BuildTopIndex()
 	return &EA{cfg: cfg, ds: ds, eps: eps, agent: agent, rng: rng}, nil
 }
 
@@ -183,7 +185,8 @@ func (e *EA) computeRound(ctx context.Context, geo *geom.Incremental, eps float6
 		r.state = e.encodeState(nil, geom.Ball{Center: make([]float64, poly.Dim)})
 		return r, nil
 	}
-	if idx := core.StoppablePoint(e.ds, verts, eps); idx >= 0 {
+	vtops := e.ds.TopPoints(verts, nil)
+	if idx := core.StoppablePoint(e.ds, verts, vtops, eps); idx >= 0 {
 		r.terminal = true
 		r.stopIdx = idx
 		r.state = e.encodeState(verts, geom.EnclosingBall(verts, geom.EnclosingBallOptions{}))
@@ -198,7 +201,7 @@ func (e *EA) computeRound(ctx context.Context, geo *geom.Incremental, eps float6
 	// determined by its top-1 point, so distinct top indices enumerate the
 	// constructed polyhedra (§IV-B action space).
 	tops := map[int]bool{}
-	for _, t := range e.ds.TopPoints(verts, nil) {
+	for _, t := range vtops {
 		tops[t] = true
 	}
 	if samples, err := poly.SampleCtx(ctx, e.rng, e.cfg.NumSamples, geom.SampleOptions{}); err == nil {

@@ -47,6 +47,8 @@ const (
 	PointReplHeartbeat = "repl.heartbeat" // internal/repl: one heartbeat leaving the primary
 
 	PointScrubRead = "wal.scrub.read" // internal/wal: one rate-limited scrubber read of a sealed segment
+
+	PointTopIndex = "dataset.top.index" // internal/dataset: the one top-1 candidate index build of a dataset
 )
 
 // ErrInjected is the sentinel wrapped by every injected error; callers test

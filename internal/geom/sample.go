@@ -108,6 +108,7 @@ func (p *Polytope) SampleCtx(ctx context.Context, rng *rand.Rand, n int, opts Sa
 	}
 	// Per-chain RNG streams, seeded in chain order from the caller's rng.
 	streams := par.SeedStreams(rng, chains)
+	defer par.ReleaseStreams(streams)
 	// One flat backing array instead of n row allocations; chains fill
 	// disjoint pre-cut rows, so sharing it is race-free.
 	out := make([][]float64, n)

@@ -96,8 +96,9 @@ func TestMetricNameHygiene(t *testing.T) {
 	// netfault proxy and the replication link each register at least one
 	// metric the scan can see, the incremental geometry engine and warm
 	// LP solver keep their fallback/hit-rate counters observable, and the
-	// journal scrubber keeps its corruption/repair audit trail.
-	for _, prefix := range []string{"client.", "netfault.", "geom.inc.", "lp.warm.", "repl.", "wal.scrub."} {
+	// journal scrubber keeps its corruption/repair audit trail, and the
+	// top-1 candidate index reports which scan every query took.
+	for _, prefix := range []string{"client.", "netfault.", "geom.inc.", "lp.warm.", "repl.", "wal.scrub.", "dataset.top."} {
 		found := false
 		for name := range kinds {
 			if strings.HasPrefix(name, prefix) {

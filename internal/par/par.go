@@ -150,10 +150,28 @@ func DoCtx(ctx context.Context, n int, fn func(i int)) {
 // seeds in index order. Because the seeds depend only on rng's state and k
 // — never on the worker count — handing stream i to task i keeps seeded
 // runs reproducible under any parallelism.
+//
+// The streams are pooled: each is a recycled *rand.Rand reseeded in place,
+// which yields exactly the stream rand.New(rand.NewSource(seed)) would
+// without allocating a fresh ~5 KB source. Hand them back with
+// ReleaseStreams once no task uses them.
 func SeedStreams(rng *rand.Rand, k int) []*rand.Rand {
 	out := make([]*rand.Rand, k)
 	for i := range out {
-		out[i] = rand.New(rand.NewSource(rng.Int63()))
+		r := streamPool.Get().(*rand.Rand)
+		r.Seed(rng.Int63())
+		out[i] = r
 	}
 	return out
 }
+
+// ReleaseStreams returns streams from SeedStreams to the pool. The caller
+// must not use them afterwards.
+func ReleaseStreams(streams []*rand.Rand) {
+	for i, r := range streams {
+		streamPool.Put(r)
+		streams[i] = nil
+	}
+}
+
+var streamPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(1)) }}

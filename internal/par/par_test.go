@@ -74,7 +74,9 @@ func TestDoRepanicsInCaller(t *testing.T) {
 }
 
 // Seed streams depend only on the parent rng and k, so per-task randomness
-// reproduces under any parallelism.
+// reproduces under any parallelism. A pooled stream reseeded in place must
+// also draw exactly what a freshly allocated rand.New(rand.NewSource(seed))
+// draws — including after it was released dirty and handed out again.
 func TestSeedStreamsDeterministic(t *testing.T) {
 	a := SeedStreams(rand.New(rand.NewSource(9)), 5)
 	b := SeedStreams(rand.New(rand.NewSource(9)), 5)
@@ -84,6 +86,24 @@ func TestSeedStreamsDeterministic(t *testing.T) {
 				t.Fatalf("stream %d draw %d: %v != %v", i, j, x, y)
 			}
 		}
+	}
+	ReleaseStreams(a)
+	ReleaseStreams(b)
+	for round := 0; round < 3; round++ {
+		parent, ref := rand.New(rand.NewSource(int64(40+round))), rand.New(rand.NewSource(int64(40+round)))
+		pooled := SeedStreams(parent, 4)
+		for i, r := range pooled {
+			fresh := rand.New(rand.NewSource(ref.Int63()))
+			for j := 0; j < 50; j++ {
+				if x, y := r.NormFloat64(), fresh.NormFloat64(); x != y {
+					t.Fatalf("round %d stream %d draw %d: pooled %v, fresh %v", round, i, j, x, y)
+				}
+				if x, y := r.Int63(), fresh.Int63(); x != y {
+					t.Fatalf("round %d stream %d draw %d: pooled %v, fresh %v", round, i, j, x, y)
+				}
+			}
+		}
+		ReleaseStreams(pooled) // released mid-stream: the next round reseeds dirty state
 	}
 }
 

@@ -34,14 +34,19 @@ type Node struct {
 	onPromote func(epoch uint64, states []wal.SessionState)
 	stats     Stats
 
-	// Primary tail ring: consecutive entries covering (floor, floor+len].
+	// Primary tail ring: consecutive entries covering (floor, floor+len],
+	// allocated once at RingCap capacity and circular once full — ring[head]
+	// is then the oldest entry.
 	// A follower whose resume LSN is below floor must take a snapshot.
 	// floorBytes is the cumulative journal position at the floor entry (-1
 	// when lost to a feed gap), so shipped-byte accounting has a baseline
-	// for the first ring entry.
+	// for the first ring entry. untail removes the feedEntry sink from the
+	// log.
 	ring       []wal.Entry
+	head       int
 	floor      int64
 	floorBytes int64
+	untail     func()
 	notify     chan struct{}
 	ackLSN     int64 // highest LSN the follower acknowledged
 	sid        uint64
@@ -63,6 +68,7 @@ func NewPrimary(log *wal.Log, target string, opts Options) *Node {
 	n := &Node{
 		log: log, opts: opts, target: target, role: "primary",
 		ctx: ctx, cancel: cancel,
+		ring:   make([]wal.Entry, 0, opts.ringCap()),
 		notify: make(chan struct{}, 1),
 		sid:    streamID(opts.Seed),
 	}
@@ -111,8 +117,9 @@ func (n *Node) OnPromote(fn func(epoch uint64, states []wal.SessionState)) {
 	n.onPromote = fn
 }
 
-// Start launches the node's goroutines: feed+ship loops for a primary,
-// accept loop plus promotion watchdog for a follower.
+// Start launches the node's goroutines: the ship loop for a primary (fed
+// by the journal tail sink it installs), accept loop plus promotion
+// watchdog for a follower.
 func (n *Node) Start() {
 	n.mu.Lock()
 	if n.started || n.closed {
@@ -123,16 +130,22 @@ func (n *Node) Start() {
 	n.mu.Unlock()
 	mEpoch.Set(int64(n.log.Epoch()))
 	if n.target != "" {
-		// Subscribe before returning so appends racing Start are captured:
-		// anything committed after Start() is guaranteed to reach the ring
-		// (a missed entry would force a needless snapshot resync).
-		ch, cancel := n.log.Subscribe(n.opts.ringCap())
-		pos := n.log.Pos()
+		// Install the sink before returning so every append committed after
+		// Start() reaches the ring (a missed entry would force a needless
+		// snapshot resync). Tail reports the position the sink starts
+		// after; an entry fed before the floor is set here restarted the
+		// ring at exactly that position, so only its byte baseline is
+		// filled in.
+		pos, untail := n.log.Tail(n.feedEntry)
 		n.mu.Lock()
-		n.floor, n.floorBytes = pos.LSN, pos.Bytes
+		n.untail = untail
+		if len(n.ring) == 0 {
+			n.floor, n.floorBytes = pos.LSN, pos.Bytes
+		} else if n.floor == pos.LSN {
+			n.floorBytes = pos.Bytes
+		}
 		n.mu.Unlock()
-		n.wg.Add(2)
-		go n.feedLoop(ch, cancel)
+		n.wg.Add(1)
 		go n.shipLoop()
 		return
 	}
@@ -155,7 +168,11 @@ func (n *Node) Close() error {
 		return nil
 	}
 	n.closed = true
+	untail := n.untail
 	n.mu.Unlock()
+	if untail != nil {
+		untail()
+	}
 	n.cancel()
 	if n.ln != nil {
 		n.ln.Close()
@@ -196,10 +213,10 @@ func (n *Node) Fenced() bool { return n.log.Fenced() }
 // on a follower, the primary's last announced position minus what has been
 // applied. Implements server.Replication.
 func (n *Node) Lag() (records, bytes int64) {
+	pos := n.log.Pos() // before n.mu: the lock order is l.mu → n.mu
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.role == "primary" && !n.promoted {
-		pos := n.log.Pos()
 		records, bytes = pos.LSN-n.ackLSN, 0
 		if records < 0 {
 			records = 0

@@ -10,44 +10,19 @@ import (
 	"isrl/internal/wal"
 )
 
-// feedLoop drains the WAL subscription into the bounded tail ring. When the
-// subscription overflows (the log closes the channel rather than block its
-// append path), it resubscribes; the resulting gap is detected by LSN
-// discontinuity and collapses the ring, which later forces a snapshot
-// resync for any follower behind the gap.
-func (n *Node) feedLoop(ch <-chan wal.Entry, cancel func()) {
-	defer n.wg.Done()
-	for {
-		if done := n.drainSubscription(ch, cancel); done {
-			return
-		}
-		ch, cancel = n.log.Subscribe(n.opts.ringCap())
-	}
-}
-
-// drainSubscription consumes one subscription until it overflows (returns
-// false: resubscribe) or the node closes (returns true).
-func (n *Node) drainSubscription(ch <-chan wal.Entry, cancel func()) bool {
-	defer cancel()
-	for {
-		select {
-		case <-n.ctx.Done():
-			return true
-		case e, ok := <-ch:
-			if !ok {
-				n.opts.logger().Warn("repl: subscription overflowed; tail ring will resync")
-				return false
-			}
-			n.feedEntry(e)
-		}
-	}
-}
-
-// feedEntry appends one committed entry to the tail ring, keeping the ring
-// a run of consecutive LSNs over (floor, floor+len]. Duplicates are
-// skipped; a gap (entries lost to a subscription overflow) restarts the
-// ring at the new entry, stranding any follower behind it on the snapshot
-// path.
+// feedEntry is the primary's journal tail sink: wal.Log calls it with every
+// committed entry, in commit order, while holding the log's mutex. It
+// appends the entry to the tail ring in O(1) and pokes the ship loop
+// without blocking, so the append path never waits on replication. It
+// takes n.mu under the log's mutex, which fixes the lock order l.mu → n.mu:
+// no repl path may call into the log while holding n.mu.
+//
+// The ring keeps a run of consecutive LSNs over (floor, floor+len]: once
+// full it overwrites its oldest entry and advances floor. Duplicates are
+// skipped; a gap restarts the ring at the new entry, stranding any follower
+// behind it on the snapshot path. The log's sink never drops an entry, so
+// a gap only arises when an entry reaches the sink before Start has set
+// the floor.
 func (n *Node) feedEntry(e wal.Entry) {
 	n.mu.Lock()
 	next := n.floor + int64(len(n.ring)) + 1
@@ -56,16 +31,17 @@ func (n *Node) feedEntry(e wal.Entry) {
 		n.mu.Unlock()
 		return
 	case e.LSN > next:
-		n.ring = n.ring[:0]
+		n.ring, n.head = n.ring[:0], 0
 		n.floor = e.LSN - 1
 		n.floorBytes = -1 // position before the gap entry is unknown
 	}
-	n.ring = append(n.ring, e)
-	if len(n.ring) > n.opts.ringCap() {
-		trim := len(n.ring) - n.opts.ringCap()
-		n.floorBytes = n.ring[trim-1].Bytes
-		n.ring = append(n.ring[:0], n.ring[trim:]...)
-		n.floor += int64(trim)
+	if len(n.ring) < cap(n.ring) {
+		n.ring = append(n.ring, e)
+	} else {
+		n.floorBytes = n.ring[n.head].Bytes
+		n.ring[n.head] = e
+		n.head = (n.head + 1) % len(n.ring)
+		n.floor++
 	}
 	n.mu.Unlock()
 	select {
@@ -85,21 +61,29 @@ func (n *Node) takeBatch(after int64) (batch []wal.Entry, prevBytes int64, ok bo
 	if after < n.floor {
 		return nil, 0, false
 	}
-	i := after - n.floor
-	if i >= int64(len(n.ring)) {
+	i := int(after - n.floor)
+	if i >= len(n.ring) {
 		return nil, 0, true
 	}
 	prevBytes = n.floorBytes
 	if i > 0 {
-		prevBytes = n.ring[i-1].Bytes
+		prevBytes = n.ringAt(i - 1).Bytes
 	}
-	end := i + int64(n.opts.batchMax())
-	if end > int64(len(n.ring)) {
-		end = int64(len(n.ring))
+	end := i + n.opts.batchMax()
+	if end > len(n.ring) {
+		end = len(n.ring)
 	}
 	batch = make([]wal.Entry, end-i)
-	copy(batch, n.ring[i:end])
+	for k := range batch {
+		batch[k] = n.ringAt(i + k)
+	}
 	return batch, prevBytes, true
+}
+
+// ringAt returns the i-th oldest ring entry (LSN floor+1+i). Callers hold
+// n.mu.
+func (n *Node) ringAt(i int) wal.Entry {
+	return n.ring[(n.head+i)%len(n.ring)]
 }
 
 // shipLoop dials the follower and streams until the node closes or the

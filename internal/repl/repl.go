@@ -1,12 +1,13 @@
 // Package repl implements hot-standby replication for the session journal.
 //
-// A primary subscribes to its own WAL (wal.Log.Subscribe) and streams every
-// committed record to one follower over a length-framed TCP connection —
-// the frames reuse the journal's uint32-length + CRC32 layout (wal.Frame /
-// wal.ReadFrame), so wire corruption fails the same checksum that guards
-// the disk. The follower folds records into its own journal with the
-// idempotent wal.ApplyEntries/ApplySnapshot merge: shipping is at-least-once
-// (every reconnect may replay a suffix or push a whole snapshot), apply is
+// A primary tails its own WAL (wal.Log.Tail, a synchronous sink into a
+// bounded circular ring) and streams every committed record to one
+// follower over a length-framed TCP connection — the frames reuse the
+// journal's uint32-length + CRC32 layout (wal.Frame / wal.ReadFrame), so
+// wire corruption fails the same checksum that guards the disk. The
+// follower folds records into its own journal with the idempotent
+// wal.ApplyEntries/ApplySnapshot merge: shipping is at-least-once (every
+// reconnect may replay a suffix or push a whole snapshot), apply is
 // exactly-once.
 //
 // Split brain is prevented by a monotone failover epoch persisted as a WAL

@@ -236,50 +236,60 @@ func TestFenceRejectsAppends(t *testing.T) {
 	}
 }
 
-// TestSubscribeStreamsAppends verifies the LSN stream: consecutive LSNs in
-// commit order, and an overflowing subscriber is cut off via channel close
-// rather than blocking the append path.
-func TestSubscribeStreamsAppends(t *testing.T) {
+// TestTailStreamsAppends verifies the LSN stream: the sink sees every
+// append synchronously, with consecutive LSNs in commit order starting
+// after the returned position; a second Tail replaces the first, whose
+// uninstall then does nothing, and an uninstalled sink sees nothing more.
+func TestTailStreamsAppends(t *testing.T) {
 	l, _, err := Open(t.TempDir(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
 
-	ch, cancel := l.Subscribe(8)
-	defer cancel()
+	if err := l.AppendCreate(SessionState{ID: "s0", Algo: "ea"}); err != nil {
+		t.Fatal(err)
+	}
+	var got []Entry
+	from, uninstall := l.Tail(func(e Entry) { got = append(got, e) })
+	if from.LSN != 1 || from.Bytes <= 0 {
+		t.Fatalf("Tail position = %+v, want LSN 1 with its bytes", from)
+	}
 	if err := l.AppendCreate(SessionState{ID: "s1", Algo: "ea"}); err != nil {
 		t.Fatal(err)
+	}
+	if len(got) != 1 {
+		t.Fatalf("sink saw %d entries right after the append returned, want 1", len(got))
 	}
 	if err := l.AppendAnswer("s1", true); err != nil {
 		t.Fatal(err)
 	}
-	e1, e2 := <-ch, <-ch
-	if e1.LSN != 1 || e1.Kind != KindCreate || e1.ID != "s1" {
-		t.Fatalf("first entry = %+v, want create s1 at LSN 1", e1)
+	e1, e2 := got[0], got[1]
+	if e1.LSN != 2 || e1.Kind != KindCreate || e1.ID != "s1" {
+		t.Fatalf("first entry = %+v, want create s1 at LSN 2", e1)
 	}
-	if e2.LSN != 2 || e2.Kind != KindAnswer || e2.Round != 1 || !e2.Prefer {
-		t.Fatalf("second entry = %+v, want answer round 1 at LSN 2", e2)
+	if e2.LSN != 3 || e2.Kind != KindAnswer || e2.Round != 1 || !e2.Prefer {
+		t.Fatalf("second entry = %+v, want answer round 1 at LSN 3", e2)
 	}
-	if e2.Bytes <= e1.Bytes {
-		t.Fatalf("cumulative bytes not monotone: %d then %d", e1.Bytes, e2.Bytes)
+	if !(from.Bytes < e1.Bytes && e1.Bytes < e2.Bytes) {
+		t.Fatalf("cumulative bytes not monotone: %d, %d, %d", from.Bytes, e1.Bytes, e2.Bytes)
 	}
 
-	// Overflow: a 1-slot subscriber that never drains gets closed, appends
-	// keep succeeding.
-	slow, cancelSlow := l.Subscribe(1)
-	defer cancelSlow()
-	for i := 0; i < 3; i++ {
-		if err := l.AppendAnswer("s1", false); err != nil {
-			t.Fatal(err)
-		}
+	var second []Entry
+	_, uninstall2 := l.Tail(func(e Entry) { second = append(second, e) })
+	uninstall() // stale: the second sink replaced this one
+	if err := l.AppendAnswer("s1", false); err != nil {
+		t.Fatal(err)
 	}
-	n := 0
-	for range slow {
-		n++
+	if len(got) != 2 || len(second) != 1 || second[0].LSN != 4 {
+		t.Fatalf("after replacement: first sink %d entries, second %+v; want 2 and [LSN 4]", len(got), second)
 	}
-	if n != 1 {
-		t.Fatalf("overflowing subscriber read %d entries before close, want 1", n)
+	uninstall2()
+	if err := l.AppendAnswer("s1", true); err != nil {
+		t.Fatal(err)
+	}
+	if len(second) != 1 {
+		t.Fatalf("uninstalled sink saw %d entries, want 1", len(second))
 	}
 }
 

@@ -278,11 +278,11 @@ func (w syncWriter) Write(p []byte) (int, error) {
 	return w.buf.Write(p)
 }
 
-// Satellite regression: a live Subscribe stream must stay gap-free and
+// Satellite regression: the tail sink's stream must stay gap-free and
 // duplicate-free in LSN order while Compact rewrites the segment files
 // underneath it — compaction moves bytes, not the logical stream the
 // replication primary tails.
-func TestSubscribeGapFreeDuringCompaction(t *testing.T) {
+func TestTailGapFreeDuringCompaction(t *testing.T) {
 	dir := t.TempDir()
 	l, _, err := Open(dir, Options{SegmentBytes: 256, CompactDeadSessions: 1 << 30})
 	if err != nil {
@@ -291,8 +291,16 @@ func TestSubscribeGapFreeDuringCompaction(t *testing.T) {
 	defer l.Close()
 
 	const sessions = 40
-	ch, cancel := l.Subscribe(16384)
-	defer cancel()
+	var (
+		mu   sync.Mutex
+		seen []int64
+	)
+	_, uninstall := l.Tail(func(e Entry) {
+		mu.Lock()
+		seen = append(seen, e.LSN)
+		mu.Unlock()
+	})
+	defer uninstall()
 
 	var appends int64
 	done := make(chan struct{})
@@ -333,25 +341,16 @@ func TestSubscribeGapFreeDuringCompaction(t *testing.T) {
 		break
 	}
 
-	var got int64
+	mu.Lock()
+	defer mu.Unlock()
 	var last int64
-drain:
-	for {
-		select {
-		case e, ok := <-ch:
-			if !ok {
-				t.Fatal("subscription overflowed; raise the buffer")
-			}
-			if e.LSN != last+1 {
-				t.Fatalf("LSN stream gap or duplicate: %d after %d", e.LSN, last)
-			}
-			last = e.LSN
-			got++
-		default:
-			break drain
+	for _, lsn := range seen {
+		if lsn != last+1 {
+			t.Fatalf("LSN stream gap or duplicate: %d after %d", lsn, last)
 		}
+		last = lsn
 	}
-	if got != appends {
-		t.Errorf("subscriber saw %d entries, writer committed %d", got, appends)
+	if int64(len(seen)) != appends {
+		t.Errorf("sink saw %d entries, writer committed %d", len(seen), appends)
 	}
 }

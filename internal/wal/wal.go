@@ -24,9 +24,9 @@
 // under injected disk failure.
 //
 // Replication (internal/repl) builds on three additions. Every append is
-// assigned an in-memory log sequence number and published to Subscribe
-// channels as an Entry, so a primary can tail its own journal without
-// re-reading segment files; ReplSnapshot returns the full session mirror
+// assigned an in-memory log sequence number and handed to the Tail sink as
+// an Entry, so a primary can tail its own journal without re-reading
+// segment files; ReplSnapshot returns the full session mirror
 // plus the position it is consistent with, the catch-up path for a
 // follower that is too far behind the tail. A follower folds shipped
 // state in with ApplyEntries/ApplySnapshot, which are idempotent (creates
@@ -197,12 +197,13 @@ type Log struct {
 	cumBytes int64
 	epoch    uint64
 	fencedBy uint64
-	boot     bool // sessions existed at Open: state invisible to the LSN stream
-	subs     map[*subscriber]struct{}
+	boot     bool      // sessions existed at Open: state invisible to the LSN stream
+	tail     *tailSink // replication tail sink, nil when none is installed
 }
 
-// subscriber is one live Subscribe channel.
-type subscriber struct{ ch chan Entry }
+// tailSink is the installed Tail callback; its identity lets a stale
+// uninstall recognize that a later Tail replaced it.
+type tailSink struct{ fn func(Entry) }
 
 // ErrStaleEpoch is returned by appends on a fenced log: the node learned a
 // higher failover epoch exists, so committing here would split-brain the
@@ -467,54 +468,45 @@ func (l *Log) appendLocked(ctx context.Context, rec record, sync bool) error {
 	return nil
 }
 
-// publishLocked fans the freshly appended record out to every subscriber.
-// A subscriber whose channel is full is dropped and its channel closed —
-// the closed channel tells the replication sender it fell off the tail and
-// must resynchronize from a snapshot. Callers hold l.mu.
+// publishLocked hands the freshly appended record to the tail sink, if one
+// is installed. Callers hold l.mu, so the sink sees entries in commit order.
 func (l *Log) publishLocked(rec record) {
-	if len(l.subs) == 0 {
+	if l.tail == nil {
 		return
 	}
-	e := Entry{
+	l.tail.fn(Entry{
 		LSN: l.lsn, Bytes: l.cumBytes, Kind: rec.Kind, ID: rec.ID,
 		Algo: rec.Algo, Eps: rec.Eps, Seed: rec.Seed, FP: rec.FP,
 		Round: rec.Round, Prefer: rec.Prefer, Reason: rec.Reason,
 		IK: rec.IK, Epoch: rec.Epoch,
-	}
-	for s := range l.subs {
-		select {
-		case s.ch <- e:
-		default:
-			delete(l.subs, s)
-			close(s.ch)
-		}
-	}
+	})
 }
 
-// Subscribe returns a channel of every append from now on, in commit order,
-// plus a cancel function. When the subscriber falls more than buf entries
-// behind, the channel is closed instead of blocking the append path: the
-// consumer must then resynchronize (ReplSnapshot) and re-subscribe.
-func (l *Log) Subscribe(buf int) (<-chan Entry, func()) {
-	if buf <= 0 {
-		buf = 1024
-	}
-	s := &subscriber{ch: make(chan Entry, buf)}
+// Tail installs sink as the log's replication tail: from now on every
+// append — serving commits and ApplyEntries alike — is passed to sink as an
+// Entry, synchronously and in commit order, before the append returns. It
+// returns the position the stream starts after (the first entry sink sees
+// has LSN from.LSN+1) and a function that uninstalls the sink. A log has
+// one tail; installing another replaces it, and the replaced sink's
+// uninstall function then does nothing.
+//
+// sink runs with the log's mutex held, so it must not block and must not
+// call back into the log — directly or by waiting on a lock that is held
+// across a call into the log. Holding no copy of the stream itself, the log
+// leaves buffering (and its bound) to the sink.
+func (l *Log) Tail(sink func(Entry)) (from Position, uninstall func()) {
+	t := &tailSink{fn: sink}
 	l.mu.Lock()
-	if l.subs == nil {
-		l.subs = make(map[*subscriber]struct{})
-	}
-	l.subs[s] = struct{}{}
+	l.tail = t
+	from = Position{LSN: l.lsn, Bytes: l.cumBytes}
 	l.mu.Unlock()
-	cancel := func() {
+	return from, func() {
 		l.mu.Lock()
-		if _, ok := l.subs[s]; ok {
-			delete(l.subs, s)
-			close(s.ch)
+		if l.tail == t {
+			l.tail = nil
 		}
 		l.mu.Unlock()
 	}
-	return s.ch, cancel
 }
 
 // HasBootState reports whether this log recovered any sessions at Open.

@@ -18,8 +18,11 @@ go test -race -run 'Fault|Noisy|Chaos|Recover|Journal|Proxy|Client|Repl|Failover
 # malformed model file must be rejected, never panic a serving session. Its
 # seeds are whole model files of ~10 KiB, which the default 60 s input
 # minimization would spend the entire burst shrinking, so minimization is
-# capped and the burst goes to mutation.
+# capped and the burst goes to mutation. The top-1 candidate index gets a
+# burst too: on small tie-heavy grid datasets its indexed scan must return
+# the full scan's row, bit for bit.
 go test -fuzz '^FuzzReadFrame$' -fuzztime=5s -run '^FuzzReadFrame$' ./internal/wal/
+go test -fuzz '^FuzzTopIndex$' -fuzztime=5s -run '^FuzzTopIndex$' ./internal/dataset/
 go test -fuzz '^FuzzUnmarshalAgent$' -fuzztime=5s -fuzzminimizetime=1s -run '^FuzzUnmarshalAgent$' ./internal/rl/
 
 # End-to-end benchmark harness (its own module): vet it and run its smoke
