@@ -18,8 +18,6 @@ import (
 	"isrl/internal/ea"
 	"isrl/internal/geom"
 	"isrl/internal/lp"
-	"isrl/internal/obs"
-	"isrl/internal/par"
 	"isrl/internal/rl"
 	"isrl/internal/trace"
 )
@@ -51,17 +49,16 @@ type speedupRow struct {
 }
 
 type hotpathsReport struct {
-	Generated   string         `json:"generated"`
-	GoVersion   string         `json:"go_version"`
-	GOOS        string         `json:"goos"`
-	GOARCH      string         `json:"goarch"`
-	GOMAXPROCS  int            `json:"gomaxprocs"`
-	NumCPU      int            `json:"num_cpu"`
-	Quick       bool           `json:"quick"`
-	Note        string         `json:"note"`
-	Benchmarks  []benchRow     `json:"benchmarks"`
-	Speedups    []speedupRow   `json:"speedups"`
-	PoolMetrics map[string]any `json:"pool_metrics"`
+	Generated  string       `json:"generated"`
+	GoVersion  string       `json:"go_version"`
+	GOOS       string       `json:"goos"`
+	GOARCH     string       `json:"goarch"`
+	GOMAXPROCS int          `json:"gomaxprocs"`
+	NumCPU     int          `json:"num_cpu"`
+	Quick      bool         `json:"quick"`
+	Note       string       `json:"note"`
+	Benchmarks []benchRow   `json:"benchmarks"`
+	Speedups   []speedupRow `json:"speedups"`
 }
 
 // benchReps is how many times each benchmark is repeated outside -quick; the
@@ -212,9 +209,9 @@ func benchScoring(prefix string, stateDim, actionDim, k int) (serial, batched be
 }
 
 func runHotpaths(quick bool, outPath, comparePath string) error {
-	cands, samples := 64, 256
+	cands := 64
 	if quick {
-		cands, samples = 32, 64
+		cands = 32
 		benchReps = 1
 	}
 
@@ -228,8 +225,7 @@ func runHotpaths(quick bool, outPath, comparePath string) error {
 		Quick:      quick,
 		Note: "Serial baselines replicate the pre-batching code paths. " +
 			"dqn/question scoring speedups are algorithmic (batched GEMM + shared state " +
-			"prefix) and hold at any core count; the sampling pair compares worker " +
-			"counts and only exceeds 1 when GOMAXPROCS > 1.",
+			"prefix) and hold at any core count.",
 	}
 	add := func(rs ...benchRow) {
 		rep.Benchmarks = append(rep.Benchmarks, rs...)
@@ -253,27 +249,19 @@ func runHotpaths(quick bool, outPath, comparePath string) error {
 	add(s, b)
 	speed("question_scoring", s, b)
 
-	// Hit-and-run sampling at d=4: fixed chain decomposition executed by one
-	// worker vs all available workers.
+	// Hit-and-run sampling at d=4: 256 points from the default 4 chains.
 	poly, err := hotPoly(4, 11)
 	if err != nil {
 		return err
 	}
-	benchSample := func(name string, workers int) benchRow {
-		return row(name, func(b *testing.B) {
-			defer par.SetMaxWorkers(par.SetMaxWorkers(workers))
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := poly.Sample(rand.New(rand.NewSource(7)), samples, geom.SampleOptions{}); err != nil {
-					b.Fatal(err)
-				}
+	add(row("sample_d4", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := poly.Sample(rand.New(rand.NewSource(7)), 256, geom.SampleOptions{}); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
-	s = benchSample("sample_d4_workers1", 1)
-	b = benchSample("sample_d4_workersN", runtime.NumCPU())
-	add(s, b)
-	speed("sampling_d4", s, b)
+		}
+	}))
 
 	// LP solver (arena-pooled) and vertex enumeration timings.
 	for _, c := range []struct {
@@ -405,13 +393,6 @@ func runHotpaths(quick bool, outPath, comparePath string) error {
 	}
 	add(disabled)
 
-	rep.PoolMetrics = map[string]any{}
-	for k, v := range obs.Default().Snapshot() {
-		if strings.HasPrefix(k, "par.") {
-			rep.PoolMetrics[k] = v
-		}
-	}
-
 	out, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		return err
@@ -432,9 +413,10 @@ func runHotpaths(quick bool, outPath, comparePath string) error {
 
 // fixedWorkloadRows are the benchmarks whose per-op workload is identical in
 // -quick and full runs, so their allocation counts are directly comparable
-// against a committed baseline. Sampling and scoring rows scale with -quick
-// and are excluded.
+// against a committed baseline. The scoring rows scale with -quick and are
+// excluded.
 var fixedWorkloadRows = map[string]bool{
+	"sample_d4":                  true,
 	"vertices_d4":                true,
 	"lp_solve_d4":                true,
 	"lp_solve_d20":               true,

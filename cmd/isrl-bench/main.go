@@ -35,7 +35,7 @@ func main() {
 		numPts  = flag.Int("n", 0, "override synthetic dataset size")
 		epsilon = flag.Float64("eps", 0, "override default regret threshold")
 
-		hotpaths = flag.Bool("hotpaths", false, "measure batched/parallel hot paths and write a JSON report")
+		hotpaths = flag.Bool("hotpaths", false, "measure the batched hot paths and write a JSON report")
 		quick    = flag.Bool("quick", false, "with -hotpaths: smaller workloads for CI smoke runs")
 		outPath  = flag.String("out", "BENCH_hotpaths.json", "with -hotpaths: report destination")
 		compare  = flag.String("compare", "", "with -hotpaths: baseline report to gate against (fails on speedup sign flips and alloc growth; skipped on host mismatch)")

@@ -215,7 +215,7 @@ func TestChaosFailoverKillPrimary(t *testing.T) {
 	if !pLog.Fenced() {
 		t.Fatal("deposed primary's journal never fenced")
 	}
-	if err := pLog.AppendAnswer("s1", true); !errors.Is(err, wal.ErrStaleEpoch) {
+	if err := pLog.AppendAnswerCtx(context.Background(), "s1", true); !errors.Is(err, wal.ErrStaleEpoch) {
 		t.Errorf("deposed primary append: %v, want wal.ErrStaleEpoch", err)
 	}
 	// And its HTTP surface sheds session traffic with the stale-epoch 503.

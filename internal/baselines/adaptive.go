@@ -8,7 +8,6 @@ import (
 	"isrl/internal/core"
 	"isrl/internal/dataset"
 	"isrl/internal/geom"
-	"isrl/internal/par"
 	"isrl/internal/vec"
 )
 
@@ -140,43 +139,11 @@ func (a *Adaptive) pickPair(ds *dataset.Dataset, poly *geom.Polytope, center []f
 		cands = append(cands, cand{i: i, j: j, dist: h.Dist(center)})
 	}
 	sort.Slice(cands, func(x, y int) bool { return cands[x].dist < cands[y].dist })
-	// Probe the LP checks for a speculative window of upcoming candidates
-	// on the worker pool; the serial scan below consumes the memoized
-	// verdicts in dist order with the same 20-probe budget, so the chosen
-	// pair is identical for any worker count.
-	probed := make([]int8, len(cands)) // 0 = unprobed, 1 = cuts, 2 = no
-	probe := func(ci int) bool {
-		if probed[ci] == 0 {
-			window := 1
-			if w := par.Workers(); w > 1 {
-				window = 2 * w
-			}
-			hi := ci + window
-			if hi > len(cands) {
-				hi = len(cands)
-			}
-			if hi > 20 { // never speculate past the probe budget
-				hi = 20
-			}
-			par.Do(hi-ci, func(k int) {
-				if probed[ci+k] != 0 {
-					return
-				}
-				c := cands[ci+k]
-				if poly.CutsBothSides(geom.NewHalfspace(ds.Points[c.i], ds.Points[c.j]), 1e-9) {
-					probed[ci+k] = 1
-				} else {
-					probed[ci+k] = 2
-				}
-			})
-		}
-		return probed[ci] == 1
-	}
 	for ci, c := range cands {
 		if ci >= 20 {
 			break
 		}
-		if probe(ci) {
+		if poly.CutsBothSides(geom.NewHalfspace(ds.Points[c.i], ds.Points[c.j]), 1e-9) {
 			return &[2]int{c.i, c.j}
 		}
 	}

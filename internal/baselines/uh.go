@@ -16,7 +16,6 @@ import (
 	"isrl/internal/core"
 	"isrl/internal/dataset"
 	"isrl/internal/geom"
-	"isrl/internal/par"
 	"isrl/internal/vec"
 )
 
@@ -90,11 +89,11 @@ func (u *UHSimplex) Name() string { return "UH-Simplex" }
 // Run implements core.Algorithm.
 func (u *UHSimplex) Run(ds *dataset.Dataset, user core.User, eps float64, obs core.Observer) (core.Result, error) {
 	return runUH(ds, user, eps, obs, u.cfg, u.rng, func(pairs [][2]int, verts [][]float64) [2]int {
-		// Score every pair on the worker pool, then take the first minimum
-		// serially — the same pair the serial loop would pick.
-		scores := make([]int, len(pairs))
-		par.Do(len(pairs), func(i int) {
-			w := vec.Sub(nil, ds.Points[pairs[i][0]], ds.Points[pairs[i][1]])
+		// The first pair with the smallest imbalance wins.
+		best := pairs[0]
+		bestScore := math.MaxInt32
+		for _, pr := range pairs {
+			w := vec.Sub(nil, ds.Points[pr[0]], ds.Points[pr[1]])
 			pos, neg := 0, 0
 			for _, v := range verts {
 				s := vec.Dot(w, v)
@@ -108,13 +107,8 @@ func (u *UHSimplex) Run(ds *dataset.Dataset, user core.User, eps float64, obs co
 			if score < 0 {
 				score = -score
 			}
-			scores[i] = score
-		})
-		best := pairs[0]
-		bestScore := math.MaxInt32
-		for i, s := range scores {
-			if s < bestScore {
-				bestScore, best = s, pairs[i]
+			if score < bestScore {
+				bestScore, best = score, pr
 			}
 		}
 		return best
@@ -227,41 +221,39 @@ func pruneByTops(ds *dataset.Dataset, cands []int, verts [][]float64, vtops []in
 		topIdx = append(topIdx, i)
 	}
 	sort.Ints(topIdx) // map order is random; keep runs reproducible
-	// Each candidate's domination verdict is independent of the others, so
-	// the checks fan out across the worker pool; the keep filter below runs
-	// serially over the verdict slots, preserving candidate order exactly.
-	dominated := make([]bool, len(cands))
-	par.Do(len(cands), func(ci int) {
-		c := cands[ci]
-		for _, t := range topIdx {
-			if t == c {
-				continue
-			}
-			w := vec.Sub(nil, ds.Points[t], ds.Points[c])
-			allGE, strict := true, false
-			for _, v := range verts {
-				s := vec.Dot(w, v)
-				if s < -1e-12 {
-					allGE = false
-					break
-				}
-				if s > 1e-12 {
-					strict = true
-				}
-			}
-			if allGE && strict {
-				dominated[ci] = true
-				return
-			}
-		}
-	})
 	keep := cands[:0]
-	for ci, c := range cands {
-		if !dominated[ci] {
+	for _, c := range cands {
+		if !dominatedByTop(ds, c, topIdx, verts) {
 			keep = append(keep, c)
 		}
 	}
 	return keep
+}
+
+// dominatedByTop reports whether some top point t ≠ c satisfies
+// v·(p_t − p_c) ≥ 0 at every vertex v, strictly at one.
+func dominatedByTop(ds *dataset.Dataset, c int, topIdx []int, verts [][]float64) bool {
+	for _, t := range topIdx {
+		if t == c {
+			continue
+		}
+		w := vec.Sub(nil, ds.Points[t], ds.Points[c])
+		allGE, strict := true, false
+		for _, v := range verts {
+			s := vec.Dot(w, v)
+			if s < -1e-12 {
+				allGE = false
+				break
+			}
+			if s > 1e-12 {
+				strict = true
+			}
+		}
+		if allGE && strict {
+			return true
+		}
+	}
+	return false
 }
 
 // cuttingPairs lists up to maxPairs candidate pairs whose hyperplane has
@@ -287,22 +279,11 @@ func cuttingPairs(ds *dataset.Dataset, cands []int, verts [][]float64, rng *rand
 	total := len(cands) * (len(cands) - 1) / 2
 	var out [][2]int
 	if total <= maxPairs {
-		// Full enumeration: test every pair on the worker pool, then keep
-		// the cutting ones in enumeration order — identical output for any
-		// worker count.
-		all := make([][2]int, 0, total)
 		for x := 0; x < len(cands); x++ {
 			for y := x + 1; y < len(cands); y++ {
-				all = append(all, [2]int{cands[x], cands[y]})
-			}
-		}
-		cutFlags := make([]bool, len(all))
-		par.Do(len(all), func(i int) {
-			cutFlags[i] = cuts(all[i][0], all[i][1])
-		})
-		for i, pr := range all {
-			if cutFlags[i] {
-				out = append(out, pr)
+				if cuts(cands[x], cands[y]) {
+					out = append(out, [2]int{cands[x], cands[y]})
+				}
 			}
 		}
 		return out

@@ -10,12 +10,10 @@ package dataset
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
 
-	"isrl/internal/par"
 	"isrl/internal/vec"
 )
 
@@ -146,25 +144,13 @@ func Dominates(a, b []float64) bool {
 // top-1 under some non-negative utility vector, the preprocessing every
 // compared algorithm applies.
 //
-// The core is block-nested-loop over points presorted by attribute sum, so
-// a point can only be dominated by an earlier one. Above parallelThreshold
-// points the work is partitioned across CPUs: local skylines are computed
-// per chunk concurrently, then merged with a final pass — the standard
-// divide-and-conquer trick, which keeps the paper's n = 100k–1M workloads
-// tractable.
+// It is one block-nested-loop pass over the points presorted by attribute
+// sum, so a point can only be dominated by an earlier one. The pass is
+// serial on purpose: its output order — which the dataset fingerprint, and
+// so every journaled session, depends on — is then a function of the input
+// alone, never of the host's core count.
 func (d *Dataset) Skyline() *Dataset {
 	pts := d.Points
-	if len(pts) > parallelThreshold {
-		pts = parallelLocalSkylines(pts)
-	}
-	sky := skylineBNL(pts)
-	return &Dataset{Name: d.Name + "-skyline", Points: sky, Attrs: append([]string(nil), d.Attrs...)}
-}
-
-const parallelThreshold = 20000
-
-// skylineBNL is sorted block-nested-loop skyline over the given points.
-func skylineBNL(pts [][]float64) [][]float64 {
 	idx := make([]int, len(pts))
 	for i := range idx {
 		idx[i] = i
@@ -189,81 +175,30 @@ func skylineBNL(pts [][]float64) [][]float64 {
 			sky = append(sky, p)
 		}
 	}
-	return sky
+	return &Dataset{Name: d.Name + "-skyline", Points: sky, Attrs: append([]string(nil), d.Attrs...)}
 }
-
-// parallelLocalSkylines reduces pts to the union of per-chunk skylines
-// computed concurrently. Any globally dominated point is dominated within
-// its own chunk or survives into the final merge, so correctness is
-// preserved.
-func parallelLocalSkylines(pts [][]float64) [][]float64 {
-	workers := runtime.GOMAXPROCS(0)
-	if workers < 2 {
-		return pts
-	}
-	chunk := (len(pts) + workers - 1) / workers
-	locals := make([][][]float64, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		if lo >= len(pts) {
-			break
-		}
-		hi := lo + chunk
-		if hi > len(pts) {
-			hi = len(pts)
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			locals[w] = skylineBNL(pts[lo:hi])
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	var merged [][]float64
-	for _, l := range locals {
-		merged = append(merged, l...)
-	}
-	return merged
-}
-
-// scoreChunk is the number of points one pool task scores in Scores; large
-// enough that dispatch overhead is amortized, small enough that datasets of
-// a few thousand points still fan out.
-const scoreChunk = 512
 
 // Scores writes u·pᵢ for every point into dst (allocated when nil or
-// mis-sized) and returns it. Chunks of points are scored by the worker
-// pool; each task owns a disjoint index range, so the output is identical
-// for any worker count.
+// mis-sized) and returns it.
 func (d *Dataset) Scores(u []float64, dst []float64) []float64 {
-	n := len(d.Points)
-	if len(dst) != n {
-		dst = make([]float64, n)
+	if len(dst) != len(d.Points) {
+		dst = make([]float64, len(d.Points))
 	}
-	chunks := (n + scoreChunk - 1) / scoreChunk
-	par.Do(chunks, func(c int) {
-		lo, hi := c*scoreChunk, (c+1)*scoreChunk
-		if hi > n {
-			hi = n
-		}
-		for i := lo; i < hi; i++ {
-			dst[i] = vec.Dot(u, d.Points[i])
-		}
-	})
+	for i, p := range d.Points {
+		dst[i] = vec.Dot(u, p)
+	}
 	return dst
 }
 
-// TopPoints is TopPoint for a batch of utility vectors, fanned out across
-// the worker pool with one task per vector; slot i of the result depends
-// only on us[i], so the output is deterministic under any parallelism.
+// TopPoints is TopPoint for a batch of utility vectors: slot i of the
+// result is TopPoint(us[i]).
 func (d *Dataset) TopPoints(us [][]float64, dst []int) []int {
 	if len(dst) != len(us) {
 		dst = make([]int, len(us))
 	}
-	par.Do(len(us), func(i int) {
-		dst[i] = d.TopPoint(us[i])
-	})
+	for i, u := range us {
+		dst[i] = d.TopPoint(u)
+	}
 	return dst
 }
 

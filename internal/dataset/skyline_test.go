@@ -2,29 +2,38 @@ package dataset
 
 import (
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 )
 
-// The parallel path must produce exactly the same skyline set as the
-// sequential path.
-func TestParallelSkylineMatchesSequential(t *testing.T) {
+// The skyline's row order must not depend on the host's core count: the
+// dataset fingerprint hashes the rows in order and goes into every journaled
+// session's create record, so a follower or restarted server with a
+// different GOMAXPROCS would otherwise refuse the journal. The 30,000 rows
+// (a, b, 30−a−b)/k put every k = 30 row on the skyline with an attribute sum
+// tied at 1, so any core-dependent reordering of ties shows in the
+// fingerprint. The pinned value is the single-core result.
+func TestSkylineOrderIndependentOfCores(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	d := Anticorrelated(rng, 30000, 3) // above parallelThreshold
-	par := d.Skyline()
-
-	seq := skylineBNL(d.Points)
-	if len(seq) != par.Len() {
-		t.Fatalf("parallel skyline %d points, sequential %d", par.Len(), len(seq))
+	pts := make([][]float64, 30000)
+	for i := range pts {
+		a := rng.Intn(31)
+		b := rng.Intn(31 - a)
+		k := float64(30 + rng.Intn(60))
+		pts[i] = []float64{float64(a) / k, float64(b) / k, float64(30-a-b) / k}
 	}
-	key := func(p []float64) [3]float64 { return [3]float64{p[0], p[1], p[2]} }
-	seen := map[[3]float64]bool{}
-	for _, p := range seq {
-		seen[key(p)] = true
-	}
-	for _, p := range par.Points {
-		if !seen[key(p)] {
-			t.Fatalf("parallel skyline contains %v not in sequential skyline", p)
+	d := &Dataset{Points: pts}
+	const want = 0x86b6db7beb89d5ee
+	for _, procs := range []int{1, 2, 3, 8} {
+		prev := runtime.GOMAXPROCS(procs)
+		sky := d.Skyline()
+		runtime.GOMAXPROCS(prev)
+		if sky.Len() != 705 {
+			t.Fatalf("GOMAXPROCS %d: skyline has %d rows, want 705", procs, sky.Len())
+		}
+		if fp := sky.Fingerprint(); fp != want {
+			t.Errorf("GOMAXPROCS %d: skyline fingerprint %#x, want %#x", procs, fp, uint64(want))
 		}
 	}
 }

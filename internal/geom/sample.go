@@ -5,10 +5,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"time"
 
 	"isrl/internal/fault"
-	"isrl/internal/par"
 	"isrl/internal/trace"
 	"isrl/internal/vec"
 )
@@ -32,7 +32,7 @@ func SampleSimplex(rng *rand.Rand, d int) []float64 {
 type SampleOptions struct {
 	BurnIn int // steps discarded before the first sample (default 5·d)
 	Thin   int // steps between retained samples (default d)
-	Chains int // independent chains run in parallel (default 4, capped at n)
+	Chains int // independent chains the draw is split into (default 4, capped at n)
 
 	// Start, when non-nil and still inside R, seeds every chain from this
 	// point and skips the inner-ball LP entirely — the cross-round warm
@@ -45,18 +45,21 @@ type SampleOptions struct {
 }
 
 // defaultChains is the number of independent hit-and-run chains Sample
-// decomposes into. It is a fixed constant — NOT the worker count — so a
-// seeded run draws the exact same points whether the chains execute on one
-// goroutine or many.
+// decomposes into.
 const defaultChains = 4
+
+// chainRNGs recycles the per-chain generators: reseeding one in place yields
+// exactly the stream rand.New(rand.NewSource(seed)) would, without
+// allocating a fresh ~5 KB source on every draw.
+var chainRNGs = sync.Pool{New: func() any { return rand.New(rand.NewSource(1)) }}
 
 // Sample draws n points approximately uniformly from R with hit-and-run,
 // walking inside the affine subspace Σu = 1. The work is split across
-// independent chains (SampleOptions.Chains), each starting at the inner
-// ball center with its own RNG stream seeded in chain order from rng;
-// chain c writes its quota into a fixed slice range, so the output is a
-// deterministic function of (rng state, n, opts) regardless of how many
-// workers execute the chains. It fails when R is empty or has no interior.
+// independent chains (SampleOptions.Chains), run one after another, each
+// starting at the inner ball center with its own RNG stream seeded in chain
+// order from rng; chain c fills the next contiguous block of the output, so
+// the output is a deterministic function of (rng state, n, opts). It fails
+// when R is empty or has no interior.
 //
 // Hit-and-run is the workhorse behind the paper's Lemma-5 sampling step: the
 // number of sample vectors falling inside a terminal polyhedron tracks its
@@ -66,7 +69,7 @@ func (p *Polytope) Sample(rng *rand.Rand, n int, opts SampleOptions) ([][]float6
 }
 
 // SampleCtx is Sample with tracing: the whole draw — inner-ball LP plus the
-// chain fan-out — is timed as a "geom.sample" span annotated with the point
+// chains — is timed as a "geom.sample" span annotated with the point
 // and chain counts.
 func (p *Polytope) SampleCtx(ctx context.Context, rng *rand.Rand, n int, opts SampleOptions) ([][]float64, error) {
 	ctx, sp := trace.Start(ctx, "geom.sample")
@@ -106,39 +109,34 @@ func (p *Polytope) SampleCtx(ctx context.Context, rng *rand.Rand, n int, opts Sa
 	if n == 0 {
 		return nil, nil
 	}
-	// Per-chain RNG streams, seeded in chain order from the caller's rng.
-	streams := par.SeedStreams(rng, chains)
-	defer par.ReleaseStreams(streams)
-	// One flat backing array instead of n row allocations; chains fill
-	// disjoint pre-cut rows, so sharing it is race-free.
+	// One flat backing array instead of n row allocations.
 	out := make([][]float64, n)
 	flat := make([]float64, n*d)
 	for k := range out {
 		out[k] = flat[k*d : (k+1)*d : (k+1)*d]
 	}
+	if sp != nil {
+		sp.SetInt("points", int64(n))
+		sp.SetInt("chains", int64(chains))
+	}
+	stream := chainRNGs.Get().(*rand.Rand)
+	defer chainRNGs.Put(stream)
 	base, extra := n/chains, n%chains
-	offset := make([]int, chains+1)
+	lo := 0
 	for c := 0; c < chains; c++ {
 		q := base
 		if c < extra {
 			q++
 		}
-		offset[c+1] = offset[c] + q
+		stream.Seed(rng.Int63())
+		p.runChain(stream, from, opts, out[lo:lo+q])
+		lo += q
 	}
-	if sp != nil {
-		sp.SetInt("points", int64(n))
-		sp.SetInt("chains", int64(chains))
-	}
-	par.DoCtx(ctx, chains, func(c int) {
-		p.runChain(streams[c], from, opts, out[offset[c]:offset[c+1]])
-	})
 	return out, nil
 }
 
 // runChain walks one hit-and-run chain from start, filling every
-// pre-allocated slot of out with a retained sample. It touches only
-// read-only polytope state and its own buffers, so chains may run
-// concurrently.
+// pre-allocated slot of out with a retained sample.
 func (p *Polytope) runChain(rng *rand.Rand, start []float64, opts SampleOptions, out [][]float64) {
 	cur := vec.Clone(start)
 	dir := make([]float64, len(start))

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"isrl/internal/fault"
-	"isrl/internal/par"
 	"isrl/internal/trace"
 	"isrl/internal/vec"
 )
@@ -37,12 +36,12 @@ func (p *Polytope) Vertices() ([][]float64, error) {
 
 // VerticesCtx is Vertices with tracing: an actual enumeration (cache-miss
 // path only) is timed as a "geom.vertices" span carrying the halfspace and
-// vertex counts, with the worker-pool fan-out as a child.
+// vertex counts.
 func (p *Polytope) VerticesCtx(ctx context.Context) ([][]float64, error) {
 	if !p.vertsDirty {
 		return p.verts, nil
 	}
-	ctx, sp := trace.Start(ctx, "geom.vertices")
+	sp := trace.StartLeaf(ctx, "geom.vertices")
 	defer sp.End()
 	start := time.Now()
 	defer func() { verticesMS.Observe(float64(time.Since(start)) / float64(time.Millisecond)) }()
@@ -72,36 +71,7 @@ func (p *Polytope) VerticesCtx(ctx context.Context) ([][]float64, error) {
 		return nil, fmt.Errorf("geom: dimension 1 unsupported")
 	}
 
-	// Partition the (d−1)-subset enumeration by first constraint index:
-	// task t enumerates every subset whose smallest member is t. Each task
-	// owns its matrix/output buffers and touches only read-only polytope
-	// state, so tasks run concurrently; merging the per-task lists in task
-	// order then reproduces the exact serial (lexicographic) enumeration
-	// order, so the dedup representative — and the final sorted list — are
-	// identical for any worker count.
-	nTasks := len(pool) - (d - 1) + 1
-	if nTasks < 0 {
-		nTasks = 0
-	}
-	locals := make([][][]float64, nTasks)
-	par.DoCtx(ctx, nTasks, func(t int) {
-		locals[t] = p.enumerateVerticesFrom(pool, t)
-	})
-
-	var out [][]float64
-	seen := make(map[string]bool)
-	var keyBuf []byte
-	for _, local := range locals {
-		for _, u := range local {
-			keyBuf = quantKeyAppend(keyBuf[:0], u)
-			// string([]byte) map index does not allocate; only a genuinely
-			// new key pays for its string conversion on insert.
-			if !seen[string(keyBuf)] {
-				seen[string(keyBuf)] = true
-				out = append(out, u)
-			}
-		}
-	}
+	out := p.enumerateVertices(pool)
 	// Canonical order keeps downstream behaviour deterministic.
 	sort.Slice(out, func(i, j int) bool { return lexLess(out[i], out[j]) })
 	p.verts = out
@@ -113,23 +83,25 @@ func (p *Polytope) VerticesCtx(ctx context.Context) ([][]float64, error) {
 	return out, nil
 }
 
-// enumScratch is per-task enumeration scratch — the d×d system, its solver
-// workspace and the subset index vector — pooled so the hot enumeration
-// allocates only for vertices that actually make it into the output.
+// enumScratch is enumeration scratch — the d×d system, its solver
+// workspace, the subset index vector and the dedup key buffer — pooled so
+// the hot enumeration allocates only for vertices that actually make it
+// into the output.
 type enumScratch struct {
 	A   *vec.Mat
 	b   []float64
 	x   []float64
 	idx []int
+	key []byte
 	lin vec.LinSolver
 }
 
 var enumPool = sync.Pool{New: func() any { return new(enumScratch) }}
 
-// enumerateVerticesFrom solves every d×d system whose active-constraint
-// subset has smallest pool index first, returning feasible vertices in
-// lexicographic enumeration order (undeduplicated).
-func (p *Polytope) enumerateVerticesFrom(pool [][]float64, first int) [][]float64 {
+// enumerateVertices solves the d×d system of every (d−1)-subset of pool in
+// lexicographic order and returns the feasible solutions, deduplicated by
+// quantized key with the first-enumerated representative kept.
+func (p *Polytope) enumerateVertices(pool [][]float64) [][]float64 {
 	d := p.Dim
 	sc := enumPool.Get().(*enumScratch)
 	defer enumPool.Put(sc)
@@ -146,7 +118,7 @@ func (p *Polytope) enumerateVerticesFrom(pool [][]float64, first int) [][]float6
 	vec.Fill(b, 0)
 	b[0] = 1
 	var out [][]float64
-	idx[0] = first
+	seen := make(map[string]bool)
 	var rec func(start, k int)
 	rec = func(start, k int) {
 		if k == d-1 {
@@ -158,11 +130,14 @@ func (p *Polytope) enumerateVerticesFrom(pool [][]float64, first int) [][]float6
 				copy(A.Row(r+1), pool[ci])
 			}
 			u, ok := sc.lin.Solve(sc.x[:d], A, b, 1e-10)
-			if !ok {
+			if !ok || !p.feasibleVertex(u) {
 				return
 			}
-			if p.feasibleVertex(u) {
-				// Only survivors escape; infeasible candidates reuse scratch.
+			sc.key = quantKeyAppend(sc.key[:0], u)
+			// string([]byte) map index does not allocate; only a genuinely
+			// new vertex pays for its key string and its copy.
+			if !seen[string(sc.key)] {
+				seen[string(sc.key)] = true
 				out = append(out, vec.Clone(u))
 			}
 			return
@@ -172,7 +147,7 @@ func (p *Polytope) enumerateVerticesFrom(pool [][]float64, first int) [][]float6
 			rec(i+1, k+1)
 		}
 	}
-	rec(first+1, 1)
+	rec(0, 0)
 	return out
 }
 

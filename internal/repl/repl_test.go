@@ -1,6 +1,7 @@
 package repl
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"net"
@@ -70,11 +71,11 @@ func driveSessions(t *testing.T, l *wal.Log, n, offset int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
 		id := string(rune('a'+offset)) + string(rune('0'+i))
-		if err := l.AppendCreate(wal.SessionState{ID: id, Algo: "ea", Eps: 0.1, Seed: int64(i), IdemKey: "k-" + id}); err != nil {
+		if err := l.AppendCreateCtx(context.Background(), wal.SessionState{ID: id, Algo: "ea", Eps: 0.1, Seed: int64(i), IdemKey: "k-" + id}); err != nil {
 			t.Fatal(err)
 		}
 		for r := 0; r < 3; r++ {
-			if err := l.AppendAnswer(id, r%2 == 0); err != nil {
+			if err := l.AppendAnswerCtx(context.Background(), id, r%2 == 0); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -287,7 +288,7 @@ func TestReplPromotionFencesDeposedPrimary(t *testing.T) {
 	if !pLog.Fenced() {
 		t.Fatal("deposed primary's journal never fenced")
 	}
-	if err := pLog.AppendAnswer("a0", true); !errors.Is(err, wal.ErrStaleEpoch) {
+	if err := pLog.AppendAnswerCtx(context.Background(), "a0", true); !errors.Is(err, wal.ErrStaleEpoch) {
 		t.Fatalf("deposed primary append: %v, want wal.ErrStaleEpoch", err)
 	}
 	if st := follower.Stats(); st.StaleDenied == 0 {
@@ -348,7 +349,7 @@ func TestReplDenyWithoutHigherEpochRedials(t *testing.T) {
 	if got := denies.Load(); got <= 3 {
 		t.Errorf("primary fenced after %d denies; the non-fencing denies cannot have fenced it", got)
 	}
-	if err := pLog.AppendAnswer("a0", true); !errors.Is(err, wal.ErrStaleEpoch) {
+	if err := pLog.AppendAnswerCtx(context.Background(), "a0", true); !errors.Is(err, wal.ErrStaleEpoch) {
 		t.Fatalf("fenced primary append: %v, want wal.ErrStaleEpoch", err)
 	}
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"net/http"
@@ -214,7 +215,7 @@ func TestJournalRecoverRefusesFingerprintMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := log1.AppendCreate(wal.SessionState{ID: "s1", Algo: "UH-Simplex", Eps: 0.1, Seed: 2, Fingerprint: 12345}); err != nil {
+	if err := log1.AppendCreateCtx(context.Background(), wal.SessionState{ID: "s1", Algo: "UH-Simplex", Eps: 0.1, Seed: 2, Fingerprint: 12345}); err != nil {
 		t.Fatal(err)
 	}
 	log1.Close()

@@ -440,11 +440,11 @@ func (s *Server) journalAnswer(ctx context.Context, id string, prefer bool) {
 	}
 }
 
-func (s *Server) journalFinish(id, reason string) {
+func (s *Server) journalFinish(ctx context.Context, id, reason string) {
 	if s.journal == nil {
 		return
 	}
-	if err := s.journal.AppendFinish(id, reason); err != nil {
+	if err := s.journal.AppendFinishCtx(ctx, id, reason); err != nil {
 		s.journalErr.Inc()
 		s.log.Warn("journal finish failed", "id", id, "reason", reason, "err", err)
 	}
@@ -771,7 +771,7 @@ func (s *Server) create(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Idempotency-Replayed", "true")
 			if e != nil {
 				s.echoTraceparent(w, e)
-				s.respondState(w, id, e, http.StatusOK)
+				s.respondState(context.Background(), w, id, e, http.StatusOK)
 				return
 			}
 			if ent, ok := s.lookupCompleted(id); ok {
@@ -821,7 +821,7 @@ func (s *Server) create(w http.ResponseWriter, r *http.Request) {
 	s.journalCreate(ctx, id, alg.Name(), seed, key)
 	s.created.Inc()
 	s.echoTraceparent(w, e)
-	s.respondState(w, id, e, http.StatusCreated)
+	s.respondState(ctx, w, id, e, http.StatusCreated)
 }
 
 // startSessionTrace decides whether this session is traced and opens its
@@ -894,7 +894,7 @@ func (s *Server) state(w http.ResponseWriter, id string) {
 	sp := e.root.StartChild("http.get_session")
 	defer sp.End()
 	s.echoTraceparent(w, e)
-	s.respondState(w, id, e, http.StatusOK)
+	s.respondState(trace.ContextWithSpan(context.Background(), sp), w, id, e, http.StatusOK)
 }
 
 // jsonContentType accepts application/json, any +json structured suffix, or
@@ -955,6 +955,7 @@ func (s *Server) answer(w http.ResponseWriter, r *http.Request, id string) {
 	}
 	sp := e.root.StartChild("http.answer")
 	defer sp.End()
+	ctx := trace.ContextWithSpan(context.Background(), sp)
 	s.echoTraceparent(w, e)
 	e.mu.Lock()
 	if body.Round > 0 {
@@ -967,7 +968,7 @@ func (s *Server) answer(w http.ResponseWriter, r *http.Request, id string) {
 			// applying the preference twice.
 			e.mu.Unlock()
 			s.dupRounds.Inc()
-			s.respondState(w, id, e, http.StatusOK)
+			s.respondState(ctx, w, id, e, http.StatusOK)
 			return
 		case body.Round != applied+1:
 			e.mu.Unlock()
@@ -995,14 +996,14 @@ func (s *Server) answer(w http.ResponseWriter, r *http.Request, id string) {
 		// lock, so journaled round order always matches session order. A
 		// crash after Answer but before the append loses at most this one
 		// answer: recovery then re-delivers the same question.
-		s.journalAnswer(trace.ContextWithSpan(context.Background(), sp), id, body.PreferFirst)
+		s.journalAnswer(ctx, id, body.PreferFirst)
 	}
 	e.mu.Unlock()
 	if err != nil {
 		s.httpError(w, http.StatusConflict, "%v", err)
 		return
 	}
-	s.respondState(w, id, e, http.StatusOK)
+	s.respondState(ctx, w, id, e, http.StatusOK)
 }
 
 // notReady reports 503 with Retry-After: the algorithm goroutine did not
@@ -1050,7 +1051,7 @@ func (s *Server) abort(w http.ResponseWriter, id string) {
 		return
 	}
 	e.sess.Close()
-	s.journalFinish(id, wal.ReasonAborted)
+	s.journalFinish(context.Background(), id, wal.ReasonAborted)
 	s.finishSessionTrace(e, wal.ReasonAborted, -1, false)
 	s.aborted.Inc()
 	w.WriteHeader(http.StatusNoContent)
@@ -1059,8 +1060,10 @@ func (s *Server) abort(w http.ResponseWriter, id string) {
 // respondState advances to the next question (or result) and serializes it.
 // It takes e.mu itself, so callers must not hold it. When the session
 // finishes, the exact response bytes are parked in the completed cache so a
-// round-indexed retry of the final answer can be replayed verbatim.
-func (s *Server) respondState(w http.ResponseWriter, id string, e *session, status int) {
+// round-indexed retry of the final answer can be replayed verbatim. ctx
+// carries the request's span, under which the finishing tombstone's WAL
+// append is traced.
+func (s *Server) respondState(ctx context.Context, w http.ResponseWriter, id string, e *session, status int) {
 	e.mu.Lock()
 	pi, pj, done, ready := e.sess.NextTimeout(s.deadline)
 	if !ready {
@@ -1106,7 +1109,7 @@ func (s *Server) respondState(w http.ResponseWriter, id string, e *session, stat
 		s.active.Set(int64(len(s.sessions)))
 		s.mu.Unlock()
 		if present {
-			s.journalFinish(id, wal.ReasonFinished)
+			s.journalFinish(ctx, id, wal.ReasonFinished)
 			s.finished.Inc()
 			if err == nil {
 				s.rounds.Observe(float64(res.Rounds))
@@ -1209,7 +1212,7 @@ func (s *Server) Drain(grace time.Duration) int {
 	s.mu.Unlock()
 	for i, e := range victims {
 		e.sess.Close()
-		s.journalFinish(victimIDs[i], wal.ReasonExpired)
+		s.journalFinish(context.Background(), victimIDs[i], wal.ReasonExpired)
 		s.finishSessionTrace(e, wal.ReasonExpired, -1, false)
 	}
 	if len(victims) > 0 {
@@ -1278,7 +1281,7 @@ func (s *Server) sweepExpired(now time.Time) int {
 		// Journal the expiry tombstone: eviction must be as durable as
 		// creation, or a restart would resurrect sessions the TTL already
 		// killed (and leak their goroutines all over again).
-		s.journalFinish(victimIDs[i], wal.ReasonExpired)
+		s.journalFinish(context.Background(), victimIDs[i], wal.ReasonExpired)
 		s.finishSessionTrace(e, wal.ReasonExpired, -1, false)
 	}
 	if len(victims) > 0 {

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -17,11 +18,13 @@ import (
 	"isrl/internal/ea"
 	"isrl/internal/obs"
 	"isrl/internal/trace"
+	"isrl/internal/wal"
 )
 
 // traceServer builds a server with tracing enabled over an EA factory, so
-// session rounds run the instrumented geometry/LP/worker-pool hot paths.
-func traceServer(t *testing.T, rate float64) (*Server, *trace.Tracer) {
+// session rounds run the instrumented geometry/LP hot paths. extra options
+// are applied after the tracing ones.
+func traceServer(t *testing.T, rate float64, extra ...Option) (*Server, *trace.Tracer) {
 	t.Helper()
 	ds := dataset.Anticorrelated(rand.New(rand.NewSource(1)), 200, 3).Skyline()
 	reg := obs.NewRegistry()
@@ -29,7 +32,7 @@ func traceServer(t *testing.T, rate float64) (*Server, *trace.Tracer) {
 	tracer := trace.New(trace.Options{SampleRate: rate, Logger: quiet, Registry: reg})
 	srv := New(ds, 0.15, func(seed int64) core.Algorithm {
 		return ea.New(ds, 0.15, ea.Config{}, rand.New(rand.NewSource(seed)))
-	}, WithRegistry(reg), WithLogger(quiet), WithTracer(tracer))
+	}, append([]Option{WithRegistry(reg), WithLogger(quiet), WithTracer(tracer)}, extra...)...)
 	return srv, tracer
 }
 
@@ -171,7 +174,7 @@ func TestTraceEndToEnd(t *testing.T) {
 		t.Fatalf("no http.answer spans in %v", names)
 	}
 	hot := 0
-	for _, n := range []string{"lp.solve", "geom.vertices", "geom.sample", "geom.inner_ball", "geom.outer_rect", "par.do", "rl.best", "oracle.wait"} {
+	for _, n := range []string{"lp.solve", "geom.vertices", "geom.sample", "geom.inner_ball", "geom.outer_rect", "rl.best", "oracle.wait"} {
 		if names[n] > 0 {
 			hot++
 		}
@@ -188,6 +191,47 @@ func TestTraceEndToEnd(t *testing.T) {
 	rec = get(t, srv, "/debug/traces/"+traceID+"?format=text")
 	if !strings.Contains(rec.Body.String(), "session.round") {
 		t.Fatalf("text view missing round spans:\n%s", rec.Body.String())
+	}
+}
+
+// The answer that finishes a session journals two records, its answer and
+// the session's tombstone, and both commits belong to that answer's
+// http.answer span: each shows up as a wal.append child with its own
+// wal.fsync sibling.
+func TestFinishingAnswerTracesTombstone(t *testing.T) {
+	log, _, err := wal.Open(t.TempDir(), wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer log.Close()
+	srv, _ := traceServer(t, 1, WithJournal(log))
+	traceID, err := driveSession(srv, "00-3af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var last *traceNode
+	for _, c := range fetchTrace(t, srv, traceID).Spans[0].Children {
+		if c.Name == "http.answer" {
+			last = c
+		}
+	}
+	if last == nil {
+		t.Fatal("no http.answer spans under the session root")
+	}
+	kinds := map[string]int{}
+	fsyncs := 0
+	for _, c := range last.Children {
+		switch c.Name {
+		case "wal.append":
+			kinds[c.Attrs["kind"]]++
+		case "wal.fsync":
+			fsyncs++
+		}
+	}
+	answer, finish := strconv.Itoa(int(wal.KindAnswer)), strconv.Itoa(int(wal.KindFinish))
+	if kinds[answer] != 1 || kinds[finish] != 1 || fsyncs != 2 {
+		t.Fatalf("finishing http.answer has wal.append kinds %v and %d wal.fsync children; "+
+			"want one answer and one tombstone append, each fsynced", kinds, fsyncs)
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package trace is a stdlib-only span tracer for the serving path: a root
 // span opens when a session is created, every HTTP request and algorithm
-// round attaches a child, and the LP/geometry/worker-pool/WAL hot paths add
+// round attaches a child, and the LP/geometry/WAL hot paths add
 // timed leaves with their key attributes. Completed traces land in the
 // Tracer's bounded ring buffer and slow-trace reservoir, browsable at
 // GET /debug/traces.

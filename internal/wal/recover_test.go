@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math/rand"
 	"os"
@@ -21,7 +22,7 @@ func buildJournal(t *testing.T, dir string, answers int) string {
 	}
 	mustCreate(t, l, "s1", 11)
 	for i := 0; i < answers; i++ {
-		if err := l.AppendAnswer("s1", i%3 == 0); err != nil {
+		if err := l.AppendAnswerCtx(context.Background(), "s1", i%3 == 0); err != nil {
 			t.Fatalf("append %d: %v", i, err)
 		}
 	}
@@ -62,7 +63,7 @@ func TestJournalRecoverEveryTruncationPoint(t *testing.T) {
 		}
 		// The truncated log must accept new appends (if s1 survived).
 		if len(states) == 1 && !states[0].Finished {
-			if err := l.AppendAnswer("s1", true); err != nil {
+			if err := l.AppendAnswerCtx(context.Background(), "s1", true); err != nil {
 				t.Fatalf("cut=%d: append after recovery: %v", cut, err)
 			}
 		}
@@ -125,13 +126,13 @@ func TestJournalRecoverTornTailFault(t *testing.T) {
 	}
 	mustCreate(t, l, "s1", 5)
 	for i := 0; i < 6; i++ {
-		if err := l.AppendAnswer("s1", true); err != nil {
+		if err := l.AppendAnswerCtx(context.Background(), "s1", true); err != nil {
 			t.Fatalf("append %d: %v", i, err)
 		}
 	}
 	// Arm a guaranteed torn write: the next append persists half a frame.
 	fault.Install(fault.NewPlan(1).Set(fault.PointWALWrite, fault.Spec{TornProb: 1}))
-	err = l.AppendAnswer("s1", false)
+	err = l.AppendAnswerCtx(context.Background(), "s1", false)
 	fault.Install(nil)
 	if !errors.Is(err, fault.ErrTornWrite) {
 		t.Fatalf("torn append error = %v, want ErrTornWrite", err)
@@ -151,7 +152,7 @@ func TestJournalRecoverTornTailFault(t *testing.T) {
 		t.Fatalf("recovered %d answers, want the 6 committed before the tear", len(got))
 	}
 	// The torn bytes were truncated away: appends go to a clean tail.
-	if err := l2.AppendAnswer("s1", false); err != nil {
+	if err := l2.AppendAnswerCtx(context.Background(), "s1", false); err != nil {
 		t.Fatalf("append after torn-tail truncation: %v", err)
 	}
 	_, states = reopen(t, l2, Options{})
@@ -172,7 +173,7 @@ func TestJournalFsyncFaultSurfaces(t *testing.T) {
 	mustCreate(t, l, "s1", 5)
 	fault.Install(fault.NewPlan(1).Set(fault.PointWALSync, fault.Spec{ErrProb: 1}))
 	defer fault.Install(nil)
-	if err := l.AppendAnswer("s1", true); err != nil {
+	if err := l.AppendAnswerCtx(context.Background(), "s1", true); err != nil {
 		t.Fatalf("append with failing fsync should still commit in memory: %v", err)
 	}
 	if l.FsyncErrors() == 0 {
@@ -214,7 +215,7 @@ func TestJournalRecoverMidSegmentCorruptionQuarantines(t *testing.T) {
 	}
 	mustCreate(t, l, "s1", 1)
 	for i := 0; i < 30; i++ {
-		if err := l.AppendAnswer("s1", true); err != nil {
+		if err := l.AppendAnswerCtx(context.Background(), "s1", true); err != nil {
 			t.Fatalf("append: %v", err)
 		}
 	}

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"io"
 	"testing"
@@ -167,7 +168,7 @@ func TestEpochSurvivesRestartAndCompaction(t *testing.T) {
 	if err := l.SetEpoch(5); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.AppendCreate(SessionState{ID: "s1", Algo: "ea"}); err != nil {
+	if err := l.AppendCreateCtx(context.Background(), SessionState{ID: "s1", Algo: "ea"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
@@ -207,14 +208,14 @@ func TestFenceRejectsAppends(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	if err := l.AppendCreate(SessionState{ID: "s1"}); err != nil {
+	if err := l.AppendCreateCtx(context.Background(), SessionState{ID: "s1"}); err != nil {
 		t.Fatal(err)
 	}
 	l.Fence(2)
 	if !l.Fenced() {
 		t.Fatal("Fence(2) did not fence a log at epoch 0")
 	}
-	err = l.AppendAnswer("s1", true)
+	err = l.AppendAnswerCtx(context.Background(), "s1", true)
 	if !errors.Is(err, ErrStaleEpoch) {
 		t.Fatalf("append on fenced log: %v, want ErrStaleEpoch", err)
 	}
@@ -231,7 +232,7 @@ func TestFenceRejectsAppends(t *testing.T) {
 	if l.Fenced() {
 		t.Fatal("log still fenced after adopting the fencing epoch")
 	}
-	if err := l.AppendAnswer("s1", true); err != nil {
+	if err := l.AppendAnswerCtx(context.Background(), "s1", true); err != nil {
 		t.Fatalf("append after unfencing: %v", err)
 	}
 }
@@ -247,7 +248,7 @@ func TestTailStreamsAppends(t *testing.T) {
 	}
 	defer l.Close()
 
-	if err := l.AppendCreate(SessionState{ID: "s0", Algo: "ea"}); err != nil {
+	if err := l.AppendCreateCtx(context.Background(), SessionState{ID: "s0", Algo: "ea"}); err != nil {
 		t.Fatal(err)
 	}
 	var got []Entry
@@ -255,13 +256,13 @@ func TestTailStreamsAppends(t *testing.T) {
 	if from.LSN != 1 || from.Bytes <= 0 {
 		t.Fatalf("Tail position = %+v, want LSN 1 with its bytes", from)
 	}
-	if err := l.AppendCreate(SessionState{ID: "s1", Algo: "ea"}); err != nil {
+	if err := l.AppendCreateCtx(context.Background(), SessionState{ID: "s1", Algo: "ea"}); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 1 {
 		t.Fatalf("sink saw %d entries right after the append returned, want 1", len(got))
 	}
-	if err := l.AppendAnswer("s1", true); err != nil {
+	if err := l.AppendAnswerCtx(context.Background(), "s1", true); err != nil {
 		t.Fatal(err)
 	}
 	e1, e2 := got[0], got[1]
@@ -278,14 +279,14 @@ func TestTailStreamsAppends(t *testing.T) {
 	var second []Entry
 	_, uninstall2 := l.Tail(func(e Entry) { second = append(second, e) })
 	uninstall() // stale: the second sink replaced this one
-	if err := l.AppendAnswer("s1", false); err != nil {
+	if err := l.AppendAnswerCtx(context.Background(), "s1", false); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 2 || len(second) != 1 || second[0].LSN != 4 {
 		t.Fatalf("after replacement: first sink %d entries, second %+v; want 2 and [LSN 4]", len(got), second)
 	}
 	uninstall2()
-	if err := l.AppendAnswer("s1", true); err != nil {
+	if err := l.AppendAnswerCtx(context.Background(), "s1", true); err != nil {
 		t.Fatal(err)
 	}
 	if len(second) != 1 {

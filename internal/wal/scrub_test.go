@@ -25,7 +25,7 @@ func segmented(t *testing.T, dir string, answers int) *Log {
 	t.Cleanup(func() { l.Close() })
 	mustCreate(t, l, "s1", 1)
 	for i := 0; i < answers; i++ {
-		if err := l.AppendAnswer("s1", i%2 == 0); err != nil {
+		if err := l.AppendAnswerCtx(context.Background(), "s1", i%2 == 0); err != nil {
 			t.Fatalf("append: %v", err)
 		}
 	}
@@ -232,12 +232,12 @@ func TestRecoverTornTailWarnsAndCounts(t *testing.T) {
 	}
 	mustCreate(t, l, "s1", 1)
 	for i := 0; i < 4; i++ {
-		if err := l.AppendAnswer("s1", true); err != nil {
+		if err := l.AppendAnswerCtx(context.Background(), "s1", true); err != nil {
 			t.Fatal(err)
 		}
 	}
 	fault.Install(fault.NewPlan(1).Set(fault.PointWALWrite, fault.Spec{TornProb: 1}))
-	l.AppendAnswer("s1", false)
+	l.AppendAnswerCtx(context.Background(), "s1", false)
 	fault.Install(nil)
 	l.Close()
 
@@ -308,19 +308,19 @@ func TestTailGapFreeDuringCompaction(t *testing.T) {
 		defer close(done)
 		for i := 0; i < sessions; i++ {
 			id := "s" + string(rune('A'+i%26)) + segName(i) // unique, cheap
-			if err := l.AppendCreate(SessionState{ID: id, Algo: "UH", Seed: int64(i)}); err != nil {
+			if err := l.AppendCreateCtx(context.Background(), SessionState{ID: id, Algo: "UH", Seed: int64(i)}); err != nil {
 				t.Errorf("create %d: %v", i, err)
 				return
 			}
 			appends++
 			for a := 0; a < 5; a++ {
-				if err := l.AppendAnswer(id, a%2 == 0); err != nil {
+				if err := l.AppendAnswerCtx(context.Background(), id, a%2 == 0); err != nil {
 					t.Errorf("answer %d/%d: %v", i, a, err)
 					return
 				}
 				appends++
 			}
-			if err := l.AppendFinish(id, ReasonFinished); err != nil {
+			if err := l.AppendFinishCtx(context.Background(), id, ReasonFinished); err != nil {
 				t.Errorf("finish %d: %v", i, err)
 				return
 			}

@@ -328,15 +328,10 @@ func (l *Log) Close() error {
 	return err
 }
 
-// AppendCreate journals a session birth. st.Answers and st.Finished are
-// ignored (a new session has neither).
-func (l *Log) AppendCreate(st SessionState) error {
-	return l.AppendCreateCtx(context.Background(), st)
-}
-
-// AppendCreateCtx is AppendCreate with tracing: the framed write and its
-// fsync show up as "wal.append" / "wal.fsync" spans when ctx carries an
-// active trace.
+// AppendCreateCtx journals a session birth. st.Answers and st.Finished are
+// ignored (a new session has neither). The framed write and its fsync show
+// up as "wal.append" / "wal.fsync" spans when ctx carries an active trace;
+// callers outside any request pass context.Background().
 func (l *Log) AppendCreateCtx(ctx context.Context, st SessionState) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -350,14 +345,10 @@ func (l *Log) AppendCreateCtx(ctx context.Context, st SessionState) error {
 	return err
 }
 
-// AppendAnswer journals one committed answer for id. The round index is
+// AppendAnswerCtx journals one committed answer for id. The round index is
 // assigned from the in-memory mirror, which makes replay after a crashed
-// compaction idempotent (duplicate rounds are skipped on recovery).
-func (l *Log) AppendAnswer(id string, prefer bool) error {
-	return l.AppendAnswerCtx(context.Background(), id, prefer)
-}
-
-// AppendAnswerCtx is AppendAnswer with tracing (see AppendCreateCtx).
+// compaction idempotent (duplicate rounds are skipped on recovery). Tracing
+// is as for AppendCreateCtx.
 func (l *Log) AppendAnswerCtx(ctx context.Context, id string, prefer bool) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -372,13 +363,9 @@ func (l *Log) AppendAnswerCtx(ctx context.Context, id string, prefer bool) error
 	return err
 }
 
-// AppendFinish journals a tombstone for id and, when enough dead sessions
-// have accumulated, compacts the log.
-func (l *Log) AppendFinish(id, reason string) error {
-	return l.AppendFinishCtx(context.Background(), id, reason)
-}
-
-// AppendFinishCtx is AppendFinish with tracing (see AppendCreateCtx).
+// AppendFinishCtx journals a tombstone for id and, when enough dead
+// sessions have accumulated, compacts the log. Tracing is as for
+// AppendCreateCtx.
 func (l *Log) AppendFinishCtx(ctx context.Context, id, reason string) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()

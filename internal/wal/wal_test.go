@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -23,7 +24,7 @@ func reopen(t *testing.T, l *Log, opts Options) (*Log, []SessionState) {
 
 func mustCreate(t *testing.T, l *Log, id string, seed int64) {
 	t.Helper()
-	if err := l.AppendCreate(SessionState{ID: id, Algo: "UH", Eps: 0.1, Seed: seed, Fingerprint: 42}); err != nil {
+	if err := l.AppendCreateCtx(context.Background(), SessionState{ID: id, Algo: "UH", Eps: 0.1, Seed: seed, Fingerprint: 42}); err != nil {
 		t.Fatalf("AppendCreate(%s): %v", id, err)
 	}
 }
@@ -39,12 +40,12 @@ func TestJournalRoundTrip(t *testing.T) {
 	mustCreate(t, l, "s1", 7)
 	answers := []bool{true, false, false, true, true}
 	for _, a := range answers {
-		if err := l.AppendAnswer("s1", a); err != nil {
+		if err := l.AppendAnswerCtx(context.Background(), "s1", a); err != nil {
 			t.Fatalf("AppendAnswer: %v", err)
 		}
 	}
 	mustCreate(t, l, "s2", 8)
-	if err := l.AppendFinish("s2", ReasonAborted); err != nil {
+	if err := l.AppendFinishCtx(context.Background(), "s2", ReasonAborted); err != nil {
 		t.Fatalf("AppendFinish: %v", err)
 	}
 
@@ -80,13 +81,13 @@ func TestJournalErrorsOnBadAppends(t *testing.T) {
 	}
 	defer l.Close()
 	mustCreate(t, l, "s1", 1)
-	if err := l.AppendCreate(SessionState{ID: "s1"}); err == nil {
+	if err := l.AppendCreateCtx(context.Background(), SessionState{ID: "s1"}); err == nil {
 		t.Error("duplicate create accepted")
 	}
-	if err := l.AppendAnswer("ghost", true); err == nil {
+	if err := l.AppendAnswerCtx(context.Background(), "ghost", true); err == nil {
 		t.Error("answer for unknown session accepted")
 	}
-	if err := l.AppendFinish("ghost", ReasonFinished); err == nil {
+	if err := l.AppendFinishCtx(context.Background(), "ghost", ReasonFinished); err == nil {
 		t.Error("finish for unknown session accepted")
 	}
 }
@@ -99,7 +100,7 @@ func TestJournalSegmentRotation(t *testing.T) {
 	}
 	mustCreate(t, l, "s1", 1)
 	for i := 0; i < 50; i++ {
-		if err := l.AppendAnswer("s1", i%2 == 0); err != nil {
+		if err := l.AppendAnswerCtx(context.Background(), "s1", i%2 == 0); err != nil {
 			t.Fatalf("append %d: %v", i, err)
 		}
 	}
@@ -121,12 +122,12 @@ func TestJournalCompactionDropsTombstones(t *testing.T) {
 	}
 	// s1 stays live with some answers; s2..s6 die and trip compaction.
 	mustCreate(t, l, "s1", 1)
-	l.AppendAnswer("s1", true)
-	l.AppendAnswer("s1", false)
+	l.AppendAnswerCtx(context.Background(), "s1", true)
+	l.AppendAnswerCtx(context.Background(), "s1", false)
 	for _, id := range []string{"s2", "s3", "s4", "s5"} {
 		mustCreate(t, l, id, 2)
-		l.AppendAnswer(id, true)
-		if err := l.AppendFinish(id, ReasonFinished); err != nil {
+		l.AppendAnswerCtx(context.Background(), id, true)
+		if err := l.AppendFinishCtx(context.Background(), id, ReasonFinished); err != nil {
 			t.Fatalf("finish %s: %v", id, err)
 		}
 	}
@@ -149,7 +150,7 @@ func TestJournalCompactionExplicit(t *testing.T) {
 	}
 	mustCreate(t, l, "s1", 1)
 	mustCreate(t, l, "s2", 2)
-	l.AppendFinish("s1", ReasonExpired)
+	l.AppendFinishCtx(context.Background(), "s1", ReasonExpired)
 	sizeBefore := dirSize(t, dir)
 	if err := l.Compact(); err != nil {
 		t.Fatalf("compact: %v", err)
@@ -180,8 +181,8 @@ func TestJournalRecoverAfterCrashedCompaction(t *testing.T) {
 		t.Fatalf("open: %v", err)
 	}
 	mustCreate(t, l, "s1", 1)
-	l.AppendAnswer("s1", true)
-	l.AppendAnswer("s1", false)
+	l.AppendAnswerCtx(context.Background(), "s1", true)
+	l.AppendAnswerCtx(context.Background(), "s1", false)
 	if err := l.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
