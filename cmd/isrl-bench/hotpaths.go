@@ -180,7 +180,7 @@ func hotActions(rng *rand.Rand, k, dim int) [][]float64 {
 }
 
 // benchScoring returns the serial (per-candidate Q forward + argmax, the
-// pre-batching code path) and batched (Agent.Best, one GEMM) rows for an
+// pre-batching code path) and batched (Agent.BestCtx, one GEMM) rows for an
 // agent of the given shape scoring k candidates.
 func benchScoring(prefix string, stateDim, actionDim, k int) (serial, batched benchRow) {
 	rng := rand.New(rand.NewSource(4))
@@ -202,7 +202,7 @@ func benchScoring(prefix string, stateDim, actionDim, k int) (serial, batched be
 	batched = row(prefix+"_batched", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			a.Best(state, actions)
+			a.BestCtx(context.Background(), state, actions)
 		}
 	})
 	return serial, batched
@@ -257,7 +257,7 @@ func runHotpaths(quick bool, outPath, comparePath string) error {
 	add(row("sample_d4", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := poly.Sample(rand.New(rand.NewSource(7)), 256, geom.SampleOptions{}); err != nil {
+			if _, err := poly.SampleCtx(context.Background(), rand.New(rand.NewSource(7)), 256, geom.SampleOptions{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -281,7 +281,7 @@ func runHotpaths(quick bool, outPath, comparePath string) error {
 		for i := 0; i < b.N; i++ {
 			// Clone the never-enumerated base so each iteration recomputes
 			// rather than reading the vertex cache.
-			if _, err := poly.Clone().Vertices(); err != nil {
+			if _, err := poly.Clone().VerticesCtx(context.Background()); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -299,10 +299,10 @@ func runHotpaths(quick bool, outPath, comparePath string) error {
 			p := geom.NewPolytope(4)
 			for _, h := range cuts {
 				p.Add(h)
-				if _, err := p.Vertices(); err != nil {
+				if _, err := p.VerticesCtx(context.Background()); err != nil {
 					b.Fatal(err)
 				}
-				if _, err := p.InnerBall(); err != nil {
+				if _, err := p.InnerBallCtx(context.Background()); err != nil {
 					b.Fatal(err)
 				}
 				if _, _, err := p.OuterRect(); err != nil {
@@ -334,9 +334,10 @@ func runHotpaths(quick bool, outPath, comparePath string) error {
 	add(scr, inc)
 	speed("round_geometry_d4", scr, inc)
 
-	// End-to-end sessions at d=4: one op runs a full seeded interaction to
+	// End-to-end sessions: one op runs a full seeded interaction to
 	// completion on the round-incremental engine; rounds_per_sec divides the
-	// deterministic round count by the per-op wall time.
+	// deterministic round count by the per-op wall time. The d=20 AA row is
+	// the paper's high-dimensional case, where LP solves dominate a round.
 	dsEA := dataset.Anticorrelated(rand.New(rand.NewSource(21)), 300, 4).Skyline()
 	benchUser := core.SimulatedUser{Utility: []float64{0.4, 0.3, 0.2, 0.1}}
 	runEASession := func() (core.Result, error) {
@@ -344,15 +345,23 @@ func runHotpaths(quick bool, outPath, comparePath string) error {
 		e := ea.New(dsEA, 0.1, cfg, rand.New(rand.NewSource(22)))
 		return e.Run(dsEA, benchUser, 0.1, nil)
 	}
-	runAASession := func() (core.Result, error) {
-		cfg := aa.Config{Mh: 4, TopK: 10, RandPairs: 40, MaxLPChecks: 30, MaxRounds: 120}
-		a := aa.New(dsEA, 0.1, cfg, rand.New(rand.NewSource(23)))
-		return a.Run(dsEA, benchUser, 0.1, nil)
+	runAA := func(ds *dataset.Dataset, user core.User) func() (core.Result, error) {
+		return func() (core.Result, error) {
+			cfg := aa.Config{Mh: 4, TopK: 10, RandPairs: 40, MaxLPChecks: 30, MaxRounds: 120}
+			a := aa.New(ds, 0.1, cfg, rand.New(rand.NewSource(23)))
+			return a.Run(ds, user, 0.1, nil)
+		}
 	}
+	dsD20 := dataset.Anticorrelated(rand.New(rand.NewSource(21)), 300, 20).Skyline()
+	userD20 := core.SimulatedUser{Utility: geom.SampleSimplex(rand.New(rand.NewSource(24)), 20)}
 	for _, sc := range []struct {
 		name string
 		run  func() (core.Result, error)
-	}{{"ea_session_d4_incremental", runEASession}, {"aa_session_d4_incremental", runAASession}} {
+	}{
+		{"ea_session_d4_incremental", runEASession},
+		{"aa_session_d4_incremental", runAA(dsEA, benchUser)},
+		{"aa_session_d20_incremental", runAA(dsD20, userD20)},
+	} {
 		ref, err := sc.run()
 		if err != nil {
 			return fmt.Errorf("hotpaths: %s: %w", sc.name, err)
@@ -425,6 +434,7 @@ var fixedWorkloadRows = map[string]bool{
 	"round_geometry_incremental": true,
 	"ea_session_d4_incremental":  true,
 	"aa_session_d4_incremental":  true,
+	"aa_session_d20_incremental": true,
 }
 
 // compareReports gates the fresh report against a committed baseline:

@@ -169,7 +169,7 @@ func TestActionDirectionDiversity(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	a := New(ds, 0.1, Config{Mh: 5, TopK: 15, RandPairs: 80, MaxLPChecks: 40, MaxRounds: 50}, rng)
 	poly := geom.NewPolytope(4)
-	ball, err := poly.InnerBall()
+	ball, err := poly.InnerBallCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

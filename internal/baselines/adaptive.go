@@ -1,6 +1,7 @@
 package baselines
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -61,7 +62,7 @@ func (a *Adaptive) Run(ds *dataset.Dataset, user core.User, eps float64, obs cor
 	rounds := 0
 	degReason := ""
 	for rounds < a.cfg.MaxRounds {
-		ball, err := poly.InnerBall()
+		ball, err := poly.InnerBallCtx(context.Background())
 		if err != nil {
 			degReason = "utility range empty (contradictory answers)"
 			break
@@ -98,7 +99,7 @@ func (a *Adaptive) Run(ds *dataset.Dataset, user core.User, eps float64, obs cor
 	}
 	// Return the top tuple under the learned preference.
 	center := geom.SimplexCentroid(d)
-	if ball, err := poly.InnerBall(); err == nil {
+	if ball, err := poly.InnerBallCtx(context.Background()); err == nil {
 		center = ball.Center
 	}
 	if degReason != "" {

@@ -8,6 +8,7 @@
 package baselines
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -133,7 +134,7 @@ func runUH(ds *dataset.Dataset, user core.User, eps float64, obs core.Observer, 
 	rounds := 0
 	degReason := ""
 	for rounds < cfg.MaxRounds {
-		verts, err := poly.Vertices()
+		verts, err := poly.VerticesCtx(context.Background())
 		if err != nil {
 			// Exhausted vertex budget or injected fault: degrade rather than
 			// fail the whole session (core's shared contract).
@@ -176,7 +177,7 @@ func runUH(ds *dataset.Dataset, user core.User, eps float64, obs core.Observer, 
 	}
 	// Fallback: best point at the inner-ball center.
 	center := geom.SimplexCentroid(d)
-	if ball, err := poly.InnerBall(); err == nil {
+	if ball, err := poly.InnerBallCtx(context.Background()); err == nil {
 		center = ball.Center
 	}
 	if degReason != "" {

@@ -1,18 +1,12 @@
 package core
 
 import (
+	"context"
 	"math/rand"
-	"time"
 
 	"isrl/internal/dataset"
 	"isrl/internal/geom"
-	"isrl/internal/obs"
 )
-
-// maxRegretMS times MaxRegretEstimate, the dominant cost of progress
-// tracing (one inner-ball LP plus up to 10,000 hit-and-run samples per
-// call). The histogram gives perf PRs a before/after baseline.
-var maxRegretMS = obs.Default().Histogram("core.max_regret_ms", obs.LatencyBuckets())
 
 // MaxRegretEstimate reproduces the paper's per-round measurement protocol
 // for Figures 7–8: from the halfspaces learned so far, build the utility
@@ -25,8 +19,6 @@ var maxRegretMS = obs.Default().Histogram("core.max_regret_ms", obs.LatencyBucke
 // included so the estimate is defined even when sampling fails (degenerate
 // R).
 func MaxRegretEstimate(ds *dataset.Dataset, halfspaces []geom.Halfspace, rng *rand.Rand, numSamples int) float64 {
-	start := time.Now()
-	defer func() { maxRegretMS.Observe(float64(time.Since(start)) / float64(time.Millisecond)) }()
 	if numSamples <= 0 {
 		numSamples = 10000
 	}
@@ -35,7 +27,7 @@ func MaxRegretEstimate(ds *dataset.Dataset, halfspaces []geom.Halfspace, rng *ra
 	for _, h := range halfspaces {
 		poly.Add(h)
 	}
-	ball, ballErr := poly.InnerBall()
+	ball, ballErr := poly.InnerBallCtx(context.Background())
 	if ballErr != nil {
 		// Empty range (possible with noisy users): fall back to the simplex
 		// centroid so the metric stays defined.
@@ -44,7 +36,7 @@ func MaxRegretEstimate(ds *dataset.Dataset, halfspaces []geom.Halfspace, rng *ra
 	p := ds.Points[ds.TopPoint(ball.Center)]
 	worst := ds.RegretRatio(p, ball.Center)
 	// Reuse the ball center as the sampling start: it is exactly the point
-	// Sample would recompute with its own inner-ball LP, so passing it skips
+	// SampleCtx would recompute with its own inner-ball LP, so passing it skips
 	// that duplicate solve without changing a single drawn coordinate. Only
 	// a strictly interior center qualifies — a degenerate ball must keep the
 	// empty-interior error path.
@@ -52,7 +44,7 @@ func MaxRegretEstimate(ds *dataset.Dataset, halfspaces []geom.Halfspace, rng *ra
 	if ballErr == nil && ball.Radius > 0 {
 		opts.Start = ball.Center
 	}
-	samples, err := poly.Sample(rng, numSamples, opts)
+	samples, err := poly.SampleCtx(context.Background(), rng, numSamples, opts)
 	if err != nil {
 		return worst
 	}

@@ -314,7 +314,7 @@ func (e *EA) encodeState(verts [][]float64, ball geom.Ball) []float64 {
 // the top point w.r.t. the inner-ball center (or the simplex centroid).
 func (e *EA) fallbackPoint(poly *geom.Polytope) int {
 	center := geom.SimplexCentroid(poly.Dim)
-	if ball, err := poly.InnerBall(); err == nil {
+	if ball, err := poly.InnerBallCtx(context.Background()); err == nil {
 		center = ball.Center
 	}
 	return e.ds.TopPoint(center)
@@ -406,7 +406,7 @@ func (e *EA) episode(user core.User, epsilon float64, replay *rl.Replay, obs cor
 		if replay != nil {
 			ai = e.agent.SelectEpsGreedy(e.rng, cur.state, feats(cur.actions), epsilon)
 		} else {
-			ai = e.agent.Best(cur.state, feats(cur.actions))
+			ai = e.agent.BestCtx(context.Background(), cur.state, feats(cur.actions))
 		}
 		act := cur.actions[ai]
 		pi, pj := e.ds.Points[act.I], e.ds.Points[act.J]

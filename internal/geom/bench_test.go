@@ -33,7 +33,7 @@ func BenchmarkVertices4D(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p.vertsDirty = true
-		if _, err := p.Vertices(); err != nil {
+		if _, err := p.VerticesCtx(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -44,7 +44,7 @@ func BenchmarkInnerBall20D(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := p.InnerBall(); err != nil {
+		if _, err := p.InnerBallCtx(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -67,7 +67,7 @@ func BenchmarkHitAndRunSample(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := p.Sample(rng, 64, SampleOptions{}); err != nil {
+		if _, err := p.SampleCtx(context.Background(), rng, 64, SampleOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -151,7 +151,7 @@ func BenchmarkVertices5D(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p.vertsDirty = true
-		if _, err := p.Vertices(); err != nil {
+		if _, err := p.VerticesCtx(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package geom
 
 import (
+	"context"
 	"encoding/binary"
 	"hash/fnv"
 	"math"
@@ -54,7 +55,7 @@ func sampleHash(pts [][]float64) uint64 {
 func TestSampleMatchesGolden(t *testing.T) {
 	want := map[int]uint64{3: 0xffada63c7222f547, 5: 0xf01e0e7f776bc260}
 	for _, d := range []int{3, 5} {
-		pts, err := testPoly(t, d, 21).Sample(rand.New(rand.NewSource(22)), 40, SampleOptions{})
+		pts, err := testPoly(t, d, 21).SampleCtx(context.Background(), rand.New(rand.NewSource(22)), 40, SampleOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,7 +94,7 @@ func TestVerticesMatchGolden(t *testing.T) {
 		},
 	}
 	for _, d := range []int{2, 3, 4} {
-		vs, err := testPoly(t, d, 31).Vertices()
+		vs, err := testPoly(t, d, 31).VerticesCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}

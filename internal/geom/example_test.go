@@ -1,6 +1,7 @@
 package geom_test
 
 import (
+	"context"
 	"fmt"
 
 	"isrl/internal/geom"
@@ -14,7 +15,7 @@ func ExamplePolytope() {
 	p2 := []float64{0.1, 0.9}
 	r.Add(geom.NewHalfspace(p1, p2)) // "I prefer p1" (Lemma 1)
 
-	verts, err := r.Vertices()
+	verts, err := r.VerticesCtx(context.Background())
 	if err != nil {
 		panic(err)
 	}
@@ -26,10 +27,10 @@ func ExamplePolytope() {
 	// [1.0 0.0]
 }
 
-// ExamplePolytope_InnerBall computes the paper's §IV-C inner sphere.
-func ExamplePolytope_InnerBall() {
+// ExamplePolytope_InnerBallCtx computes the paper's §IV-C inner sphere.
+func ExamplePolytope_InnerBallCtx() {
 	r := geom.NewPolytope(2)
-	b, err := r.InnerBall()
+	b, err := r.InnerBallCtx(context.Background())
 	if err != nil {
 		panic(err)
 	}

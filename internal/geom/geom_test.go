@@ -1,6 +1,7 @@
 package geom
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -51,7 +52,7 @@ func TestSimplexHelpers(t *testing.T) {
 func TestVerticesOfFullSimplex(t *testing.T) {
 	for d := 2; d <= 6; d++ {
 		p := NewPolytope(d)
-		vs, err := p.Vertices()
+		vs, err := p.VerticesCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,7 +72,7 @@ func TestVerticesAfterCut(t *testing.T) {
 	// (normal (1,-1)): vertices become (1,0) and (0.5,0.5).
 	p := NewPolytope(2)
 	p.Add(Halfspace{Normal: []float64{1, -1}})
-	vs, err := p.Vertices()
+	vs, err := p.VerticesCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,13 +89,13 @@ func TestVerticesAfterCut(t *testing.T) {
 
 func TestVerticesCache(t *testing.T) {
 	p := NewPolytope(3)
-	v1, _ := p.Vertices()
-	v2, _ := p.Vertices()
+	v1, _ := p.VerticesCtx(context.Background())
+	v2, _ := p.VerticesCtx(context.Background())
 	if &v1[0][0] != &v2[0][0] {
 		t.Error("second call should return the cached set")
 	}
 	p.Add(Halfspace{Normal: []float64{1, -1, 0}})
-	v3, _ := p.Vertices()
+	v3, _ := p.VerticesCtx(context.Background())
 	if len(v3) == 0 {
 		t.Error("cache must be invalidated by Add")
 	}
@@ -118,7 +119,7 @@ func TestVerticesFeasibleRandom(t *testing.T) {
 			}
 			p.Add(Halfspace{Normal: w})
 		}
-		vs, err := p.Vertices()
+		vs, err := p.VerticesCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,7 +207,7 @@ func TestOuterRect(t *testing.T) {
 
 func TestInnerBall(t *testing.T) {
 	p := NewPolytope(2)
-	b, err := p.InnerBall()
+	b, err := p.InnerBallCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +239,7 @@ func TestInnerBallRandom(t *testing.T) {
 			}
 			p.Add(Halfspace{Normal: w})
 		}
-		b, err := p.InnerBall()
+		b, err := p.InnerBallCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -267,7 +268,7 @@ func TestReduceRedundant(t *testing.T) {
 	if len(p.Halfspaces) == 0 {
 		t.Error("must keep at least one active halfspace")
 	}
-	vs, err := p.Vertices()
+	vs, err := p.VerticesCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +325,7 @@ func TestSampleInsidePolytope(t *testing.T) {
 	p := NewPolytope(4)
 	p.Add(Halfspace{Normal: []float64{1, -1, 0, 0}})
 	p.Add(Halfspace{Normal: []float64{0, 1, -1, 0}})
-	samples, err := p.Sample(rng, 200, SampleOptions{})
+	samples, err := p.SampleCtx(context.Background(), rng, 200, SampleOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +344,7 @@ func TestSampleInsidePolytope(t *testing.T) {
 func TestSampleRoughlyUniform(t *testing.T) {
 	rng := rand.New(rand.NewSource(2024))
 	p := NewPolytope(3)
-	samples, err := p.Sample(rng, 2000, SampleOptions{})
+	samples, err := p.SampleCtx(context.Background(), rng, 2000, SampleOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +363,7 @@ func TestSampleRoughlyUniform(t *testing.T) {
 func TestSampleEmptyPolytopeFails(t *testing.T) {
 	p := NewPolytope(2)
 	p.Add(Halfspace{Normal: []float64{-1, -1}})
-	if _, err := p.Sample(rand.New(rand.NewSource(1)), 5, SampleOptions{}); err == nil {
+	if _, err := p.SampleCtx(context.Background(), rand.New(rand.NewSource(1)), 5, SampleOptions{}); err == nil {
 		t.Error("sampling an empty polytope must fail")
 	}
 }
@@ -452,7 +453,7 @@ func TestVerticesBudgetError(t *testing.T) {
 		}
 		p.Add(Halfspace{Normal: w})
 	}
-	if _, err := p.Vertices(); err == nil {
+	if _, err := p.VerticesCtx(context.Background()); err == nil {
 		t.Error("expected vertex-enumeration budget error at d=12 with 40 halfspaces")
 	}
 }
@@ -460,7 +461,7 @@ func TestVerticesBudgetError(t *testing.T) {
 func TestZeroNormalHalfspaceIgnored(t *testing.T) {
 	p := NewPolytope(3)
 	p.Add(Halfspace{Normal: []float64{0, 0, 0}})
-	vs, err := p.Vertices()
+	vs, err := p.VerticesCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

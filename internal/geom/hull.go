@@ -1,6 +1,7 @@
 package geom
 
 import (
+	"context"
 	"math/rand"
 
 	"isrl/internal/lp"
@@ -58,7 +59,7 @@ func isExtreme(points [][]float64, i, d int) bool {
 		}
 		prob.AddEQ(row, points[i][k])
 	}
-	res := solveLP(prob)
+	res := solveLP(context.Background(), prob)
 	return res.Status != lp.Optimal
 }
 

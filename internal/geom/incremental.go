@@ -42,7 +42,7 @@ type incVertex struct {
 
 // VertexSet maintains the vertex list of a simple polytope across halfspace
 // additions and redundant-halfspace removals. It mirrors the constraint pool
-// of Polytope.Vertices and reproduces its output bit for bit: kept vertices
+// of Polytope.VerticesCtx and reproduces its output bit for bit: kept vertices
 // keep the floats of their original d×d solves, and a new vertex is solved
 // from the same system rows, in the same order, that the scratch enumeration
 // would build for its active set. Whenever the polytope is not simple —

@@ -2,10 +2,10 @@ package geom
 
 import (
 	"context"
-	"time"
 
 	"isrl/internal/lp"
 	"isrl/internal/obs"
+	"isrl/internal/trace"
 )
 
 // Hot-path instrumentation. LP solving and hit-and-run sampling dominate
@@ -38,17 +38,18 @@ var (
 )
 
 // solveLP is lp.Solve with a call counter and duration histogram — every
-// geometry-layer LP goes through here or through solveLPCtx.
-func solveLP(p *lp.Problem) lp.Result {
-	return solveLPCtx(context.Background(), p)
-}
-
-// solveLPCtx additionally attaches an lp.solve span when ctx carries an
-// active trace, so a slow round's trace shows which LPs ate the time.
-func solveLPCtx(ctx context.Context, p *lp.Problem) lp.Result {
+// geometry-layer LP goes through here. When ctx carries an active trace the
+// solve is also an "lp.solve" span with the problem shape and outcome, timed
+// by the same clock as the histogram.
+func solveLP(ctx context.Context, p *lp.Problem) lp.Result {
 	lpSolves.Inc()
-	start := time.Now()
-	res := lp.SolveCtx(ctx, p)
-	lpSolveMS.Observe(float64(time.Since(start)) / float64(time.Millisecond))
+	_, t := trace.StartTimer(ctx, "lp.solve", lpSolveMS)
+	res := lp.Solve(p)
+	if sp := t.Span(); sp != nil {
+		sp.SetInt("vars", int64(p.NumVars))
+		sp.SetInt("constraints", int64(len(p.Constraints)))
+		sp.SetAttr("status", res.Status.String())
+	}
+	t.End()
 	return res
 }

@@ -108,7 +108,7 @@ func (p *Polytope) baseProblem(extraVars int) *lp.Problem {
 // IsEmpty reports whether R has no point (within LP tolerance).
 func (p *Polytope) IsEmpty() bool {
 	prob := p.baseProblem(0)
-	return solveLP(prob).Status != lp.Optimal
+	return solveLP(context.Background(), prob).Status != lp.Optimal
 }
 
 // InteriorSlack maximizes the smallest halfspace slack min_k wₖ·u over u ∈ U
@@ -139,7 +139,7 @@ func (p *Polytope) InteriorSlack() (slack float64, u []float64, ok bool) {
 	bound := make([]float64, d+1)
 	bound[d] = 1
 	prob.AddLE(bound, 1)
-	res := solveLP(prob)
+	res := solveLP(context.Background(), prob)
 	if res.Status != lp.Optimal {
 		return 0, nil, false
 	}
@@ -153,17 +153,10 @@ func (p *Polytope) CutsBothSides(h Halfspace, margin float64) bool {
 	return p.sideFeasible(h.Normal, margin) && p.sideFeasible(vec.Scale(nil, -1, h.Normal), margin)
 }
 
-// Feasible reports whether R contains a point with h.Normal·u > margin,
-// i.e. the open side of h intersects R. It is the one-sided version of
-// CutsBothSides.
-func (p *Polytope) Feasible(h Halfspace, margin float64) bool {
-	return p.sideFeasible(h.Normal, margin)
-}
-
 func (p *Polytope) sideFeasible(w []float64, margin float64) bool {
 	prob := p.baseProblem(0)
 	copy(prob.Maximize, w)
-	res := solveLP(prob)
+	res := solveLP(context.Background(), prob)
 	return res.Status == lp.Optimal && res.Objective > margin
 }
 
@@ -177,13 +170,13 @@ func (p *Polytope) OuterRect() (emin, emax []float64, err error) {
 	for i := 0; i < d; i++ {
 		vec.Fill(prob.Maximize, 0)
 		prob.Maximize[i] = 1
-		res := solveLP(prob)
+		res := solveLP(context.Background(), prob)
 		if res.Status != lp.Optimal {
 			return nil, nil, fmt.Errorf("geom: outer rect max dim %d: %v", i, res.Status)
 		}
 		emax[i] = res.Objective
 		prob.Maximize[i] = -1
-		res = solveLP(prob)
+		res = solveLP(context.Background(), prob)
 		if res.Status != lp.Optimal {
 			return nil, nil, fmt.Errorf("geom: outer rect min dim %d: %v", i, res.Status)
 		}
@@ -198,20 +191,15 @@ type Ball struct {
 	Radius float64
 }
 
-// InnerBall computes the largest sphere centered in R that fits inside every
-// learned halfspace and inside the non-negativity facets of U — the paper's
-// inner-sphere LP from §IV-C (the Chebyshev center of R restricted to the
-// simplex). It fails when R is empty.
-func (p *Polytope) InnerBall() (Ball, error) {
-	return p.InnerBallCtx(context.Background())
-}
-
-// InnerBallCtx is InnerBall with tracing: the Chebyshev LP is wrapped in a
+// InnerBallCtx computes the largest sphere centered in R that fits inside
+// every learned halfspace and inside the non-negativity facets of U — the
+// paper's inner-sphere LP from §IV-C (the Chebyshev center of R restricted
+// to the simplex). It fails when R is empty. The LP is wrapped in a
 // "geom.inner_ball" span when ctx carries an active trace.
 func (p *Polytope) InnerBallCtx(ctx context.Context) (Ball, error) {
 	ctx, sp := trace.Start(ctx, "geom.inner_ball")
 	defer sp.End()
-	res := solveLPCtx(ctx, p.innerBallProblem())
+	res := solveLP(ctx, p.innerBallProblem())
 	if res.Status != lp.Optimal {
 		return Ball{}, fmt.Errorf("geom: inner ball: %v", res.Status)
 	}

@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/rand"
 	"sync"
-	"time"
 
 	"isrl/internal/fault"
 	"isrl/internal/trace"
@@ -44,7 +43,7 @@ type SampleOptions struct {
 	Start []float64
 }
 
-// defaultChains is the number of independent hit-and-run chains Sample
+// defaultChains is the number of independent hit-and-run chains SampleCtx
 // decomposes into.
 const defaultChains = 4
 
@@ -53,7 +52,7 @@ const defaultChains = 4
 // allocating a fresh ~5 KB source on every draw.
 var chainRNGs = sync.Pool{New: func() any { return rand.New(rand.NewSource(1)) }}
 
-// Sample draws n points approximately uniformly from R with hit-and-run,
+// SampleCtx draws n points approximately uniformly from R with hit-and-run,
 // walking inside the affine subspace Σu = 1. The work is split across
 // independent chains (SampleOptions.Chains), run one after another, each
 // starting at the inner ball center with its own RNG stream seeded in chain
@@ -64,18 +63,13 @@ var chainRNGs = sync.Pool{New: func() any { return rand.New(rand.NewSource(1)) }
 // Hit-and-run is the workhorse behind the paper's Lemma-5 sampling step: the
 // number of sample vectors falling inside a terminal polyhedron tracks its
 // volume fraction.
-func (p *Polytope) Sample(rng *rand.Rand, n int, opts SampleOptions) ([][]float64, error) {
-	return p.SampleCtx(context.Background(), rng, n, opts)
-}
-
-// SampleCtx is Sample with tracing: the whole draw — inner-ball LP plus the
-// chains — is timed as a "geom.sample" span annotated with the point
-// and chain counts.
+//
+// The whole draw — inner-ball LP plus the chains — is timed into
+// geom.sample_ms and, when ctx carries an active trace, as a "geom.sample"
+// span annotated with the point and chain counts.
 func (p *Polytope) SampleCtx(ctx context.Context, rng *rand.Rand, n int, opts SampleOptions) ([][]float64, error) {
-	ctx, sp := trace.Start(ctx, "geom.sample")
-	defer sp.End()
-	start := time.Now()
-	defer func() { sampleMS.Observe(float64(time.Since(start)) / float64(time.Millisecond)) }()
+	ctx, t := trace.StartTimer(ctx, "geom.sample", sampleMS)
+	defer t.End()
 	sampleCalls.Inc()
 	samplePoints.Add(int64(n))
 	if err := fault.Hit(fault.PointSample); err != nil {
@@ -115,7 +109,7 @@ func (p *Polytope) SampleCtx(ctx context.Context, rng *rand.Rand, n int, opts Sa
 	for k := range out {
 		out[k] = flat[k*d : (k+1)*d : (k+1)*d]
 	}
-	if sp != nil {
+	if sp := t.Span(); sp != nil {
 		sp.SetInt("points", int64(n))
 		sp.SetInt("chains", int64(chains))
 	}

@@ -6,7 +6,6 @@ import (
 	"math"
 	"sort"
 	"sync"
-	"time"
 
 	"isrl/internal/fault"
 	"isrl/internal/trace"
@@ -17,34 +16,28 @@ import (
 // solutions as vertices of R.
 const vertexTol = 1e-8
 
-// MaxVertexBases caps the number of constraint subsets Vertices will try
+// MaxVertexBases caps the number of constraint subsets VerticesCtx will try
 // before giving up; it protects against accidental use in high dimension
 // with many halfspaces, where exact polyhedra are not meant to be used
 // (the paper restricts polyhedron-maintaining algorithms to low d).
 const MaxVertexBases = 2_000_000
 
-// Vertices returns the extreme utility vectors of R (the paper's set E).
+// VerticesCtx returns the extreme utility vectors of R (the paper's set E).
 //
 // A vertex of R lies on the hyperplane Σu = 1 and on d−1 further linearly
 // independent active constraints drawn from the non-negativity facets
-// {uᵢ = 0} and the learned hyperplanes {wₖ·u = 0}. Vertices enumerates all
-// (d−1)-subsets of that pool, solves each d×d system, and keeps the feasible
-// solutions, deduplicated. The result is cached until the polytope changes.
-func (p *Polytope) Vertices() ([][]float64, error) {
-	return p.VerticesCtx(context.Background())
-}
-
-// VerticesCtx is Vertices with tracing: an actual enumeration (cache-miss
-// path only) is timed as a "geom.vertices" span carrying the halfspace and
-// vertex counts.
+// {uᵢ = 0} and the learned hyperplanes {wₖ·u = 0}. VerticesCtx enumerates
+// all (d−1)-subsets of that pool, solves each d×d system, and keeps the
+// feasible solutions, deduplicated. The result is cached until the polytope
+// changes. An actual enumeration (cache-miss path only) is timed into
+// geom.vertices_ms and, when ctx carries an active trace, as a
+// "geom.vertices" span carrying the halfspace and vertex counts.
 func (p *Polytope) VerticesCtx(ctx context.Context) ([][]float64, error) {
 	if !p.vertsDirty {
 		return p.verts, nil
 	}
-	sp := trace.StartLeaf(ctx, "geom.vertices")
-	defer sp.End()
-	start := time.Now()
-	defer func() { verticesMS.Observe(float64(time.Since(start)) / float64(time.Millisecond)) }()
+	_, t := trace.StartTimer(ctx, "geom.vertices", verticesMS)
+	defer t.End()
 	vertexEnums.Inc()
 	if err := fault.Hit(fault.PointVertices); err != nil {
 		return nil, fmt.Errorf("geom: vertices: %w", err)
@@ -76,7 +69,7 @@ func (p *Polytope) VerticesCtx(ctx context.Context) ([][]float64, error) {
 	sort.Slice(out, func(i, j int) bool { return lexLess(out[i], out[j]) })
 	p.verts = out
 	p.vertsDirty = false
-	if sp != nil {
+	if sp := t.Span(); sp != nil {
 		sp.SetInt("halfspaces", int64(len(p.Halfspaces)))
 		sp.SetInt("vertices", int64(len(out)))
 	}

@@ -1,6 +1,7 @@
 package rl
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -36,15 +37,15 @@ func TestQBatchBitIdenticalToSerialQ(t *testing.T) {
 			bi, bq = i, q
 		}
 	}
-	if got := a.Best(state, actions); got != bi {
+	if got := a.BestCtx(context.Background(), state, actions); got != bi {
 		t.Fatalf("Best = %d, serial argmax = %d", got, bi)
 	}
 }
 
-// serialTrainBatchTD replicates the pre-batching TrainBatchTD loop verbatim
+// serialTrainBatch replicates the pre-batching TrainBatch loop verbatim
 // (per-transition forward/backward, one action forward at a time) so the
 // batched implementation can be checked for exact equivalence.
-func (a *Agent) serialTrainBatchTD(batch []Transition, tdErrs []float64) float64 {
+func (a *Agent) serialTrainBatch(batch []Transition) float64 {
 	nextValue := func(state []float64, actions [][]float64) float64 {
 		if len(actions) == 0 {
 			return 0
@@ -71,7 +72,7 @@ func (a *Agent) serialTrainBatchTD(batch []Transition, tdErrs []float64) float64
 	var gin []float64
 	inv := 1 / float64(len(batch))
 	pred, tgt := []float64{0}, []float64{0}
-	for bi, tr := range batch {
+	for _, tr := range batch {
 		y := tr.Reward
 		if !tr.Terminal {
 			y += a.cfg.Gamma * nextValue(tr.Next, tr.NextActions)
@@ -88,9 +89,6 @@ func (a *Agent) serialTrainBatchTD(batch []Transition, tdErrs []float64) float64
 		gin = grad
 		grad[0] *= inv
 		total += loss * inv
-		if tdErrs != nil {
-			tdErrs[bi] = q - y
-		}
 		a.Main.Backward(grad)
 	}
 	nn.ClipGrads(a.Main.Params(), a.cfg.GradClip)
@@ -103,7 +101,7 @@ func (a *Agent) serialTrainBatchTD(batch []Transition, tdErrs []float64) float64
 }
 
 // The batched gradient step must reproduce the serial one exactly: same
-// loss, same TD errors, and bit-identical weights after several updates
+// loss and bit-identical weights after several updates
 // (including across a target-network sync).
 func TestTrainBatchBitIdenticalToSerial(t *testing.T) {
 	for _, cfg := range []Config{
@@ -115,17 +113,10 @@ func TestTrainBatchBitIdenticalToSerial(t *testing.T) {
 		rng := rand.New(rand.NewSource(8))
 		for step := 0; step < 7; step++ {
 			batch := benchBatch(rng, 11, 4, 32)
-			tdB := make([]float64, len(batch))
-			tdS := make([]float64, len(batch))
-			lossB, _ := batched.TrainBatchTD(batch, tdB)
-			lossS := serial.serialTrainBatchTD(batch, tdS)
+			lossB := batched.TrainBatch(batch)
+			lossS := serial.serialTrainBatch(batch)
 			if lossB != lossS {
 				t.Fatalf("step %d: batched loss %v, serial %v", step, lossB, lossS)
-			}
-			for i := range tdB {
-				if tdB[i] != tdS[i] {
-					t.Fatalf("step %d: tdErr[%d] batched %v, serial %v", step, i, tdB[i], tdS[i])
-				}
 			}
 		}
 		bp, sp := batched.Main.Params(), serial.Main.Params()

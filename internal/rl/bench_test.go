@@ -1,6 +1,7 @@
 package rl
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -59,20 +60,7 @@ func BenchmarkBestOf5(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a.Best(state, actions)
-	}
-}
-
-func BenchmarkPrioritizedSample(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	p := NewPrioritizedReplay(5000, 0.6)
-	for i := 0; i < 5000; i++ {
-		p.Add(Transition{Reward: rng.Float64()})
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.Sample(rng, 64)
+		a.BestCtx(context.Background(), state, actions)
 	}
 }
 
@@ -116,6 +104,6 @@ func BenchmarkScoreCandidatesBatched(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a.Best(state, actions)
+		a.BestCtx(context.Background(), state, actions)
 	}
 }

@@ -2,12 +2,14 @@ package rl
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
 	"sync"
 
 	"isrl/internal/nn"
+	"isrl/internal/trace"
 	"isrl/internal/vec"
 )
 
@@ -96,7 +98,7 @@ func PaperConfig() Config {
 //
 // An agent from UnmarshalAgent starts as a read-only View of a decoded model
 // shared with every other agent loaded from the same bytes, and Target is
-// nil. Its first TrainBatchTD or SyncTarget call clones Main into private
+// nil. Its first TrainBatch or SyncTarget call clones Main into private
 // weights and builds Target and the optimizer, so the shared weights are
 // never written.
 type Agent struct {
@@ -219,9 +221,15 @@ func (a *Agent) qBatch(net *nn.Network, state []float64, actions [][]float64) []
 	return a.qs
 }
 
-// Best returns the index of the action with the largest main-network
+// BestCtx returns the index of the action with the largest main-network
 // Q-value, scored in one batched forward. It panics on an empty action set.
-func (a *Agent) Best(state []float64, actions [][]float64) int {
+// When ctx carries an active trace the scoring is timed as an "rl.best"
+// leaf span with the candidate count attached.
+func (a *Agent) BestCtx(ctx context.Context, state []float64, actions [][]float64) int {
+	if sp := trace.StartLeaf(ctx, "rl.best"); sp != nil {
+		sp.SetInt("candidates", int64(len(actions)))
+		defer sp.End()
+	}
 	if len(actions) == 0 {
 		panic("rl: Best with no actions")
 	}
@@ -249,7 +257,7 @@ func (a *Agent) SelectEpsGreedy(rng *rand.Rand, state []float64, actions [][]flo
 	if rng.Float64() < eps {
 		return rng.Intn(len(actions))
 	}
-	return a.Best(state, actions)
+	return a.BestCtx(context.Background(), state, actions)
 }
 
 // computeTargets fills a.ys with the bootstrap target r + γ·V(s′) of every
@@ -316,19 +324,8 @@ func (a *Agent) computeTargets(batch []Transition) {
 // DQN loss between Q(s,a) and r + γ·V(s′), and returns the mean loss. The
 // target network is synced every cfg.SyncEvery calls.
 func (a *Agent) TrainBatch(batch []Transition) float64 {
-	loss, _ := a.TrainBatchTD(batch, nil)
-	return loss
-}
-
-// TrainBatchTD is TrainBatch plus per-transition TD errors, written into
-// tdErrs when non-nil (sized to the batch) — the feedback a prioritized
-// replay buffer needs.
-func (a *Agent) TrainBatchTD(batch []Transition, tdErrs []float64) (float64, []float64) {
 	if len(batch) == 0 {
-		return 0, tdErrs
-	}
-	if tdErrs != nil && len(tdErrs) != len(batch) {
-		tdErrs = make([]float64, len(batch))
+		return 0
 	}
 	a.own()
 	a.Main.ZeroGrad()
@@ -336,7 +333,7 @@ func (a *Agent) TrainBatchTD(batch []Transition, tdErrs []float64) (float64, []f
 
 	// One batched forward over every (s, a) row, then per-row loss and one
 	// batched backward. Row order matches the old per-transition loop, so
-	// gradients, loss and TD errors are bit-identical to the serial path.
+	// gradients and loss are bit-identical to the serial path.
 	inDim := a.StateDim + a.ActionDim
 	a.xMat = vec.EnsureMat(a.xMat, len(batch), inDim)
 	for bi, tr := range batch {
@@ -377,9 +374,6 @@ func (a *Agent) TrainBatchTD(batch []Transition, tdErrs []float64) (float64, []f
 		// Scale so the batch gradient is the mean.
 		a.gMat.Set(bi, 0, grad*inv)
 		total += loss * inv
-		if tdErrs != nil {
-			tdErrs[bi] = d
-		}
 	}
 	a.Main.BackwardBatch(a.gMat)
 	nn.ClipGrads(a.Main.Params(), a.cfg.GradClip)
@@ -395,7 +389,7 @@ func (a *Agent) TrainBatchTD(batch []Transition, tdErrs []float64) (float64, []f
 		a.Target.CopyWeightsFrom(a.Main)
 		a.syncs++
 	}
-	return total, tdErrs
+	return total
 }
 
 // Updates returns the number of gradient steps taken so far.

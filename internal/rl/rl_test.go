@@ -1,6 +1,7 @@
 package rl
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -87,7 +88,7 @@ func TestAgentBestAndEpsGreedy(t *testing.T) {
 	a := NewAgent(2, 2, Config{Hidden: 8}, rng)
 	state := []float64{0.5, 0.5}
 	actions := [][]float64{{0, 0}, {1, 0}, {0, 1}}
-	best := a.Best(state, actions)
+	best := a.BestCtx(context.Background(), state, actions)
 	if best < 0 || best >= len(actions) {
 		t.Fatalf("best index %d out of range", best)
 	}
@@ -148,8 +149,28 @@ func TestDQNLearnsBandit(t *testing.T) {
 	if qg, qb := a.Q(state, good), a.Q(state, bad); qg <= qb {
 		t.Errorf("Q(good)=%v ≤ Q(bad)=%v after training", qg, qb)
 	}
-	if got := a.Best(state, [][]float64{bad, good}); got != 1 {
+	if got := a.BestCtx(context.Background(), state, [][]float64{bad, good}); got != 1 {
 		t.Errorf("Best = %d want 1", got)
+	}
+}
+
+// Double DQN must still learn the bandit, and its next-state value must use
+// the main network's argmax.
+func TestDoubleDQNLearnsBandit(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	a := NewAgent(1, 1, Config{Hidden: 16, LR: 0.05, RewardC: 1}, rng)
+	state := []float64{1}
+	good, bad := []float64{1}, []float64{-1}
+	rep := NewReplay(256)
+	for i := 0; i < 200; i++ {
+		rep.Add(Transition{State: state, Action: good, Reward: 1, Terminal: true})
+		rep.Add(Transition{State: state, Action: bad, Reward: 0, Terminal: true})
+	}
+	for step := 0; step < 400; step++ {
+		a.TrainBatch(rep.Sample(rng, 32))
+	}
+	if qg, qb := a.Q(state, good), a.Q(state, bad); qg <= qb {
+		t.Errorf("Q(good)=%v ≤ Q(bad)=%v after Double-DQN training", qg, qb)
 	}
 }
 

@@ -14,6 +14,11 @@
 // BenchmarkDisabledSpan and the trace_disabled_span row of the hot-path
 // harness).
 //
+// StartTimer is the one way to time a kernel that also feeds a duration
+// histogram (LP solve, sampling, vertex enumeration, WAL fsync): one pair
+// of clock reads always observes the histogram and, when sampled, gives the
+// span the same duration.
+//
 // Trace and span IDs interoperate with W3C Trace Context: an inbound
 // traceparent header adopts the caller's trace ID and forces sampling, and
 // responses echo a traceparent carrying the request's span. IDs and
@@ -28,6 +33,8 @@ import (
 	"strconv"
 	"sync"
 	"time"
+
+	"isrl/internal/obs"
 )
 
 // TraceID identifies one trace: 16 bytes, hex-rendered, W3C-compatible.
@@ -128,11 +135,18 @@ func (s *Span) End() {
 	if s == nil {
 		return
 	}
-	now := time.Now()
+	s.endWith(time.Since(s.start))
+}
+
+// endWith closes the span with the given duration.
+func (s *Span) endWith(d time.Duration) {
+	if s == nil {
+		return
+	}
 	s.tr.mu.Lock()
 	if !s.ended {
 		s.ended = true
-		s.dur = now.Sub(s.start)
+		s.dur = d
 	}
 	s.tr.mu.Unlock()
 }
@@ -185,6 +199,40 @@ func Start(ctx context.Context, name string) (context.Context, *Span) {
 // fsync) that start no spans of their own.
 func StartLeaf(ctx context.Context, name string) *Span {
 	return SpanFromContext(ctx).StartChild(name)
+}
+
+// Timer times one interval into a histogram and, when the context is
+// sampled, a span, from a single pair of clock reads: the span's start is
+// the timer's start and End gives the span exactly the duration it
+// observes, so the two can never disagree. It is a value, so the unsampled
+// path — histogram only — allocates nothing.
+type Timer struct {
+	h     *obs.Histogram
+	span  *Span
+	start time.Time
+}
+
+// StartTimer starts timing the interval named name into h, in
+// milliseconds. Like Start it returns a context carrying the new span, so
+// nested kernels attach beneath it; without an active span it returns ctx
+// unchanged and the timer has no span. Call End exactly once.
+func StartTimer(ctx context.Context, name string, h *obs.Histogram) (context.Context, Timer) {
+	ctx, s := Start(ctx, name)
+	if s != nil {
+		return ctx, Timer{h: h, span: s, start: s.start}
+	}
+	return ctx, Timer{h: h, start: time.Now()}
+}
+
+// Span returns the timer's span for attributes, or nil when unsampled.
+func (t Timer) Span() *Span { return t.span }
+
+// End stops the clock, observes the elapsed milliseconds into the
+// histogram, and closes the span with the same duration.
+func (t Timer) End() {
+	d := time.Since(t.start)
+	t.h.Observe(float64(d) / float64(time.Millisecond))
+	t.span.endWith(d)
 }
 
 // Trace is one tree of spans, usually spanning a whole interactive

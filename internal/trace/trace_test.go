@@ -140,6 +140,7 @@ func TestStartTraceDeterministicIDs(t *testing.T) {
 
 func TestDisabledPathNoAllocs(t *testing.T) {
 	ctx := context.Background()
+	h := obs.NewHistogram(obs.MicroBuckets())
 	allocs := testing.AllocsPerRun(1000, func() {
 		ctx2, sp := Start(ctx, "noop")
 		if ctx2 != ctx || sp != nil {
@@ -151,9 +152,43 @@ func TestDisabledPathNoAllocs(t *testing.T) {
 		leaf.SetBool("b", true)
 		leaf.StartChild("child").End()
 		leaf.End()
+		ctx3, tm := StartTimer(ctx, "noop", h)
+		if ctx3 != ctx || tm.Span() != nil {
+			t.Fatal("StartTimer on a plain context must return it unchanged with no span")
+		}
+		tm.Span().SetInt("n", 1)
+		tm.End()
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled tracing path costs %.1f allocs/op, want 0", allocs)
+	}
+	if h.Count() == 0 {
+		t.Fatal("an unsampled timer must still observe its histogram")
+	}
+}
+
+func TestTimerSpanAndHistogramShareOneClock(t *testing.T) {
+	tr8 := quietTracer(t, Options{})
+	tr, root := tr8.StartTrace("session", TraceID{}, 1)
+	h := obs.NewHistogram(obs.MicroBuckets())
+	ctx, tm := StartTimer(ContextWithSpan(context.Background(), root), "geom.sample", h)
+	if SpanFromContext(ctx) != tm.Span() || tm.Span() == nil {
+		t.Fatal("StartTimer must return a context carrying its span")
+	}
+	inner := StartLeaf(ctx, "lp.solve")
+	time.Sleep(time.Millisecond)
+	inner.End()
+	tm.End()
+	tm.Span().End() // a later End must not move the duration
+	root.End()
+	tr.Finish()
+	sp := tm.Span()
+	if inner.parent != sp.id {
+		t.Fatal("a span started from the timer's context must nest beneath it")
+	}
+	if h.Count() != 1 || h.Sum() != float64(sp.dur)/float64(time.Millisecond) {
+		t.Fatalf("histogram count %d sum %v, span %v: want one observation of exactly the span's duration",
+			h.Count(), h.Sum(), sp.dur)
 	}
 }
 

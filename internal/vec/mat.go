@@ -144,43 +144,3 @@ func (s *LinSolver) Solve(dst []float64, A *Mat, b []float64, tol float64) ([]fl
 	}
 	return x, true
 }
-
-// Rank returns the numerical rank of A using Gaussian elimination with
-// partial pivoting and the given tolerance.
-func Rank(A *Mat, tol float64) int {
-	if tol <= 0 {
-		tol = 1e-10
-	}
-	m := A.Clone()
-	rank := 0
-	for col := 0; col < m.Cols && rank < m.Rows; col++ {
-		p, best := -1, tol
-		for r := rank; r < m.Rows; r++ {
-			if v := math.Abs(m.At(r, col)); v > best {
-				best, p = v, r
-			}
-		}
-		if p < 0 {
-			continue
-		}
-		if p != rank {
-			pr, cr := m.Row(p), m.Row(rank)
-			for j := range pr {
-				pr[j], cr[j] = cr[j], pr[j]
-			}
-		}
-		piv := m.At(rank, col)
-		for r := rank + 1; r < m.Rows; r++ {
-			f := m.At(r, col) / piv
-			if f == 0 {
-				continue
-			}
-			rr, kr := m.Row(r), m.Row(rank)
-			for j := col; j < m.Cols; j++ {
-				rr[j] -= f * kr[j]
-			}
-		}
-		rank++
-	}
-	return rank
-}

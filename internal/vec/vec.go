@@ -35,26 +35,6 @@ func Norm(a []float64) float64 {
 	return math.Sqrt(s)
 }
 
-// Norm1 returns the L1 norm of a.
-func Norm1(a []float64) float64 {
-	var s float64
-	for _, ai := range a {
-		s += math.Abs(ai)
-	}
-	return s
-}
-
-// NormInf returns the L∞ norm of a.
-func NormInf(a []float64) float64 {
-	var s float64
-	for _, ai := range a {
-		if v := math.Abs(ai); v > s {
-			s = v
-		}
-	}
-	return s
-}
-
 // Dist returns the Euclidean distance between a and b.
 func Dist(a, b []float64) float64 {
 	if len(a) != len(b) {

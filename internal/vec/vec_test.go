@@ -38,12 +38,6 @@ func TestNorms(t *testing.T) {
 	if got := Norm(a); got != 5 {
 		t.Errorf("Norm=%v want 5", got)
 	}
-	if got := Norm1(a); got != 7 {
-		t.Errorf("Norm1=%v want 7", got)
-	}
-	if got := NormInf(a); got != 4 {
-		t.Errorf("NormInf=%v want 4", got)
-	}
 	if got := Dist([]float64{1, 1}, []float64{4, 5}); got != 5 {
 		t.Errorf("Dist=%v want 5", got)
 	}
@@ -235,25 +229,6 @@ func TestMatMulTransVec(t *testing.T) {
 	got = A.MulVec(nil, []float64{1, 0, 1})
 	if !Equal(got, []float64{4, 10}, 0) {
 		t.Errorf("MulVec=%v", got)
-	}
-}
-
-func TestRank(t *testing.T) {
-	A := NewMat(3, 3)
-	copy(A.Data, []float64{1, 2, 3, 2, 4, 6, 1, 0, 1})
-	if got := Rank(A, 0); got != 2 {
-		t.Errorf("Rank=%d want 2", got)
-	}
-	I := NewMat(3, 3)
-	I.Set(0, 0, 1)
-	I.Set(1, 1, 1)
-	I.Set(2, 2, 1)
-	if got := Rank(I, 0); got != 3 {
-		t.Errorf("Rank(I)=%d want 3", got)
-	}
-	Z := NewMat(2, 4)
-	if got := Rank(Z, 0); got != 0 {
-		t.Errorf("Rank(0)=%d want 0", got)
 	}
 }
 

@@ -51,7 +51,6 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
-	"time"
 
 	"isrl/internal/fault"
 	"isrl/internal/obs"
@@ -588,19 +587,15 @@ func (l *Log) writeFrame(f *os.File, frame []byte) (int, error) {
 // syncActive fsyncs the active segment through the wal.sync fault point,
 // tracking failures for the health check. The fsync is timed into
 // wal.fsync_ms and, when ctx carries an active trace, as a "wal.fsync"
-// span — fsync is where commit latency lives.
+// span on the same clock — fsync is where commit latency lives.
 func (l *Log) syncActive(ctx context.Context) error {
-	sp := trace.StartLeaf(ctx, "wal.fsync")
-	start := time.Now()
+	_, t := trace.StartTimer(ctx, "wal.fsync", mFsyncMS)
 	err := fault.Hit(fault.PointWALSync)
 	if err == nil {
 		err = l.active.Sync()
 	}
-	mFsyncMS.Observe(float64(time.Since(start)) / float64(time.Millisecond))
-	if sp != nil {
-		sp.SetBool("error", err != nil)
-		sp.End()
-	}
+	t.Span().SetBool("error", err != nil)
+	t.End()
 	if err != nil {
 		mFsyncErrors.Inc()
 		l.fsyncErr++

@@ -46,4 +46,5 @@ grep -q '"dqn_candidate_scoring"' /tmp/isrl_hotpaths_smoke.json
 grep -q '"trace_disabled_span"' /tmp/isrl_hotpaths_smoke.json
 grep -q '"round_geometry_incremental"' /tmp/isrl_hotpaths_smoke.json
 grep -q '"rounds_per_sec"' /tmp/isrl_hotpaths_smoke.json
+grep -q '"aa_session_d20_incremental"' /tmp/isrl_hotpaths_smoke.json
 rm -f /tmp/isrl_hotpaths_smoke.json
