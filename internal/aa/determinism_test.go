@@ -1,10 +1,12 @@
 package aa
 
 import (
+	"hash/fnv"
 	"math/rand"
 	"testing"
 
 	"isrl/internal/core"
+	"isrl/internal/geom"
 )
 
 // A seeded AA session is a fixed function of its dataset, seed and user: the
@@ -28,6 +30,60 @@ func TestRunMatchesGolden(t *testing.T) {
 	}
 	if res.PointIndex != 8 || res.Rounds != 6 || res.Degraded {
 		t.Fatalf("got point %d in %d rounds (degraded %v), want point 8 in 6 rounds",
+			res.PointIndex, res.Rounds, res.Degraded)
+	}
+	if len(res.Trace) != len(want) {
+		t.Fatalf("trace has %d entries, want %d: %+v", len(res.Trace), len(want), res.Trace)
+	}
+	for i := range want {
+		if res.Trace[i] != want[i] {
+			t.Fatalf("trace entry %d = %+v, want %+v", i, res.Trace[i], want[i])
+		}
+	}
+}
+
+// Training (Algorithm 3) is a fixed function of its dataset, seed and
+// training vectors: ε-greedy choices, random candidate pairs and replay
+// minibatches all draw from the one seeded rng in a fixed order. The pinned
+// step count, mean episode length, model hash and the trained agent's greedy
+// session catch any change to that order, to the replay contents or to the
+// gradient steps.
+func TestTrainMatchesGolden(t *testing.T) {
+	ds := testData(t, 300, 3, 81)
+	rng := rand.New(rand.NewSource(82))
+	a := New(ds, 0.1, smallCfg(), rng)
+	users := make([][]float64, 40)
+	for i := range users {
+		users[i] = geom.SampleSimplex(rng, 3)
+	}
+	stats, err := a.Train(users)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.TotalSteps != 267 || stats.AvgRounds != 6.675 {
+		t.Fatalf("trained %d steps, %v rounds on average; want 267 and 6.675", stats.TotalSteps, stats.AvgRounds)
+	}
+	blob, err := a.Agent().MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	h.Write(blob)
+	if got := h.Sum64(); got != 0x33043b31e8ae7fce {
+		t.Fatalf("model hash %x, want 33043b31e8ae7fce", got)
+	}
+	res, err := a.Run(ds, core.SimulatedUser{Utility: []float64{0.2, 0.45, 0.35}}, 0.1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []core.QA{
+		{I: 6, J: 7, PreferredI: true},
+		{I: 19, J: 52, PreferredI: false},
+		{I: 52, J: 126, PreferredI: true},
+		{I: 29, J: 52, PreferredI: true},
+	}
+	if res.PointIndex != 0 || res.Rounds != 4 || res.Degraded {
+		t.Fatalf("got point %d in %d rounds (degraded %v), want point 0 in 4 rounds",
 			res.PointIndex, res.Rounds, res.Degraded)
 	}
 	if len(res.Trace) != len(want) {

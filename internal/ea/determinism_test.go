@@ -1,10 +1,12 @@
 package ea
 
 import (
+	"hash/fnv"
 	"math/rand"
 	"testing"
 
 	"isrl/internal/core"
+	"isrl/internal/geom"
 )
 
 // A seeded EA session is a fixed function of its dataset, seed and user:
@@ -29,6 +31,59 @@ func TestRunMatchesGolden(t *testing.T) {
 	}
 	if res.PointIndex != 12 || res.Rounds != 7 || res.Degraded {
 		t.Fatalf("got point %d in %d rounds (degraded %v), want point 12 in 7 rounds",
+			res.PointIndex, res.Rounds, res.Degraded)
+	}
+	if len(res.Trace) != len(want) {
+		t.Fatalf("trace has %d entries, want %d: %+v", len(res.Trace), len(want), res.Trace)
+	}
+	for i := range want {
+		if res.Trace[i] != want[i] {
+			t.Fatalf("trace entry %d = %+v, want %+v", i, res.Trace[i], want[i])
+		}
+	}
+}
+
+// Training (Algorithm 1) is a fixed function of its dataset, seed and
+// training vectors: ε-greedy choices, hit-and-run samples, pair draws and replay
+// minibatches all draw from the one seeded rng in a fixed order. The pinned
+// step count, mean episode length, model hash and the trained agent's greedy
+// session catch any change to that order, to the replay contents or to the
+// gradient steps.
+func TestTrainMatchesGolden(t *testing.T) {
+	ds := testData(t, 200, 3, 71)
+	rng := rand.New(rand.NewSource(72))
+	e := New(ds, 0.1, smallCfg(), rng)
+	users := make([][]float64, 40)
+	for i := range users {
+		users[i] = geom.SampleSimplex(rng, 3)
+	}
+	stats, err := e.Train(users)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.TotalSteps != 173 || stats.AvgRounds != 4.325 {
+		t.Fatalf("trained %d steps, %v rounds on average; want 173 and 4.325", stats.TotalSteps, stats.AvgRounds)
+	}
+	blob, err := e.Agent().MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	h.Write(blob)
+	if got := h.Sum64(); got != 0x93c5523172f41c62 {
+		t.Fatalf("model hash %x, want 93c5523172f41c62", got)
+	}
+	res, err := e.Run(ds, core.SimulatedUser{Utility: []float64{0.55, 0.3, 0.15}}, 0.1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []core.QA{
+		{I: 35, J: 66, PreferredI: true},
+		{I: 13, J: 43, PreferredI: true},
+		{I: 35, J: 84, PreferredI: false},
+	}
+	if res.PointIndex != 40 || res.Rounds != 3 || res.Degraded {
+		t.Fatalf("got point %d in %d rounds (degraded %v), want point 40 in 3 rounds",
 			res.PointIndex, res.Rounds, res.Degraded)
 	}
 	if len(res.Trace) != len(want) {
