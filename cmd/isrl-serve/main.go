@@ -45,7 +45,6 @@ import (
 	"isrl/internal/geom"
 	"isrl/internal/obs"
 	"isrl/internal/repl"
-	"isrl/internal/rl"
 	"isrl/internal/server"
 	"isrl/internal/trace"
 	"isrl/internal/wal"
@@ -298,11 +297,11 @@ func loadData(csvPath, kind string, n, d int, seed int64) (*dataset.Dataset, err
 
 // publishTraining pushes a finished training run into the default obs
 // registry so /metrics reports DQN state alongside the serving metrics.
-func publishTraining(episodes int, avgRounds float64, stats rl.TrainStats) {
+func publishTraining(st core.TrainStats) {
 	reg := obs.Default()
-	reg.Gauge("train.episodes").Set(int64(episodes))
-	reg.FloatGauge("train.avg_rounds").Set(avgRounds)
-	stats.Publish(reg)
+	reg.Gauge("train.episodes").Set(int64(st.Episodes))
+	reg.FloatGauge("train.avg_rounds").Set(st.AvgRounds)
+	st.RL.Publish(reg)
 }
 
 // buildFactory trains RL agents once up front and hands each session its
@@ -324,51 +323,15 @@ func buildFactory(algo string, ds *dataset.Dataset, eps float64, episodes int, s
 	}
 	switch algo {
 	case "ea":
-		logger.Info("training EA", "episodes", episodes)
-		e := ea.New(ds, eps, ea.Config{}, rng)
-		if episodes > 0 {
-			st, err := e.Train(trainVectors())
-			if err != nil {
-				return nil, err
-			}
-			logger.Info("EA trained", "avg_rounds", st.AvgRounds,
-				"loss_ema", st.RL.LossEMA, "updates", st.RL.Updates, "target_syncs", st.RL.TargetSyncs)
-			publishTraining(st.Episodes, st.AvgRounds, st.RL)
-		}
-		blob, err := e.Agent().MarshalBinary()
-		if err != nil {
-			return nil, err
-		}
-		return func(sessionSeed int64) core.Algorithm {
-			inst, err := ea.Load(ds, eps, ea.Config{}, blob, rand.New(rand.NewSource(sessionSeed)))
-			if err != nil {
-				panic(fmt.Sprintf("isrl-serve: reload trained agent: %v", err))
-			}
-			return inst
-		}, nil
+		return trainedFactory(ea.New(ds, eps, ea.Config{}, rng), trainVectors, episodes, logger,
+			func(blob []byte, rng *rand.Rand) (core.Algorithm, error) {
+				return ea.Load(ds, eps, ea.Config{}, blob, rng)
+			})
 	case "aa":
-		logger.Info("training AA", "episodes", episodes)
-		a := aa.New(ds, eps, aa.Config{}, rng)
-		if episodes > 0 {
-			st, err := a.Train(trainVectors())
-			if err != nil {
-				return nil, err
-			}
-			logger.Info("AA trained", "avg_rounds", st.AvgRounds,
-				"loss_ema", st.RL.LossEMA, "updates", st.RL.Updates, "target_syncs", st.RL.TargetSyncs)
-			publishTraining(st.Episodes, st.AvgRounds, st.RL)
-		}
-		blob, err := a.Agent().MarshalBinary()
-		if err != nil {
-			return nil, err
-		}
-		return func(sessionSeed int64) core.Algorithm {
-			inst, err := aa.Load(ds, eps, aa.Config{}, blob, rand.New(rand.NewSource(sessionSeed)))
-			if err != nil {
-				panic(fmt.Sprintf("isrl-serve: reload trained agent: %v", err))
-			}
-			return inst
-		}, nil
+		return trainedFactory(aa.New(ds, eps, aa.Config{}, rng), trainVectors, episodes, logger,
+			func(blob []byte, rng *rand.Rand) (core.Algorithm, error) {
+				return aa.Load(ds, eps, aa.Config{}, blob, rng)
+			})
 	case "uh-random":
 		return func(sessionSeed int64) core.Algorithm {
 			return baselines.NewUHRandom(baselines.UHConfig{}, rand.New(rand.NewSource(sessionSeed)))
@@ -379,6 +342,33 @@ func buildFactory(algo string, ds *dataset.Dataset, eps float64, episodes int, s
 		}, nil
 	}
 	return nil, fmt.Errorf("unknown -algo %q", algo)
+}
+
+// trainedFactory trains alg (EA or AA) once on users() and returns a factory
+// that restores the trained agent for each session through load.
+func trainedFactory(alg core.Trainable, users func() [][]float64, episodes int, logger *slog.Logger,
+	load func(blob []byte, rng *rand.Rand) (core.Algorithm, error)) (server.AlgorithmFactory, error) {
+	logger.Info("training "+alg.Name(), "episodes", episodes)
+	if episodes > 0 {
+		st, err := alg.Train(users())
+		if err != nil {
+			return nil, err
+		}
+		logger.Info(alg.Name()+" trained", "avg_rounds", st.AvgRounds,
+			"loss_ema", st.RL.LossEMA, "updates", st.RL.Updates, "target_syncs", st.RL.TargetSyncs)
+		publishTraining(st)
+	}
+	blob, err := alg.Agent().MarshalBinary()
+	if err != nil {
+		return nil, err
+	}
+	return func(sessionSeed int64) core.Algorithm {
+		inst, err := load(blob, rand.New(rand.NewSource(sessionSeed)))
+		if err != nil {
+			panic(fmt.Sprintf("isrl-serve: reload trained agent: %v", err))
+		}
+		return inst
+	}, nil
 }
 
 func fatalf(format string, args ...any) {

@@ -25,10 +25,10 @@ import (
 	"time"
 
 	"isrl/internal/aa"
+	"isrl/internal/core"
 	"isrl/internal/dataset"
 	"isrl/internal/ea"
 	"isrl/internal/geom"
-	"isrl/internal/rl"
 )
 
 func main() {
@@ -78,49 +78,25 @@ func main() {
 	}
 
 	start := time.Now()
-	var (
-		trainChunk func([][]float64) error
-		marshal    func() ([]byte, error)
-	)
+	var alg core.Trainable
 	switch *algo {
 	case "ea":
-		var e *ea.EA
 		if resumeBlob != nil {
-			if e, err = ea.Load(ds, *eps, ea.Config{}, resumeBlob, rng); err != nil {
-				fatalf("resume: %v", err)
-			}
+			alg, err = ea.Load(ds, *eps, ea.Config{}, resumeBlob, rng)
 		} else {
-			e = ea.New(ds, *eps, ea.Config{}, rng)
+			alg = ea.New(ds, *eps, ea.Config{}, rng)
 		}
-		trainChunk = func(chunk [][]float64) error {
-			stats, err := e.Train(chunk)
-			if err != nil {
-				return err
-			}
-			reportStats("EA", stats.Episodes, stats.AvgRounds, stats.RL, start)
-			return nil
-		}
-		marshal = func() ([]byte, error) { return e.Agent().MarshalBinary() }
 	case "aa":
-		var a *aa.AA
 		if resumeBlob != nil {
-			if a, err = aa.Load(ds, *eps, aa.Config{}, resumeBlob, rng); err != nil {
-				fatalf("resume: %v", err)
-			}
+			alg, err = aa.Load(ds, *eps, aa.Config{}, resumeBlob, rng)
 		} else {
-			a = aa.New(ds, *eps, aa.Config{}, rng)
+			alg = aa.New(ds, *eps, aa.Config{}, rng)
 		}
-		trainChunk = func(chunk [][]float64) error {
-			stats, err := a.Train(chunk)
-			if err != nil {
-				return err
-			}
-			reportStats("AA", stats.Episodes, stats.AvgRounds, stats.RL, start)
-			return nil
-		}
-		marshal = func() ([]byte, error) { return a.Agent().MarshalBinary() }
 	default:
 		fatalf("unknown -algo %q (ea or aa)", *algo)
+	}
+	if err != nil {
+		fatalf("resume: %v", err)
 	}
 
 	// Each chunk ends with an atomic rewrite of -out, so an interrupted run
@@ -130,11 +106,13 @@ func main() {
 	var blob []byte
 	trained := 0
 	for _, chunk := range chunkUsers(users, *ckpEvery) {
-		if err := trainChunk(chunk); err != nil {
+		stats, err := alg.Train(chunk)
+		if err != nil {
 			fatalf("train: %v", err)
 		}
+		reportStats(alg.Name(), stats, start)
 		trained += len(chunk)
-		if blob, err = marshal(); err != nil {
+		if blob, err = alg.Agent().MarshalBinary(); err != nil {
 			fatalf("serialize: %v", err)
 		}
 		if err := writeAtomic(*out, blob); err != nil {
@@ -145,7 +123,7 @@ func main() {
 		}
 	}
 	if blob == nil { // -episodes 0: still save the (possibly resumed) model
-		if blob, err = marshal(); err != nil {
+		if blob, err = alg.Agent().MarshalBinary(); err != nil {
 			fatalf("serialize: %v", err)
 		}
 		if err := writeAtomic(*out, blob); err != nil {
@@ -156,11 +134,11 @@ func main() {
 }
 
 // reportStats prints one training summary block to stderr.
-func reportStats(name string, episodes int, avgRounds float64, st rl.TrainStats, start time.Time) {
+func reportStats(name string, st core.TrainStats, start time.Time) {
 	fmt.Fprintf(os.Stderr, "%s trained: %d episodes, avg %.1f rounds, %v\n",
-		name, episodes, avgRounds, time.Since(start).Round(time.Millisecond))
+		name, st.Episodes, st.AvgRounds, time.Since(start).Round(time.Millisecond))
 	fmt.Fprintf(os.Stderr, "  dqn: %d updates, %d target syncs, loss ema %.5f, replay %d/%d, final eps %.3f\n",
-		st.Updates, st.TargetSyncs, st.LossEMA, st.ReplaySize, st.ReplayCap, st.Epsilon)
+		st.RL.Updates, st.RL.TargetSyncs, st.RL.LossEMA, st.RL.ReplaySize, st.RL.ReplayCap, st.RL.Epsilon)
 }
 
 // loadData builds the skyline-preprocessed training dataset.

@@ -193,14 +193,7 @@ func buildAlgorithm(name string, ds *dataset.Dataset, eps float64, episodes int,
 			}
 			return ea.Load(ds, eps, ea.Config{}, blob, rng)
 		}
-		e := ea.New(ds, eps, ea.Config{}, rng)
-		if episodes > 0 {
-			fmt.Printf("Training EA on %d simulated users...\n", episodes)
-			if _, err := e.Train(trainUsers()); err != nil {
-				return nil, err
-			}
-		}
-		return e, nil
+		return trained(ea.New(ds, eps, ea.Config{}, rng), trainUsers, episodes)
 	case "aa":
 		if modelPath != "" {
 			blob, err := os.ReadFile(modelPath)
@@ -209,14 +202,7 @@ func buildAlgorithm(name string, ds *dataset.Dataset, eps float64, episodes int,
 			}
 			return aa.Load(ds, eps, aa.Config{}, blob, rng)
 		}
-		a := aa.New(ds, eps, aa.Config{}, rng)
-		if episodes > 0 {
-			fmt.Printf("Training AA on %d simulated users...\n", episodes)
-			if _, err := a.Train(trainUsers()); err != nil {
-				return nil, err
-			}
-		}
-		return a, nil
+		return trained(aa.New(ds, eps, aa.Config{}, rng), trainUsers, episodes)
 	case "uh-random":
 		return baselines.NewUHRandom(baselines.UHConfig{}, rng), nil
 	case "uh-simplex":
@@ -229,6 +215,17 @@ func buildAlgorithm(name string, ds *dataset.Dataset, eps float64, episodes int,
 		return baselines.NewAdaptive(baselines.AdaptiveConfig{}, rng), nil
 	}
 	return nil, fmt.Errorf("unknown algorithm %q", name)
+}
+
+// trained trains alg on episodes simulated users, announcing it on stdout.
+func trained(alg core.Trainable, users func() [][]float64, episodes int) (core.Algorithm, error) {
+	if episodes > 0 {
+		fmt.Printf("Training %s on %d simulated users...\n", alg.Name(), episodes)
+		if _, err := alg.Train(users()); err != nil {
+			return nil, err
+		}
+	}
+	return alg, nil
 }
 
 func parseUtility(s string, d int) ([]float64, error) {

@@ -10,7 +10,6 @@ package aa
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -78,7 +77,9 @@ type AA struct {
 // New creates an untrained AA for ds and threshold eps. It panics on an
 // empty dataset, dimensionality < 2, or a threshold outside (0,1).
 func New(ds *dataset.Dataset, eps float64, cfg Config, rng *rand.Rand) *AA {
-	validate(ds, eps)
+	if err := core.Validate(ds, eps); err != nil {
+		panic("aa: " + err.Error())
+	}
 	cfg = cfg.Defaults()
 	d := ds.Dim()
 	stateDim := 3*d + 1 // inner center ⊕ radius ⊕ e_min ⊕ e_max
@@ -92,22 +93,13 @@ func New(ds *dataset.Dataset, eps float64, cfg Config, rng *rand.Rand) *AA {
 	}
 }
 
-// validate panics with a clear message on unusable construction inputs.
-func validate(ds *dataset.Dataset, eps float64) {
-	if ds == nil || ds.Len() == 0 {
-		panic("aa: empty dataset")
-	}
-	if ds.Dim() < 2 {
-		panic(fmt.Sprintf("aa: dimensionality %d < 2", ds.Dim()))
-	}
-	if eps <= 0 || eps >= 1 {
-		panic(fmt.Sprintf("aa: regret threshold %v outside (0,1)", eps))
-	}
-}
-
 // Load restores an AA whose agent was serialized with Agent().MarshalBinary.
-// ds, eps and cfg must match the values used at training time.
+// ds, eps and cfg must match the values used at training time; inputs New
+// would reject are an error.
 func Load(ds *dataset.Dataset, eps float64, cfg Config, blob []byte, rng *rand.Rand) (*AA, error) {
+	if err := core.Validate(ds, eps); err != nil {
+		return nil, fmt.Errorf("aa: load: %w", err)
+	}
 	cfg = cfg.Defaults()
 	agent, err := rl.UnmarshalAgent(blob, cfg.RL)
 	if err != nil {
@@ -130,27 +122,21 @@ func (a *AA) Agent() *rl.Agent { return a.agent }
 // Config returns the resolved configuration.
 func (a *AA) Config() Config { return a.cfg }
 
-type action struct {
-	I, J int
-	Feat []float64
+// loop binds AA to the shared interaction MDP.
+func (a *AA) loop() core.Loop {
+	return core.Loop{Env: a, DS: a.ds, Agent: a.agent, Rng: a.rng, MaxRounds: a.cfg.MaxRounds,
+		CapReason: "round cap reached without the Lemma-9 stop"}
 }
 
-type round struct {
-	state    []float64
-	center   []float64
-	mid      []float64 // outer-rectangle midpoint (the return vector)
-	actions  []action
-	terminal bool
-	degraded bool   // terminal without the Lemma-9 stop (range collapsed)
-	reason   string // why, when degraded
-}
-
-// computeRound derives AA's MDP view from the halfspace set: the inner
-// sphere and outer rectangle (state + stopping test) and the
+// Round implements core.Env: AA's MDP view from the halfspace set — the
+// inner sphere and outer rectangle (state + stopping test) and the
 // nearest-to-center candidate questions (action space). Both LPs run on the
 // round-incremental engine's warm solvers; their optima agree with the
 // from-scratch programs within LP tolerance.
-func (a *AA) computeRound(ctx context.Context, geo *geom.Incremental, eps float64) (*round, error) {
+//
+// The state is center ⊕ radius ⊕ e_min ⊕ e_max; Final reads the rectangle
+// back from it.
+func (a *AA) Round(ctx context.Context, geo *geom.Incremental, eps float64) (*core.Round, error) {
 	d := a.ds.Dim()
 	ball, err := geo.InnerBallCtx(ctx)
 	if err != nil && a.cfg.Resilient && len(geo.P.Halfspaces) > 0 {
@@ -161,34 +147,50 @@ func (a *AA) computeRound(ctx context.Context, geo *geom.Incremental, eps float6
 		ball, err = geo.InnerBallCtx(ctx)
 	}
 	if err != nil {
-		// Empty range (noisy users): stop at the centroid.
-		c := geom.SimplexCentroid(d)
-		return &round{
-			terminal: true, center: c, mid: c,
-			degraded: true, reason: "utility range empty (contradictory answers)",
+		// Empty range (noisy users): terminate without the Lemma-9 stop.
+		return &core.Round{
+			Terminal: true, Point: -1,
+			Degraded: true, Reason: "utility range empty (contradictory answers)",
 		}, nil
 	}
 	emin, emax, err := geo.OuterRectCtx(ctx)
 	if err != nil {
 		return nil, fmt.Errorf("aa: %w", err)
 	}
-	r := &round{center: ball.Center, mid: vec.Mid(nil, emin, emax)}
-	r.state = make([]float64, 0, 3*d+1)
-	r.state = append(r.state, ball.Center...)
-	r.state = append(r.state, ball.Radius)
-	r.state = append(r.state, emin...)
-	r.state = append(r.state, emax...)
+	r := &core.Round{Center: ball.Center, Point: -1}
+	r.State = make([]float64, 0, 3*d+1)
+	r.State = append(r.State, ball.Center...)
+	r.State = append(r.State, ball.Radius)
+	r.State = append(r.State, emin...)
+	r.State = append(r.State, emax...)
 	if core.RectStop(emin, emax, eps) {
-		r.terminal = true
+		r.Terminal = true
 		return r, nil
 	}
-	r.actions = a.selectActions(ctx, geo, ball.Center)
-	if len(r.actions) == 0 {
+	r.Actions = a.selectActions(ctx, geo, ball.Center)
+	if len(r.Actions) == 0 {
 		// No hyperplane can strictly narrow R further; more questions are
 		// pointless, so stop with the midpoint estimate.
-		r.terminal = true
+		r.Terminal = true
 	}
 	return r, nil
+}
+
+// Prune implements core.Env: redundant halfspaces are pruned every 8th
+// round so the per-round LPs stay small on long interactions. The set
+// representation is AA's only state, and reduction preserves R exactly.
+func (a *AA) Prune(geo *geom.Incremental, rounds int) {
+	if rounds%8 == 0 && len(geo.P.Halfspaces) > 2*geo.P.Dim {
+		geo.Reduce()
+	}
+}
+
+// Final implements core.Env (Algorithm 4's answer): the top point w.r.t.
+// the midpoint of the last view's outer rectangle.
+func (a *AA) Final(geo *geom.Incremental, last *core.Round) int {
+	d := a.ds.Dim()
+	emin, emax := last.State[d+1:2*d+1], last.State[2*d+1:]
+	return a.ds.TopPoint(vec.Mid(nil, emin, emax))
 }
 
 // selectActions implements §IV-C's restricted action space: among a
@@ -196,7 +198,7 @@ func (a *AA) computeRound(ctx context.Context, geo *geom.Incremental, eps float6
 // random pairs), keep the m_h pairs whose hyperplane is nearest the
 // inner-sphere center and properly splits R (both sides non-empty, checked
 // by LP — Lemma 8).
-func (a *AA) selectActions(ctx context.Context, geo *geom.Incremental, center []float64) []action {
+func (a *AA) selectActions(ctx context.Context, geo *geom.Incremental, center []float64) []core.Action {
 	_, sp := trace.Start(ctx, "aa.select_actions")
 	type cand struct {
 		i, j int
@@ -273,7 +275,7 @@ func (a *AA) selectActions(ctx context.Context, geo *geom.Incremental, center []
 	// parallel hyperplanes would keep slicing the same direction and leave
 	// the outer rectangle wide elsewhere, so candidates too parallel to an
 	// already accepted cut are deferred to a second pass.
-	var out []action
+	var out []core.Action
 	var normals [][]float64
 	checks := 0
 	accept := func(ci int, requireDiverse bool) bool {
@@ -300,7 +302,7 @@ func (a *AA) selectActions(ctx context.Context, geo *geom.Incremental, center []
 		feat := make([]float64, 0, 2*len(pi))
 		feat = append(feat, pi...)
 		feat = append(feat, pj...)
-		out = append(out, action{I: c.i, J: c.j, Feat: feat})
+		out = append(out, core.Action{I: c.i, J: c.j, Feat: feat})
 		normals = append(normals, n)
 		return true
 	}
@@ -332,199 +334,30 @@ func (a *AA) selectActions(ctx context.Context, geo *geom.Incremental, center []
 	return out
 }
 
-// TrainStats summarizes a training run.
-type TrainStats struct {
-	Episodes   int
-	TotalSteps int
-	AvgRounds  float64
-	FinalLoss  float64
-	RL         rl.TrainStats // DQN-level telemetry (loss EMA, syncs, replay)
-}
-
 // Train runs Algorithm 3 over the training utility vectors.
-func (a *AA) Train(users [][]float64) (TrainStats, error) {
-	replay := rl.NewReplay(a.cfg.RL.ReplayCap)
-	stats := TrainStats{Episodes: len(users)}
-	var rounds float64
-	var epsilon float64
-	for ep, u := range users {
-		user := core.SimulatedUser{Utility: u}
-		epsilon = a.agent.Config().Epsilon.At(ep)
-		n, err := a.episode(user, epsilon, replay)
-		if err != nil {
-			return stats, fmt.Errorf("aa: training episode %d: %w", ep, err)
-		}
-		stats.TotalSteps += n
-		rounds += float64(n)
-		// One gradient step per environment step (see the matching comment
-		// in package ea).
-		if replay.Len() >= a.agent.Config().BatchSize {
-			for k := 0; k < n; k++ {
-				stats.FinalLoss = a.agent.TrainBatch(replay.Sample(a.rng, a.agent.Config().BatchSize))
-			}
-		}
-	}
-	if len(users) > 0 {
-		stats.AvgRounds = rounds / float64(len(users))
-	}
-	stats.RL = a.agent.Stats()
-	stats.RL.Epsilon = epsilon
-	stats.RL.ReplaySize = replay.Len()
-	return stats, nil
-}
-
-func (a *AA) episode(user core.User, epsilon float64, replay *rl.Replay) (int, error) {
-	ctx := context.Background()
-	geo := geom.NewIncremental(geom.NewPolytope(a.ds.Dim()))
-	cur, err := a.computeRound(ctx, geo, a.eps)
+func (a *AA) Train(users [][]float64) (core.TrainStats, error) {
+	stats, err := a.loop().Train(users, a.eps)
 	if err != nil {
-		return 0, err
+		return stats, fmt.Errorf("aa: %w", err)
 	}
-	rounds := 0
-	for !cur.terminal && rounds < a.cfg.MaxRounds {
-		ai := a.agent.SelectEpsGreedy(a.rng, cur.state, feats(cur.actions), epsilon)
-		act := cur.actions[ai]
-		pi, pj := a.ds.Points[act.I], a.ds.Points[act.J]
-		if user.Prefer(pi, pj) {
-			geo.AddCtx(ctx, geom.NewHalfspace(pi, pj))
-		} else {
-			geo.AddCtx(ctx, geom.NewHalfspace(pj, pi))
-		}
-		rounds++
-		maybeReduce(geo, rounds)
-		next, err := a.computeRound(ctx, geo, a.eps)
-		if err != nil {
-			return rounds, err
-		}
-		tr := rl.Transition{
-			State:    cur.state,
-			Action:   act.Feat,
-			Next:     next.state,
-			Terminal: next.terminal,
-		}
-		if next.terminal {
-			tr.Reward = a.agent.Config().RewardC
-		} else {
-			tr.NextActions = feats(next.actions)
-		}
-		replay.Add(tr)
-		cur = next
-	}
-	return rounds, nil
-}
-
-// maybeReduce prunes redundant halfspaces periodically so the per-round LPs
-// stay small on long interactions. The set representation is AA's only
-// state, and reduction preserves R exactly.
-func maybeReduce(geo *geom.Incremental, rounds int) {
-	if rounds%8 == 0 && len(geo.P.Halfspaces) > 2*geo.P.Dim {
-		geo.Reduce()
-	}
-}
-
-func feats(actions []action) [][]float64 {
-	fs := make([][]float64, len(actions))
-	for i, act := range actions {
-		fs[i] = act.Feat
-	}
-	return fs
-}
-
-// safeRound is computeRound behind a panic-containment boundary: a panic in
-// the LP machinery (degenerate tableau, injected fault) surfaces as an error
-// the serving path can degrade on instead of a dead process.
-func (a *AA) safeRound(ctx context.Context, geo *geom.Incremental, eps float64) (r *round, err error) {
-	if perr := core.Guard(func() { r, err = a.computeRound(ctx, geo, eps) }); perr != nil {
-		return nil, perr
-	}
-	return r, err
+	return stats, nil
 }
 
 // Run implements core.Algorithm (Algorithm 4: inference). It returns the
 // point with the highest utility w.r.t. the outer-rectangle midpoint once
 // the stopping condition of Lemma 9 holds.
 //
-// Serving is fault-tolerant, with the same contract as EA: per-round
-// geometry failures and ranges emptied by contradictory answers end the
-// session with a best-effort Degraded result scored against the last healthy
-// inner-sphere center; only a dataset mismatch is still an error.
+// Serving is fault-tolerant under core.Loop.Run's contract: geometry
+// failures and ranges emptied by contradictory answers end the session with
+// a best-effort Degraded result scored against the last healthy inner-sphere
+// center.
 func (a *AA) Run(ds *dataset.Dataset, user core.User, eps float64, obs core.Observer) (core.Result, error) {
 	return a.RunContext(context.Background(), ds, user, eps, obs)
 }
 
-// RunContext implements core.ContextAlgorithm: Run with per-round tracing,
-// under the same contract as ea.RunContext — every interactive round becomes
-// a "session.round" span with the LP geometry, candidate selection, scoring
-// and oracle wait as children.
+// RunContext implements core.ContextAlgorithm: Run with per-round tracing
+// (see core.Loop.Run), the LP geometry and candidate selection appearing as
+// children of each round.
 func (a *AA) RunContext(ctx context.Context, ds *dataset.Dataset, user core.User, eps float64, obs core.Observer) (core.Result, error) {
-	if ds != a.ds && (ds.Len() != a.ds.Len() || ds.Dim() != a.ds.Dim()) {
-		return core.Result{}, core.ErrDatasetMismatch
-	}
-	geo := geom.NewIncremental(geom.NewPolytope(a.ds.Dim()))
-	var lastCenter []float64
-	var qas []core.QA
-	rounds, recovered := 0, 0
-	degrade := func(reason string) (core.Result, error) {
-		res := core.BestEffortResult(a.ds, lastCenter, rounds, qas, reason)
-		res.PanicsRecovered = recovered
-		return res, nil
-	}
-	fail := func(err error) (core.Result, error) {
-		var pe *core.PanicError
-		if errors.As(err, &pe) {
-			recovered++
-		}
-		return degrade(err.Error())
-	}
-	cur, err := a.safeRound(ctx, geo, eps)
-	if err != nil {
-		return fail(err)
-	}
-	for !cur.terminal && rounds < a.cfg.MaxRounds {
-		lastCenter = cur.center
-		rctx, rsp := trace.Start(ctx, "session.round")
-		if rsp != nil {
-			rsp.SetInt("round", int64(rounds+1))
-			rsp.SetInt("candidates", int64(len(cur.actions)))
-		}
-		ai := a.agent.BestCtx(rctx, cur.state, feats(cur.actions))
-		act := cur.actions[ai]
-		pi, pj := a.ds.Points[act.I], a.ds.Points[act.J]
-		osp := trace.StartLeaf(rctx, "oracle.wait")
-		prefI := user.Prefer(pi, pj)
-		osp.End()
-		if prefI {
-			geo.AddCtx(rctx, geom.NewHalfspace(pi, pj))
-		} else {
-			geo.AddCtx(rctx, geom.NewHalfspace(pj, pi))
-		}
-		rounds++
-		maybeReduce(geo, rounds)
-		qas = append(qas, core.QA{I: act.I, J: act.J, PreferredI: prefI})
-		if obs != nil {
-			obs.Round(rounds, geo.P.Halfspaces)
-		}
-		cur, err = a.safeRound(rctx, geo, eps)
-		if rsp != nil {
-			rsp.SetBool("error", err != nil)
-			rsp.End()
-		}
-		if err != nil {
-			return fail(err)
-		}
-	}
-	if cur.degraded {
-		return degrade(cur.reason)
-	}
-	if !cur.terminal && rounds >= a.cfg.MaxRounds {
-		return degrade("round cap reached without the Lemma-9 stop")
-	}
-	idx := a.ds.TopPoint(cur.mid)
-	return core.Result{
-		PointIndex:      idx,
-		Point:           a.ds.Points[idx],
-		Rounds:          rounds,
-		Trace:           qas,
-		PanicsRecovered: recovered,
-	}, nil
+	return a.loop().Run(ctx, ds, user, eps, obs)
 }

@@ -290,3 +290,40 @@ func TestNewValidation(t *testing.T) {
 func testDataRaw() *dataset.Dataset {
 	return &dataset.Dataset{Points: [][]float64{{0.5, 0.5}, {0.9, 0.1}}}
 }
+
+// Load and Run must reject the inputs New rejects: a model restored for an
+// empty or one-attribute dataset, or a threshold outside (0,1), would
+// otherwise serve results whose regret certificate cannot hold.
+func TestLoadAndRunRejectBadInputs(t *testing.T) {
+	ds := testData(t, 100, 3, 9)
+	e := New(ds, 0.1, smallCfg(), rand.New(rand.NewSource(10)))
+	blob, err := e.Agent().MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	oneDim := &dataset.Dataset{Points: [][]float64{{0.5}, {0.7}}}
+	for _, c := range []struct {
+		name string
+		ds   *dataset.Dataset
+		eps  float64
+	}{
+		{"empty dataset", &dataset.Dataset{}, 0.1},
+		{"one attribute", oneDim, 0.1},
+		{"negative eps", ds, -1},
+		{"zero eps", ds, 0},
+		{"eps one", ds, 1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if _, err := Load(c.ds, c.eps, smallCfg(), blob, rand.New(rand.NewSource(1))); err == nil {
+				t.Error("Load accepted the input")
+			}
+			if c.ds != ds {
+				return
+			}
+			res, err := e.Run(ds, core.SimulatedUser{Utility: []float64{0.55, 0.3, 0.15}}, c.eps, nil)
+			if err == nil {
+				t.Errorf("Run accepted eps %v: %d rounds, degraded %v", c.eps, res.Rounds, res.Degraded)
+			}
+		})
+	}
+}

@@ -82,29 +82,28 @@ func (c Config) synthetic(n, d int) *dataset.Dataset {
 // trainedEA builds and trains an EA agent.
 func (c Config) trainedEA(ds *dataset.Dataset, eps float64, cfg ea.Config, episodes int) (*ea.EA, error) {
 	e := ea.New(ds, eps, cfg, c.rng(17))
-	if episodes > 0 {
-		st, err := e.Train(c.trainVectors(ds.Dim(), episodes))
-		if err != nil {
-			return nil, err
-		}
-		c.logf("trained EA: %d episodes, avg %.1f rounds, loss ema %.5f, %d updates, %d syncs",
-			st.Episodes, st.AvgRounds, st.RL.LossEMA, st.RL.Updates, st.RL.TargetSyncs)
-	}
-	return e, nil
+	return e, c.train(e, ds.Dim(), episodes)
 }
 
 // trainedAA builds and trains an AA agent.
 func (c Config) trainedAA(ds *dataset.Dataset, eps float64, cfg aa.Config, episodes int) (*aa.AA, error) {
 	a := aa.New(ds, eps, cfg, c.rng(19))
-	if episodes > 0 {
-		st, err := a.Train(c.trainVectors(ds.Dim(), episodes))
-		if err != nil {
-			return nil, err
-		}
-		c.logf("trained AA: %d episodes, avg %.1f rounds, loss ema %.5f, %d updates, %d syncs",
-			st.Episodes, st.AvgRounds, st.RL.LossEMA, st.RL.Updates, st.RL.TargetSyncs)
+	return a, c.train(a, ds.Dim(), episodes)
+}
+
+// train runs alg's training on episodes vectors of dimension d and logs the
+// outcome.
+func (c Config) train(alg core.Trainable, d, episodes int) error {
+	if episodes <= 0 {
+		return nil
 	}
-	return a, nil
+	st, err := alg.Train(c.trainVectors(d, episodes))
+	if err != nil {
+		return err
+	}
+	c.logf("trained %s: %d episodes, avg %.1f rounds, loss ema %.5f, %d updates, %d syncs",
+		alg.Name(), st.Episodes, st.AvgRounds, st.RL.LossEMA, st.RL.Updates, st.RL.TargetSyncs)
+	return nil
 }
 
 // Stats aggregates one measurement point over the config's trials.

@@ -29,10 +29,6 @@ func SampleSimplex(rng *rand.Rand, d int) []float64 {
 
 // SampleOptions tunes hit-and-run sampling inside a utility range.
 type SampleOptions struct {
-	BurnIn int // steps discarded before the first sample (default 5·d)
-	Thin   int // steps between retained samples (default d)
-	Chains int // independent chains the draw is split into (default 4, capped at n)
-
 	// Start, when non-nil and still inside R, seeds every chain from this
 	// point and skips the inner-ball LP entirely — the cross-round warm
 	// start for callers that already know an interior point (a previously
@@ -43,9 +39,10 @@ type SampleOptions struct {
 	Start []float64
 }
 
-// defaultChains is the number of independent hit-and-run chains SampleCtx
-// decomposes into.
-const defaultChains = 4
+// sampleChains is the number of independent hit-and-run chains SampleCtx
+// decomposes a draw into (capped at the number of points drawn). Each chain
+// discards 5·d burn-in steps and keeps every d-th step after that.
+const sampleChains = 4
 
 // chainRNGs recycles the per-chain generators: reseeding one in place yields
 // exactly the stream rand.New(rand.NewSource(seed)) would, without
@@ -54,7 +51,7 @@ var chainRNGs = sync.Pool{New: func() any { return rand.New(rand.NewSource(1)) }
 
 // SampleCtx draws n points approximately uniformly from R with hit-and-run,
 // walking inside the affine subspace Σu = 1. The work is split across
-// independent chains (SampleOptions.Chains), run one after another, each
+// independent chains (sampleChains), run one after another, each
 // starting at the inner ball center with its own RNG stream seeded in chain
 // order from rng; chain c fills the next contiguous block of the output, so
 // the output is a deterministic function of (rng state, n, opts). It fails
@@ -87,16 +84,7 @@ func (p *Polytope) SampleCtx(ctx context.Context, rng *rand.Rand, n int, opts Sa
 		}
 		from = ib.Center
 	}
-	if opts.BurnIn == 0 {
-		opts.BurnIn = 5 * d
-	}
-	if opts.Thin == 0 {
-		opts.Thin = d
-	}
-	if opts.Chains == 0 {
-		opts.Chains = defaultChains
-	}
-	chains := opts.Chains
+	chains := sampleChains
 	if chains > n {
 		chains = n
 	}
@@ -123,18 +111,20 @@ func (p *Polytope) SampleCtx(ctx context.Context, rng *rand.Rand, n int, opts Sa
 			q++
 		}
 		stream.Seed(rng.Int63())
-		p.runChain(stream, from, opts, out[lo:lo+q])
+		p.runChain(stream, from, out[lo:lo+q])
 		lo += q
 	}
 	return out, nil
 }
 
 // runChain walks one hit-and-run chain from start, filling every
-// pre-allocated slot of out with a retained sample.
-func (p *Polytope) runChain(rng *rand.Rand, start []float64, opts SampleOptions, out [][]float64) {
+// pre-allocated slot of out with a retained sample: 5·d burn-in steps, then
+// one sample every d steps.
+func (p *Polytope) runChain(rng *rand.Rand, start []float64, out [][]float64) {
 	cur := vec.Clone(start)
 	dir := make([]float64, len(start))
-	steps := opts.BurnIn + len(out)*opts.Thin
+	burnIn, thin := 5*p.Dim, p.Dim
+	steps := burnIn + len(out)*thin
 	k := 0
 	for s := 0; s < steps; s++ {
 		p.randomZeroSumDir(rng, dir)
@@ -147,7 +137,7 @@ func (p *Polytope) runChain(rng *rand.Rand, start []float64, opts SampleOptions,
 		t := lo + rng.Float64()*(hi-lo)
 		vec.AddScaled(cur, cur, t, dir)
 		clampSimplex(cur)
-		if s >= opts.BurnIn && (s-opts.BurnIn)%opts.Thin == opts.Thin-1 {
+		if s >= burnIn && (s-burnIn)%thin == thin-1 {
 			copy(out[k], cur)
 			k++
 		}

@@ -12,6 +12,11 @@ go vet ./...
 go test -race ./...
 go test -race -run 'Fault|Noisy|Chaos|Recover|Journal|Proxy|Client|Repl|Failover|Scrub|Repair' -count=2 ./...
 
+# Determinism pins at several GOMAXPROCS values: seeded samples, skylines,
+# sessions and training runs are pinned bit for bit, and must not depend on
+# how many cores the scheduler has.
+go test -count=1 -run 'Golden|IndependentOfCores' -cpu 1,2,4 ./internal/...
+
 # Fuzz smoke: the WAL frame parser must survive a short fuzzing burst (the
 # seed corpus plus a few seconds of mutation) — it guards both the on-disk
 # journal and the replication wire. The model loader gets the same burst: a
