@@ -205,18 +205,7 @@ func (a *AA) selectActions(ctx context.Context, geo *geom.Incremental, center []
 		dist float64
 	}
 	n := a.ds.Len()
-	// Top-K points by utility at the center.
-	k := a.cfg.TopK
-	if k > n {
-		k = n
-	}
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	scores := a.ds.Scores(center, nil)
-	sort.Slice(idx, func(x, y int) bool { return scores[idx[x]] > scores[idx[y]] })
-	top := idx[:k]
+	top := topK(a.ds.Scores(center, nil), a.cfg.TopK) // top-K points by utility at the center
 
 	var cands []cand
 	seen := map[[2]int]bool{}
@@ -332,6 +321,32 @@ func (a *AA) selectActions(ctx context.Context, geo *geom.Incremental, center []
 		sp.End()
 	}
 	return out
+}
+
+// topK returns the indices of the k highest scores, best first, breaking
+// ties by ascending index. It keeps the best k seen so far in order, so a
+// score that cannot enter costs one comparison instead of a full sort.
+func topK(scores []float64, k int) []int {
+	k = min(k, len(scores))
+	if k <= 0 {
+		return nil
+	}
+	top := make([]int, 0, k)
+	for i, s := range scores {
+		if len(top) == k {
+			if s <= scores[top[k-1]] {
+				continue // not better than the worst kept, which has a lower index
+			}
+			top = top[:k-1]
+		}
+		p := len(top)
+		top = append(top, i)
+		for ; p > 0 && scores[top[p-1]] < s; p-- {
+			top[p] = top[p-1]
+		}
+		top[p] = i
+	}
+	return top
 }
 
 // Train runs Algorithm 3 over the training utility vectors.

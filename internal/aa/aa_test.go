@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"isrl/internal/core"
@@ -256,5 +257,36 @@ func TestLoadAndRunRejectBadInputs(t *testing.T) {
 				t.Errorf("Run accepted eps %v: %d rounds, degraded %v", c.eps, res.Rounds, res.Degraded)
 			}
 		})
+	}
+}
+
+// topK must return exactly what a stable full sort by (score desc, index
+// asc) would put first, ties included: scores drawn from a small integer
+// grid make runs of equal scores common.
+func TestTopKTieOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(60)
+		scores := make([]float64, n)
+		for i := range scores {
+			scores[i] = float64(rng.Intn(5))
+		}
+		want := make([]int, n)
+		for i := range want {
+			want[i] = i
+		}
+		sort.SliceStable(want, func(x, y int) bool { return scores[want[x]] > scores[want[y]] })
+		for _, k := range []int{0, 1, 20, n, n + 5} {
+			got := topK(scores, k)
+			w := want[:min(k, n)]
+			if len(got) != len(w) {
+				t.Fatalf("n=%d k=%d: %d indices, want %d", n, k, len(got), len(w))
+			}
+			for i := range w {
+				if got[i] != w[i] {
+					t.Fatalf("n=%d k=%d scores %v: got %v, want %v", n, k, scores, got, w)
+				}
+			}
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"isrl/internal/core"
+	"isrl/internal/fault"
 	"isrl/internal/geom"
 )
 
@@ -49,6 +50,30 @@ func TestRunMatchesGolden(t *testing.T) {
 // session catch any change to that order, to the replay contents or to the
 // gradient steps.
 func TestTrainMatchesGolden(t *testing.T) {
+	checkTrainGolden(t, 0xfaaaa466f8a1e614)
+}
+
+// With geom.inc.witness failing every outer-rectangle pass, each rectangle
+// objective is re-solved by the warm LP instead of served from its witness.
+// That is the engine without witnesses, bit for bit, and it trains the model
+// pinned before witnesses existed. Reused rectangle values differ from
+// re-solved ones only in the last bits, which feed the DQN state, so the
+// steps, episode lengths and greedy session match TestTrainMatchesGolden's
+// and only the hash differs.
+func TestTrainWitnessFaultMatchesGolden(t *testing.T) {
+	plan := fault.NewPlan(83).Set(fault.PointIncWitness, fault.Spec{ErrProb: 1})
+	fault.Install(plan)
+	defer fault.Install(nil)
+	checkTrainGolden(t, 0x33043b31e8ae7fce)
+	if plan.Injections(fault.PointIncWitness) == 0 {
+		t.Fatal("witness fault was never injected")
+	}
+}
+
+// checkTrainGolden trains the pinned AA run and checks its steps, mean
+// episode length, greedy session and model hash against wantHash.
+func checkTrainGolden(t *testing.T, wantHash uint64) {
+	t.Helper()
 	ds := testData(t, 300, 3, 81)
 	rng := rand.New(rand.NewSource(82))
 	a := New(ds, 0.1, smallCfg(), rng)
@@ -69,8 +94,8 @@ func TestTrainMatchesGolden(t *testing.T) {
 	}
 	h := fnv.New64a()
 	h.Write(blob)
-	if got := h.Sum64(); got != 0x33043b31e8ae7fce {
-		t.Fatalf("model hash %x, want 33043b31e8ae7fce", got)
+	if got := h.Sum64(); got != wantHash {
+		t.Fatalf("model hash %x, want %x", got, wantHash)
 	}
 	res, err := a.Run(ds, core.SimulatedUser{Utility: []float64{0.2, 0.45, 0.35}}, 0.1, nil)
 	if err != nil {

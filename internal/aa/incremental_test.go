@@ -7,6 +7,7 @@ import (
 
 	"isrl/internal/core"
 	"isrl/internal/fault"
+	"isrl/internal/obs"
 )
 
 // runSeeded executes one seeded AA session and returns its result. Each call
@@ -75,6 +76,67 @@ func TestEngineMatchesScratchFixedSeeds(t *testing.T) {
 			inc := runSeeded(t, false, c.dataSeed, c.rngSeed, c.u)
 			scr := runSeeded(t, true, c.dataSeed, c.rngSeed, c.u)
 			sameResult(t, "engine vs scratch", inc, scr)
+		})
+	}
+}
+
+// runWitness executes one seeded AA session like runSeeded, with
+// geom.inc.witness failing every outer-rectangle pass when reference is set,
+// so each rectangle objective is re-solved instead of served from its
+// witness; the test fails if that fault never fired. A noisy session is
+// resilient and draws its flips from its own seeded stream.
+func runWitness(t *testing.T, reference bool, dataSeed, rngSeed int64, u []float64, noisy bool) core.Result {
+	t.Helper()
+	ds := testData(t, 300, len(u), dataSeed)
+	cfg := smallCfg()
+	var user core.User = core.SimulatedUser{Utility: u}
+	if noisy {
+		cfg.Resilient = true
+		user = core.NoisyUser{Utility: u, FlipProb: 0.3, Rng: rand.New(rand.NewSource(rngSeed + 1))}
+	}
+	var plan *fault.Plan
+	if reference {
+		plan = fault.NewPlan(29).Set(fault.PointIncWitness, fault.Spec{ErrProb: 1})
+		fault.Install(plan)
+		defer fault.Install(nil)
+	}
+	a := New(ds, 0.1, cfg, rand.New(rand.NewSource(rngSeed)))
+	res, err := a.Run(ds, user, 0.1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan != nil && plan.Injections(fault.PointIncWitness) == 0 {
+		t.Fatal("witness fault was never injected")
+	}
+	return res
+}
+
+// Outer-rectangle witnesses are an optimization, not a dependency: serving
+// sessions with every witness reused and with every rectangle objective
+// re-solved ask the same questions and return the same tuple. AA only asks
+// questions whose hyperplane splits R, so a flipped answer never empties the
+// range and the noisy session exercises witnesses under contradictory cuts;
+// the reset on range growth is pinned in internal/geom.
+func TestWitnessFaultMatchesFixedSeeds(t *testing.T) {
+	for _, c := range []struct {
+		dataSeed, rngSeed int64
+		u                 []float64
+		noisy             bool
+	}{
+		{500, 600, []float64{0.55, 0.3, 0.15}, false},
+		{502, 602, []float64{0.4, 0.1, 0.3, 0.2}, false},
+		{703, 704, []float64{0.2, 0.15, 0.25, 0.1, 0.3}, false},
+		{11, 12, []float64{0.3, 0.45, 0.25}, true},
+	} {
+		t.Run(fmt.Sprintf("seed%d_d%d_noisy%v", c.dataSeed, len(c.u), c.noisy), func(t *testing.T) {
+			hits := obs.Default().Counter("geom.inc.rect_witness_hits")
+			before := hits.Value()
+			got := runWitness(t, false, c.dataSeed, c.rngSeed, c.u, c.noisy)
+			if hits.Value() == before {
+				t.Fatal("session reused no outer-rectangle witness")
+			}
+			want := runWitness(t, true, c.dataSeed, c.rngSeed, c.u, c.noisy)
+			sameResult(t, "witnesses vs reference", got, want)
 		})
 	}
 }

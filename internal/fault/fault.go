@@ -31,16 +31,17 @@ import (
 // Well-known injection point names. Production hooks use these constants;
 // plans may also name points of their own for application-level hooks.
 const (
-	PointLPSolve   = "lp.solve"       // internal/lp: one simplex solve
-	PointVertices  = "geom.vertices"  // internal/geom: one vertex enumeration
-	PointSample    = "geom.sample"    // internal/geom: one hit-and-run sampling run
-	PointOracle    = "core.oracle"    // internal/core: one session oracle question
-	PointWALWrite  = "wal.write"      // internal/wal: one journal record write
-	PointWALSync   = "wal.sync"       // internal/wal: one journal fsync
-	PointWALRename = "wal.rename"     // internal/wal: one segment rename (rotation/compaction)
-	PointClientReq = "client.request" // client: one HTTP attempt leaving the SDK
-	PointLPWarm    = "lp.warm"        // internal/lp: one warm-start repair (push or re-optimize)
-	PointIncClip   = "geom.inc.clip"  // internal/geom: one incremental halfspace clip
+	PointLPSolve    = "lp.solve"         // internal/lp: one simplex solve
+	PointVertices   = "geom.vertices"    // internal/geom: one vertex enumeration
+	PointSample     = "geom.sample"      // internal/geom: one hit-and-run sampling run
+	PointOracle     = "core.oracle"      // internal/core: one session oracle question
+	PointWALWrite   = "wal.write"        // internal/wal: one journal record write
+	PointWALSync    = "wal.sync"         // internal/wal: one journal fsync
+	PointWALRename  = "wal.rename"       // internal/wal: one segment rename (rotation/compaction)
+	PointClientReq  = "client.request"   // client: one HTTP attempt leaving the SDK
+	PointLPWarm     = "lp.warm"          // internal/lp: one warm-start repair (push or re-optimize)
+	PointIncClip    = "geom.inc.clip"    // internal/geom: one incremental halfspace clip
+	PointIncWitness = "geom.inc.witness" // internal/geom: one outer-rectangle pass that may reuse witnesses
 
 	PointReplSend      = "repl.send"      // internal/repl: one batch/snapshot frame leaving the primary
 	PointReplApply     = "repl.apply"     // internal/repl: one batch/snapshot applied on the follower

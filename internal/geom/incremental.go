@@ -25,12 +25,15 @@ import (
 //   - warm lp.Solvers for the inner-ball and base (feasibility/extrema)
 //     programs, re-solved by dual-simplex repair after each push;
 //   - a monotone negative cache for cut probes: a hyperplane that misses R
-//     keeps missing it as R shrinks.
+//     keeps missing it as R shrinks;
+//   - one witness per outer-rectangle objective: an optimizer that still
+//     lies in the shrunken R is still optimal, so its LP is skipped.
 //
 // Every maintained structure watches the polytope's mutation generation and
 // degrades to the scratch path on out-of-band changes, numeric doubt, or an
-// armed geom.inc.clip fault — results stay exactly those of the scratch
-// primitives (bit-identical for vertices, tolerance-identical for warm LP).
+// armed geom.inc.clip / geom.inc.witness fault — results stay exactly those
+// of the scratch primitives (bit-identical for vertices, tolerance-identical
+// for warm LP).
 
 // incVertex is one maintained vertex with its active constraint set: indices
 // into the pool (unit normals first, then nonzero halfspace normals), sorted
@@ -315,8 +318,19 @@ type Incremental struct {
 	// hyperplane across rounds; the margin must be constant per handle.
 	noCut map[uint64]bool
 
+	// rectX[k] and rectVal[k] are the optimizer and value of the last Optimal
+	// solve of outer-rectangle objective k (2i maximizes uᵢ, 2i+1 minimizes
+	// it); an empty rectX[k] means no witness. Like noCut, witnesses live
+	// until the polytope grows. Allocated on the first OuterRectCtx.
+	rectX   [][]float64
+	rectVal []float64
+
 	seenGen, seenGrow uint64
 }
+
+// witnessTol is the containment slack for reusing an outer-rectangle
+// witness: no looser than 1e-8·(1+‖n‖) for any halfspace normal n.
+const witnessTol = 1e-8
 
 // NewIncremental returns a handle over p with no state warmed yet.
 func NewIncremental(p *Polytope) *Incremental {
@@ -335,6 +349,9 @@ func (g *Incremental) sync() {
 	}
 	if g.P.grow != g.seenGrow {
 		clear(g.noCut) // R may have grown: negative verdicts no longer hold
+		for k := range g.rectX {
+			g.rectX[k] = g.rectX[k][:0] // and optimizers may no longer be optimal
+		}
 		g.seenGrow = g.P.grow
 	}
 }
@@ -424,32 +441,49 @@ func (g *Incremental) InnerBallCtx(ctx context.Context) (Ball, error) {
 }
 
 // OuterRectCtx returns the per-dimension extrema of u over R, driving the 2d
-// solves through the warm base solver (phase-1-free re-optimizations).
+// solves through the warm base solver (phase-1-free re-optimizations). R only
+// shrinks between growth resets, so an objective whose last optimizer still
+// lies in R keeps its value and skips the LP; an armed geom.inc.witness fault
+// solves every objective instead.
 func (g *Incremental) OuterRectCtx(ctx context.Context) (emin, emax []float64, err error) {
 	g.sync()
 	_, sp := trace.Start(ctx, "geom.outer_rect")
 	defer sp.End()
-	if g.base == nil {
-		g.base = lp.NewSolver(g.P.baseProblem(0))
-	}
 	d := g.P.Dim
+	if g.rectX == nil {
+		buf := make([]float64, 2*d*d)
+		g.rectX = make([][]float64, 2*d)
+		for k := range g.rectX {
+			g.rectX[k] = buf[k*d : k*d : (k+1)*d]
+		}
+		g.rectVal = make([]float64, 2*d)
+	}
+	reuse := fault.Hit(fault.PointIncWitness) == nil
 	emin = make([]float64, d)
 	emax = make([]float64, d)
 	obj := make([]float64, d)
-	for i := 0; i < d; i++ {
-		vec.Fill(obj, 0)
-		obj[i] = 1
-		res := g.base.SolveWith(obj)
-		if res.Status != lp.Optimal {
-			return nil, nil, fmt.Errorf("geom: outer rect max dim %d: %v", i, res.Status)
+	for k := 0; k < 2*d; k++ {
+		if reuse && len(g.rectX[k]) > 0 && g.P.Contains(g.rectX[k], witnessTol) {
+			incRectWitnessHits.Inc()
+		} else {
+			if g.base == nil {
+				g.base = lp.NewSolver(g.P.baseProblem(0))
+			}
+			vec.Fill(obj, 0)
+			obj[k/2] = 1 - float64(2*(k%2)) // +1 maximizes uᵢ, −1 minimizes it
+			res := g.base.SolveWith(obj)
+			if res.Status != lp.Optimal {
+				side := [2]string{"max", "min"}[k%2]
+				return nil, nil, fmt.Errorf("geom: outer rect %s dim %d: %v", side, k/2, res.Status)
+			}
+			g.rectX[k] = append(g.rectX[k][:0], res.X[:d]...)
+			g.rectVal[k] = res.Objective
 		}
-		emax[i] = res.Objective
-		obj[i] = -1
-		res = g.base.SolveWith(obj)
-		if res.Status != lp.Optimal {
-			return nil, nil, fmt.Errorf("geom: outer rect min dim %d: %v", i, res.Status)
+		if k%2 == 0 {
+			emax[k/2] = g.rectVal[k]
+		} else {
+			emin[k/2] = -g.rectVal[k]
 		}
-		emin[i] = -res.Objective
 	}
 	return emin, emax, nil
 }

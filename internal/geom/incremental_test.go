@@ -212,4 +212,46 @@ func TestIncrementalSyncAfterForeignMutation(t *testing.T) {
 			t.Fatalf("step %d: inner ball after foreign mutation: %v", step, err)
 		}
 	}
+
+	// Feasibility repair is the one mutation that grows R, so it must drop
+	// the monotone caches. R starts as {u₀ ≥ u₁, u₀ ≥ u₂}. The cut u₁ ≥ u₀
+	// flattens it to a face, and repair drops the short-normal u₀ ≥ u₁, whose
+	// removal recovers the most slack: R becomes {u₁ ≥ u₀ ≥ u₂}, mostly
+	// outside the old range. The probe misses the old R but cuts the new
+	// one, and the old minimizer of u₀, (⅓,⅓,⅓), still lies in R although
+	// min u₀ fell from ⅓ to 0.
+	p = NewPolytope(d)
+	g = NewIncremental(p)
+	g.AddCtx(ctx, Halfspace{Normal: []float64{0.1, -0.1, 0}})
+	g.AddCtx(ctx, Halfspace{Normal: []float64{1, 0, -1}})
+	probe := Halfspace{Normal: []float64{-0.75, 0.25, -0.75}}
+	if g.CutsBothSides(1, probe, 1e-9) {
+		t.Fatal("probe cuts the initial range")
+	}
+	if _, _, err := g.OuterRectCtx(ctx); err != nil {
+		t.Fatal(err)
+	}
+	p.Add(Halfspace{Normal: []float64{-1, 1, 0}})
+	if n := p.RepairFeasibility(0); n != 1 || len(p.Halfspaces) != 2 || p.Halfspaces[0].Normal[0] != 1 {
+		t.Fatalf("repair dropped %d halfspaces, left %v; want u₀ ≥ u₁ dropped", n, p.Halfspaces)
+	}
+	scr = NewPolytope(d)
+	scr.Add(Halfspace{Normal: []float64{1, 0, -1}})
+	scr.Add(Halfspace{Normal: []float64{-1, 1, 0}})
+	if got, want := g.CutsBothSides(1, probe, 1e-9), scr.CutsBothSides(probe, 1e-9); got != want || !want {
+		t.Fatalf("probe after growth: cuts=%v, scratch %v (want true)", got, want)
+	}
+	minInc, maxInc, err := g.OuterRectCtx(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	minScr, maxScr, err := scr.OuterRect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < d; i++ {
+		if math.Abs(minInc[i]-minScr[i]) > 1e-6 || math.Abs(maxInc[i]-maxScr[i]) > 1e-6 {
+			t.Fatalf("dim %d after growth: rect [%v,%v], scratch [%v,%v]", i, minInc[i], maxInc[i], minScr[i], maxScr[i])
+		}
+	}
 }

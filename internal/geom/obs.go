@@ -29,12 +29,13 @@ var (
 	// into the maintained vertex set by a local clip, how often the engine had
 	// to rebuild from scratch, how often it degraded mid-operation (numeric
 	// edge or injected fault), and the cache hit volumes that replace repeat
-	// enumerations and LP probes.
-	incClips     = obs.Default().Counter("geom.inc.clips")
-	incRebuilds  = obs.Default().Counter("geom.inc.rebuilds")
-	incFallbacks = obs.Default().Counter("geom.inc.fallbacks")
-	incVertHits  = obs.Default().Counter("geom.inc.vertex_hits")
-	incProbeHits = obs.Default().Counter("geom.inc.probe_cache_hits")
+	// enumerations, LP probes and outer-rectangle solves.
+	incClips           = obs.Default().Counter("geom.inc.clips")
+	incRebuilds        = obs.Default().Counter("geom.inc.rebuilds")
+	incFallbacks       = obs.Default().Counter("geom.inc.fallbacks")
+	incVertHits        = obs.Default().Counter("geom.inc.vertex_hits")
+	incProbeHits       = obs.Default().Counter("geom.inc.probe_cache_hits")
+	incRectWitnessHits = obs.Default().Counter("geom.inc.rect_witness_hits")
 )
 
 // solveLP is lp.Solve with a call counter and duration histogram — every
