@@ -167,7 +167,7 @@ func (a *AA) Round(ctx context.Context, geo *geom.Incremental, eps float64) (*co
 		r.Terminal = true
 		return r, nil
 	}
-	r.Actions = a.selectActions(ctx, geo, ball.Center)
+	r.Actions = a.selectActions(ctx, geo, ball)
 	if len(r.Actions) == 0 {
 		// No hyperplane can strictly narrow R further; more questions are
 		// pointless, so stop with the midpoint estimate.
@@ -196,15 +196,16 @@ func (a *AA) Final(geo *geom.Incremental, last *core.Round) int {
 // selectActions implements §IV-C's restricted action space: among a
 // candidate pool (all pairs of the top-K points by center utility plus
 // random pairs), keep the m_h pairs whose hyperplane is nearest the
-// inner-sphere center and properly splits R (both sides non-empty, checked
-// by LP — Lemma 8).
-func (a *AA) selectActions(ctx context.Context, geo *geom.Incremental, center []float64) []core.Action {
+// inner-sphere center and properly splits R (both sides non-empty — Lemma 8;
+// certified by the inner ball or checked by LP).
+func (a *AA) selectActions(ctx context.Context, geo *geom.Incremental, ball geom.Ball) []core.Action {
 	_, sp := trace.Start(ctx, "aa.select_actions")
 	type cand struct {
 		i, j int
 		dist float64
 	}
 	n := a.ds.Len()
+	center := ball.Center
 	top := topK(a.ds.Scores(center, nil), a.cfg.TopK) // top-K points by utility at the center
 
 	var cands []cand
@@ -242,16 +243,16 @@ func (a *AA) selectActions(ctx context.Context, geo *geom.Incremental, center []
 		sort.Slice(cands, func(x, y int) bool { return cands[x].dist < cands[y].dist })
 	}
 
-	// LP feasibility probes dominate this loop. They run serially through
-	// the engine's warm solver, whose cross-round negative cache (a no-cut
-	// verdict stays no-cut as R shrinks) eliminates most probes outright;
-	// the per-round memo keeps a candidate probed at most once per round.
+	// Two-sided probes: the round's inner ball certifies most of them with
+	// no LP (a hyperplane passing near the center cuts the ball, hence R),
+	// the rest run on the engine's warm solver. The per-round memo keeps a
+	// candidate probed at most once per round.
 	cuts := make([]int8, len(cands)) // 0 = unprobed, 1 = cuts both sides, 2 = no
 	probe := func(ci int) bool {
 		if cuts[ci] == 0 {
 			c := cands[ci]
 			h := geom.NewHalfspace(a.ds.Points[c.i], a.ds.Points[c.j])
-			if geo.CutsBothSides(uint64(c.i)<<32|uint64(c.j), h, 1e-9) {
+			if geo.CutsBothSides(ball, h, 1e-9) {
 				cuts[ci] = 1
 			} else {
 				cuts[ci] = 2

@@ -24,10 +24,11 @@ import (
 //     instead of re-enumerating all (d−1)-subsets;
 //   - warm lp.Solvers for the inner-ball and base (feasibility/extrema)
 //     programs, re-solved by dual-simplex repair after each push;
-//   - a monotone negative cache for cut probes: a hyperplane that misses R
-//     keeps missing it as R shrinks;
 //   - one witness per outer-rectangle objective: an optimizer that still
 //     lies in the shrunken R is still optimal, so its LP is skipped.
+//
+// Cut probes keep no state: the caller's inner ball certifies most of them
+// in O(d), and the rest run on the warm base solver.
 //
 // Every maintained structure watches the polytope's mutation generation and
 // degrades to the scratch path on out-of-band changes, numeric doubt, or an
@@ -310,18 +311,10 @@ type Incremental struct {
 	inner *lp.Solver // Chebyshev-center program; nil until first InnerBallCtx
 	base  *lp.Solver // feasibility/extrema program; nil until first use
 
-	interior []float64 // latest inner-ball center; see Interior
-
-	// noCut caches hyperplanes proven (by an Optimal LP) not to cut R:
-	// shrinking R preserves the verdict, so entries live until the polytope
-	// grows. Keys are caller-chosen identities that must be stable for the
-	// hyperplane across rounds; the margin must be constant per handle.
-	noCut map[uint64]bool
-
 	// rectX[k] and rectVal[k] are the optimizer and value of the last Optimal
 	// solve of outer-rectangle objective k (2i maximizes uᵢ, 2i+1 minimizes
-	// it); an empty rectX[k] means no witness. Like noCut, witnesses live
-	// until the polytope grows. Allocated on the first OuterRectCtx.
+	// it); an empty rectX[k] means no witness. Witnesses live until the
+	// polytope grows. Allocated on the first OuterRectCtx.
 	rectX   [][]float64
 	rectVal []float64
 
@@ -332,9 +325,14 @@ type Incremental struct {
 // witness: no looser than 1e-8·(1+‖n‖) for any halfspace normal n.
 const witnessTol = 1e-8
 
+// ballTol is the slack, per unit of ‖n‖ plus one, that a ball certificate in
+// CutsBothSides must clear on top of the margin: it absorbs the LP
+// feasibility tolerance of the ball itself.
+const ballTol = 1e-7
+
 // NewIncremental returns a handle over p with no state warmed yet.
 func NewIncremental(p *Polytope) *Incremental {
-	return &Incremental{P: p, noCut: make(map[uint64]bool), seenGen: p.gen, seenGrow: p.grow}
+	return &Incremental{P: p, seenGen: p.gen, seenGrow: p.grow}
 }
 
 // sync drops whatever an out-of-band polytope mutation invalidated. Mutations
@@ -344,13 +342,11 @@ func (g *Incremental) sync() {
 	if g.P.gen != g.seenGen {
 		g.vsFresh = false
 		g.inner, g.base = nil, nil
-		g.interior = nil
 		g.seenGen = g.P.gen
 	}
 	if g.P.grow != g.seenGrow {
-		clear(g.noCut) // R may have grown: negative verdicts no longer hold
 		for k := range g.rectX {
-			g.rectX[k] = g.rectX[k][:0] // and optimizers may no longer be optimal
+			g.rectX[k] = g.rectX[k][:0] // R may have grown: optimizers may no longer be optimal
 		}
 		g.seenGrow = g.P.grow
 	}
@@ -389,12 +385,7 @@ func (g *Incremental) AddCtx(ctx context.Context, h Halfspace) {
 	}
 	if g.inner != nil {
 		if row, ok := innerBallRow(h, p.Dim); ok {
-			res := g.inner.Push(lp.Constraint{Coeffs: row, Sense: lp.GE, RHS: 0})
-			if res.Status == lp.Optimal {
-				g.interior = append(g.interior[:0], res.X[:p.Dim]...)
-			} else {
-				g.interior = nil
-			}
+			g.inner.Push(lp.Constraint{Coeffs: row, Sense: lp.GE, RHS: 0})
 		}
 	}
 	if g.base != nil {
@@ -436,7 +427,6 @@ func (g *Incremental) InnerBallCtx(ctx context.Context) (Ball, error) {
 		return Ball{}, fmt.Errorf("geom: inner ball: %v", res.Status)
 	}
 	d := g.P.Dim
-	g.interior = append(g.interior[:0], res.X[:d]...)
 	return Ball{Center: vec.Clone(res.X[:d]), Radius: res.Objective}, nil
 }
 
@@ -488,40 +478,40 @@ func (g *Incremental) OuterRectCtx(ctx context.Context) (emin, emax []float64, e
 	return emin, emax, nil
 }
 
-// CutsBothSides is Polytope.CutsBothSides through the warm base solver and
-// the cross-round negative cache. key identifies the hyperplane of h and
-// must be stable across rounds; margin must be the same on every call. Only
-// verdicts certified by an Optimal solve are cached, so transient solver
-// failures (including injected faults) never stick.
-func (g *Incremental) CutsBothSides(key uint64, h Halfspace, margin float64) bool {
+// CutsBothSides is Polytope.CutsBothSides, certified by ball when it can be
+// and decided by the warm base solver otherwise. ball must be the Chebyshev
+// ball of the current R (InnerBallCtx since the last mutation); a zero Ball
+// certifies nothing. The Chebyshev program measures facet distances in the
+// full space and keeps cᵢ ≥ r, so c ± r·v lies in R for every unit v with
+// Σv = 0. With n_p the normal of h projected onto Σv = 0, the hyperplane
+// therefore reaches n·c ± r‖n_p‖ on the two sides, and |n·c| < r‖n_p‖ −
+// margin proves the cut in O(d) with no LP.
+func (g *Incremental) CutsBothSides(ball Ball, h Halfspace, margin float64) bool {
 	g.sync()
-	if g.noCut[key] {
-		incProbeHits.Inc()
-		return false
+	n := h.Normal
+	if ball.Radius > 0 {
+		mean := vec.Sum(n) / float64(len(n))
+		var np2 float64
+		for _, ni := range n {
+			np2 += (ni - mean) * (ni - mean)
+		}
+		slack := ball.Radius*math.Sqrt(np2) - margin - ballTol*(1+vec.Norm(n))
+		if math.Abs(vec.Dot(n, ball.Center)) < slack {
+			incProbeBallHits.Inc()
+			return true
+		}
 	}
 	if g.base == nil {
 		g.base = lp.NewSolver(g.P.baseProblem(0))
 	}
 	obj := make([]float64, g.P.Dim)
-	copy(obj, h.Normal)
+	copy(obj, n)
+	if res := g.base.SolveWith(obj); res.Status != lp.Optimal || res.Objective <= margin {
+		return false
+	}
+	vec.Scale(obj, -1, n)
 	res := g.base.SolveWith(obj)
-	if res.Status != lp.Optimal {
-		return false
-	}
-	if res.Objective <= margin {
-		g.noCut[key] = true
-		return false
-	}
-	vec.Scale(obj, -1, h.Normal)
-	res = g.base.SolveWith(obj)
-	if res.Status != lp.Optimal {
-		return false
-	}
-	if res.Objective <= margin {
-		g.noCut[key] = true
-		return false
-	}
-	return true
+	return res.Status == lp.Optimal && res.Objective > margin
 }
 
 // Reduce is Polytope.ReduceRedundant with maintained-state upkeep: it runs
@@ -552,13 +542,4 @@ func (g *Incremental) Reduce() int {
 	}
 	g.seenGen = p.gen
 	return removed
-}
-
-// Interior returns the latest inner-ball center — a point interior to R as
-// of the round it was computed — or nil when none is known. Callers must
-// re-validate with Contains before relying on it; the handle clears it when
-// it can no longer vouch for interiority.
-func (g *Incremental) Interior() []float64 {
-	g.sync()
-	return g.interior
 }

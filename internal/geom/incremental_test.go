@@ -53,9 +53,12 @@ func sameVertices(t *testing.T, tag string, got, want [][]float64) {
 // with from-scratch recomputation over many random halfspace sequences
 // (adds and redundancy reductions) and demands: bit-identical vertex sets,
 // LP optima within tolerance, and identical cut-probe verdicts — including
-// ones served from the cross-round negative cache.
+// the ones certified by the inner ball instead of an LP, so every certificate
+// is sound.
 func TestIncrementalMatchesScratchProperty(t *testing.T) {
 	ctx := context.Background()
+	ballHits := incProbeBallHits.Value()
+	var probed int64
 	for seed := int64(0); seed < 120; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		d := 2 + rng.Intn(4)
@@ -64,10 +67,22 @@ func TestIncrementalMatchesScratchProperty(t *testing.T) {
 		pScr := NewPolytope(d)
 		g := NewIncremental(pInc)
 
-		// Fixed probe pool so cached verdicts get re-asked in later rounds.
-		probes := make([]Halfspace, 6)
+		// Fixed probe pool, re-asked as R shrinks. Half the normals carry a
+		// large mean component: it shifts w·u by a constant on the simplex,
+		// so the certificate must measure only the part orthogonal to 1.
+		probes := make([]Halfspace, 8)
 		for k := range probes {
-			probes[k] = Halfspace{Normal: randCut(rng, d, uStar)}
+			w := randCut(rng, d, uStar)
+			if k%2 == 1 {
+				m := (0.5 + 1.5*rng.Float64()) * vec.Norm(w)
+				if rng.Intn(2) == 0 {
+					m = -m
+				}
+				for i := range w {
+					w[i] += m
+				}
+			}
+			probes[k] = Halfspace{Normal: w}
 		}
 
 		steps := 12 + rng.Intn(10)
@@ -124,12 +139,34 @@ func TestIncrementalMatchesScratchProperty(t *testing.T) {
 				}
 			}
 
-			for k, h := range probes {
-				got := g.CutsBothSides(uint64(k), h, 1e-9)
-				want := pScr.CutsBothSides(h, 1e-9)
+			check := func(kind string, k int, h Halfspace, margin float64) {
+				got := g.CutsBothSides(bInc, h, margin)
+				want := pScr.CutsBothSides(h, margin)
 				if got != want {
-					t.Fatalf("seed %d step %d probe %d: cuts=%v, scratch %v", seed, step, k, got, want)
+					t.Fatalf("seed %d step %d %s probe %d margin %g: cuts=%v, scratch %v",
+						seed, step, kind, k, margin, got, want)
 				}
+				probed++
+			}
+			for k, h := range probes {
+				check("pool", k, h, 1e-9)
+				check("pool", k, h, 1e-2)
+			}
+			// Tight probes: for each facet f the ball touches, the parallel
+			// hyperplane f·u = f·c through the center. R touches f·u = 0, so
+			// that side reaches exactly f·c; a margin just above it makes the
+			// scratch verdict false, and a certificate that over-claims the
+			// ball's reach on that side disagrees.
+			for k, f := range g.P.Halfspaces {
+				tf := vec.Dot(f.Normal, bInc.Center)
+				if math.Abs(tf-bInc.Radius*vec.Norm(f.Normal)) > 1e-9 {
+					continue
+				}
+				n := make([]float64, d)
+				for i := range n {
+					n[i] = f.Normal[i] - tf
+				}
+				check("tight", k, Halfspace{Normal: n}, tf*(1+1e-3))
 			}
 
 			if uDot := vec.Dot(w, uStar); uDot < 0 {
@@ -140,6 +177,11 @@ func TestIncrementalMatchesScratchProperty(t *testing.T) {
 			}
 		}
 	}
+	hits := incProbeBallHits.Value() - ballHits
+	if hits == 0 || hits == probed {
+		t.Fatalf("%d of %d probes ball-certified; want some certified and some on the LP", hits, probed)
+	}
+	t.Logf("%d of %d probes ball-certified", hits, probed)
 }
 
 // TestIncrementalClipFaultFallsBackScratch arms geom.inc.clip at full
@@ -214,10 +256,11 @@ func TestIncrementalSyncAfterForeignMutation(t *testing.T) {
 	}
 
 	// Feasibility repair is the one mutation that grows R, so it must drop
-	// the monotone caches. R starts as {u₀ ≥ u₁, u₀ ≥ u₂}. The cut u₁ ≥ u₀
-	// flattens it to a face, and repair drops the short-normal u₀ ≥ u₁, whose
-	// removal recovers the most slack: R becomes {u₁ ≥ u₀ ≥ u₂}, mostly
-	// outside the old range. The probe misses the old R but cuts the new
+	// the rectangle witnesses. R starts as {u₀ ≥ u₁, u₀ ≥ u₂}. The cut
+	// u₁ ≥ u₀ flattens it to a face, and repair drops the short-normal
+	// u₀ ≥ u₁, whose removal recovers the most slack: R becomes
+	// {u₁ ≥ u₀ ≥ u₂}, mostly outside the old range. The probe, asked with
+	// the handle's ball of each range, misses the old R but cuts the new
 	// one, and the old minimizer of u₀, (⅓,⅓,⅓), still lies in R although
 	// min u₀ fell from ⅓ to 0.
 	p = NewPolytope(d)
@@ -225,7 +268,11 @@ func TestIncrementalSyncAfterForeignMutation(t *testing.T) {
 	g.AddCtx(ctx, Halfspace{Normal: []float64{0.1, -0.1, 0}})
 	g.AddCtx(ctx, Halfspace{Normal: []float64{1, 0, -1}})
 	probe := Halfspace{Normal: []float64{-0.75, 0.25, -0.75}}
-	if g.CutsBothSides(1, probe, 1e-9) {
+	ball, err := g.InnerBallCtx(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.CutsBothSides(ball, probe, 1e-9) {
 		t.Fatal("probe cuts the initial range")
 	}
 	if _, _, err := g.OuterRectCtx(ctx); err != nil {
@@ -238,7 +285,10 @@ func TestIncrementalSyncAfterForeignMutation(t *testing.T) {
 	scr = NewPolytope(d)
 	scr.Add(Halfspace{Normal: []float64{1, 0, -1}})
 	scr.Add(Halfspace{Normal: []float64{-1, 1, 0}})
-	if got, want := g.CutsBothSides(1, probe, 1e-9), scr.CutsBothSides(probe, 1e-9); got != want || !want {
+	if ball, err = g.InnerBallCtx(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := g.CutsBothSides(ball, probe, 1e-9), scr.CutsBothSides(probe, 1e-9); got != want || !want {
 		t.Fatalf("probe after growth: cuts=%v, scratch %v (want true)", got, want)
 	}
 	minInc, maxInc, err := g.OuterRectCtx(ctx)

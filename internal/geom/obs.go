@@ -28,13 +28,14 @@ var (
 	// Round-incremental engine counters: how often a new halfspace was folded
 	// into the maintained vertex set by a local clip, how often the engine had
 	// to rebuild from scratch, how often it degraded mid-operation (numeric
-	// edge or injected fault), and the cache hit volumes that replace repeat
-	// enumerations, LP probes and outer-rectangle solves.
+	// edge or injected fault), and the hit volumes that replace repeat
+	// enumerations, LP probes (certified by the inner ball) and
+	// outer-rectangle solves.
 	incClips           = obs.Default().Counter("geom.inc.clips")
 	incRebuilds        = obs.Default().Counter("geom.inc.rebuilds")
 	incFallbacks       = obs.Default().Counter("geom.inc.fallbacks")
 	incVertHits        = obs.Default().Counter("geom.inc.vertex_hits")
-	incProbeHits       = obs.Default().Counter("geom.inc.probe_cache_hits")
+	incProbeBallHits   = obs.Default().Counter("geom.inc.probe_ball_hits")
 	incRectWitnessHits = obs.Default().Counter("geom.inc.rect_witness_hits")
 )
 

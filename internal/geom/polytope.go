@@ -25,7 +25,7 @@ type Polytope struct {
 	// Mutation generations, read by the round-incremental engine to detect
 	// changes made behind its back: gen counts every structural mutation,
 	// grow only those that may enlarge R (halfspace drops during feasibility
-	// repair) — the ones that invalidate monotone negative-probe caches.
+	// repair) — the ones that invalidate the outer-rectangle witnesses.
 	gen  uint64
 	grow uint64
 }

@@ -76,11 +76,17 @@ func TestReplAntiEntropyRepairsBothEnds(t *testing.T) {
 	corruptSealed(t, pLog, pDir, pSealed[0].Seq)
 	corruptSealed(t, fLog, fDir, fSealed[1].Seq)
 
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		if len(pLog.Quarantined()) == 0 && len(fLog.Quarantined()) == 0 {
-			break
+	// A node bumps RepairsApplied only after RepairSegment has cleared the
+	// quarantine, so wait for the counters as well as the logs.
+	healed := func() bool {
+		if len(pLog.Quarantined()) != 0 || len(fLog.Quarantined()) != 0 {
+			return false
 		}
+		fst := follower.Stats()
+		return primary.Stats().RepairsApplied > 0 && fst.RepairsApplied > 0 && fst.RepairsServed > 0
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for time.Now().Before(deadline) && !healed() {
 		time.Sleep(10 * time.Millisecond)
 	}
 	if q := pLog.Quarantined(); len(q) != 0 {
