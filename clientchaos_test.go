@@ -147,7 +147,7 @@ func TestChaosClientProxyExactlyOnce(t *testing.T) {
 		switch r.Kind {
 		case wal.KindCreate:
 			creates++
-			if r.IdemKey == "" {
+			if r.IK == "" {
 				t.Errorf("create for %s journaled without its idempotency key", r.ID)
 			}
 		case wal.KindAnswer:

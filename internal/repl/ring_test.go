@@ -11,7 +11,7 @@ import (
 // ringEntry is a synthetic tail entry whose cumulative byte position is a
 // fixed function of its LSN, so byte baselines are checkable.
 func ringEntry(lsn int64) wal.Entry {
-	return wal.Entry{LSN: lsn, Bytes: 10 * lsn, Kind: wal.KindAnswer, ID: "s", Round: int(lsn)}
+	return wal.Entry{LSN: lsn, Bytes: 10 * lsn, Record: wal.Record{Kind: wal.KindAnswer, ID: "s", Round: int(lsn)}}
 }
 
 func lsnsOf(batch []wal.Entry) []int64 {

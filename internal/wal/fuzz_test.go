@@ -3,6 +3,8 @@ package wal
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
+	"reflect"
 	"testing"
 )
 
@@ -10,7 +12,11 @@ import (
 // on-disk journal and the replication wire: it must never panic or
 // over-allocate, and whenever it accepts a frame, re-framing the payload
 // must reproduce exactly the bytes consumed — the round-trip property the
-// scrubber and the shipping protocol both rest on.
+// scrubber and the shipping protocol both rest on. The same bytes then go
+// through decodeRecords, the scan recovery, RepairSegment and Records run
+// over a segment image: it must stop exactly where the leading run of
+// accepted frames with record payloads ends, and rescanning that prefix
+// must yield the same records.
 func FuzzReadFrame(f *testing.F) {
 	real, err := Frame([]byte(`{"k":2,"id":"s1","n":3,"a":true}`), maxRecordBytes)
 	if err != nil {
@@ -26,13 +32,21 @@ func FuzzReadFrame(f *testing.F) {
 	flipped := append([]byte(nil), real...)
 	flipped[frameHeaderLen] ^= 0xff // payload bit rot: checksum must catch it
 	f.Add(flipped)
+	notJSON, err := Frame([]byte("not a record"), maxRecordBytes)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(bytes.Join([][]byte{real, notJSON, real}, nil)) // a CRC-valid frame whose payload is no record ends the prefix
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)
+		var want []Record
+		var wantValid int64
+		records := true // every frame so far decoded as a record
 		for {
 			payload, err := ReadFrame(r, maxRecordBytes)
 			if err != nil {
-				return // corruption and EOF are legitimate outcomes
+				break // corruption and EOF are legitimate outcomes
 			}
 			consumed := len(data) - r.Len()
 			re, err := Frame(payload, maxRecordBytes)
@@ -43,6 +57,23 @@ func FuzzReadFrame(f *testing.F) {
 			if start < 0 || !bytes.Equal(data[start:consumed], re) {
 				t.Fatalf("round-trip mismatch: frame at [%d:%d] does not re-encode to itself", start, consumed)
 			}
+			var rec Record
+			if records && json.Unmarshal(payload, &rec) == nil {
+				want = append(want, rec)
+				wantValid = int64(consumed)
+			} else {
+				records = false
+			}
+		}
+
+		var got []Record
+		valid := decodeRecords(data, func(rec Record) { got = append(got, rec) })
+		if valid != wantValid || !reflect.DeepEqual(got, want) {
+			t.Fatalf("recovery scan kept %d bytes / %d records, want %d bytes / %d records", valid, len(got), wantValid, len(want))
+		}
+		var again []Record
+		if v := decodeRecords(data[:valid], func(rec Record) { again = append(again, rec) }); v != valid || !reflect.DeepEqual(again, got) {
+			t.Fatalf("rescanning the %d-byte valid prefix kept %d bytes / %d records, want all of it / %d", valid, v, len(again), len(got))
 		}
 	})
 }

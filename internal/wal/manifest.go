@@ -2,7 +2,6 @@ package wal
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -38,6 +37,12 @@ const quarantineSuffix = ".quarantine"
 type segMeta struct {
 	Len int64  `json:"len"`
 	CRC uint32 `json:"crc"`
+}
+
+// matches reports whether data is byte-identical to the sealed segment m
+// describes: the same length and the same whole-file CRC32.
+func (m segMeta) matches(data []byte) bool {
+	return int64(len(data)) == m.Len && crc32.ChecksumIEEE(data) == m.CRC
 }
 
 // manifestFile is the on-disk MANIFEST shape.
@@ -236,7 +241,7 @@ func (l *Log) SegmentData(seq int) ([]byte, SegmentInfo, error) {
 	if err != nil {
 		return nil, SegmentInfo{}, fmt.Errorf("wal: read segment %d: %w", seq, err)
 	}
-	if int64(len(data)) != m.Len || crc32.ChecksumIEEE(data) != m.CRC {
+	if !m.matches(data) {
 		mScrubCorrupt.Inc()
 		if qerr := l.quarantineLocked(seq, "manifest_mismatch"); qerr != nil {
 			l.opts.logger().Warn("wal: quarantine failed", "seq", seq, "err", qerr)
@@ -265,7 +270,7 @@ func (l *Log) RepairSegment(seq int, data []byte) error {
 	if !sealed {
 		return fmt.Errorf("wal: segment %d has no manifest entry to verify against", seq)
 	}
-	if int64(len(data)) != m.Len || crc32.ChecksumIEEE(data) != m.CRC {
+	if !m.matches(data) {
 		return fmt.Errorf("wal: repair for segment %d does not match manifest (len %d/%d)", seq, len(data), m.Len)
 	}
 	tmp, err := os.CreateTemp(l.dir, "wal-repair-*.tmp")
@@ -289,7 +294,7 @@ func (l *Log) RepairSegment(seq int, data []byte) error {
 	delete(l.quarantined, seq)
 	l.repaired++
 	mScrubRepaired.Inc()
-	scanFrameBytes(data, l.applyRecord)
+	decodeRecords(data, l.replay)
 	l.opts.logger().Info("wal: quarantined segment repaired from peer", "seq", seq, "bytes", len(data))
 	return nil
 }
@@ -345,40 +350,6 @@ func (l *Log) Integrity() Integrity {
 	}
 	sort.Ints(in.Quarantined)
 	return in
-}
-
-// scanFrameBytes iterates the valid record prefix of an in-memory segment
-// image, calling fn for each decoded record, and returns the byte offset
-// where the valid prefix ends. The logic mirrors scanFrames but never
-// touches the filesystem.
-func scanFrameBytes(data []byte, fn func(record)) (valid int64) {
-	off := 0
-	for {
-		if off+frameHeaderLen > len(data) {
-			return int64(off)
-		}
-		n := binary.LittleEndian.Uint32(data[off : off+4])
-		sum := binary.LittleEndian.Uint32(data[off+4 : off+8])
-		if n > maxRecordBytes {
-			return int64(off)
-		}
-		end := off + frameHeaderLen + int(n)
-		if end > len(data) {
-			return int64(off)
-		}
-		payload := data[off+frameHeaderLen : end]
-		if crc32.ChecksumIEEE(payload) != sum {
-			return int64(off)
-		}
-		var rec record
-		if err := json.Unmarshal(payload, &rec); err != nil {
-			return int64(off)
-		}
-		if fn != nil {
-			fn(rec)
-		}
-		off = end
-	}
 }
 
 // classifyCorruption walks a corrupt sealed segment's frames with ReadFrame

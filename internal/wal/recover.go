@@ -1,11 +1,9 @@
 package wal
 
 import (
-	"encoding/binary"
+	"bytes"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -16,8 +14,8 @@ import (
 // (sealed at a rotation or compaction) are verified whole-file against
 // their recorded length and CRC32; a mismatch quarantines the segment —
 // renamed aside, never deleted, repairable from a replication peer — and
-// the scan continues, because the round-indexed dedup in applyRecord keeps
-// the recovered state a valid prefix even across the hole. Unsealed
+// the scan continues, because the transition rule orphans records past the
+// hole and so keeps the recovered state a valid prefix. Unsealed
 // segments (the live tail, or a pre-manifest journal) keep the legacy
 // discipline: the longest valid record prefix wins, the torn suffix is
 // truncated away with a structured warning, and later segments are
@@ -52,37 +50,30 @@ func (l *Log) recover() error {
 		}
 	}
 
-scan:
 	for i, seq := range seqs {
 		path := filepath.Join(l.dir, segName(seq))
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return fmt.Errorf("wal: read segment: %w", err)
+		}
+		valid := decodeRecords(data, l.replay)
 		if m, sealed := l.manifest[seq]; sealed {
-			data, err := os.ReadFile(path)
-			if err != nil {
-				return fmt.Errorf("wal: read sealed segment: %w", err)
-			}
-			if int64(len(data)) != m.Len || crc32.ChecksumIEEE(data) != m.CRC {
-				// Bit rot in sealed history. Keep the segment's valid record
-				// prefix (each surviving frame is individually CRC-guarded),
-				// park the file for anti-entropy repair, and keep scanning:
-				// later answers past the hole orphan harmlessly.
+			// A sealed segment is never truncated: a sealed torn record from
+			// a crashed write is part of the sealed bytes and must stay, or
+			// the manifest CRC would lie. On bit rot, keep the valid record
+			// prefix just applied (each surviving frame is individually
+			// CRC-guarded), park the file for anti-entropy repair, and keep
+			// scanning: later answers past the hole orphan harmlessly.
+			if !m.matches(data) {
 				mCorrupt.Inc()
 				mScrubCorrupt.Inc()
-				scanFrameBytes(data, l.applyRecord)
 				if err := l.quarantineLocked(seq, "recovery: manifest verification failed"); err != nil {
 					return err
 				}
-				continue
 			}
-			// Byte-identical to what was sealed; apply without truncation
-			// (a sealed torn record from a crashed write is part of the
-			// sealed bytes and must stay, or the manifest CRC would lie).
-			scanFrameBytes(data, l.applyRecord)
 			continue
 		}
-		valid, total, err := l.scanSegment(path)
-		if err != nil {
-			return err
-		}
+		total := int64(len(data))
 		if valid == total {
 			continue
 		}
@@ -106,15 +97,13 @@ scan:
 			mSegsDropped.Inc()
 		}
 		seqs = seqs[:i+1]
-		break scan
+		break
 	}
 
 	for _, st := range l.sessions {
 		if !st.Finished {
 			mRecovered.Inc()
 			mRecoveredAns.Add(int64(len(st.Answers)))
-		} else {
-			l.dead++
 		}
 	}
 	l.boot = len(l.sessions) > 0
@@ -148,79 +137,34 @@ scan:
 	return l.openSegment(top)
 }
 
-// scanSegment reads records from one segment file, applying each valid one
-// to the session mirror. It returns the byte offset of the last valid
-// record's end and the file size; valid < total signals a corrupted tail.
-func (l *Log) scanSegment(path string) (valid, total int64, err error) {
-	return scanFrames(path, l.applyRecord)
-}
-
-// scanFrames iterates the valid record prefix of one segment file, calling
-// fn for each decoded record. It returns the byte offset of the last valid
-// record's end and the file size; valid < total signals a corrupted tail.
-// Corruption — a short header, an absurd length, a CRC mismatch, an
-// undecodable payload — ends the scan without error.
-func scanFrames(path string, fn func(record)) (valid, total int64, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, 0, fmt.Errorf("wal: open segment: %w", err)
-	}
-	defer f.Close()
-	info, err := f.Stat()
-	if err != nil {
-		return 0, 0, fmt.Errorf("wal: stat segment: %w", err)
-	}
-	total = info.Size()
-	var off int64
-	hdr := make([]byte, frameHeaderLen)
-	var payload []byte
+// decodeRecords walks the valid record prefix of one segment image with
+// ReadFrame — the parser the replication wire and the scrubber use —
+// calling fn for each record, and returns the offset where the prefix ends.
+// A torn frame, an absurd length, a checksum mismatch or a payload that is
+// not a record ends the prefix; valid < len(data) signals a corrupted tail.
+func decodeRecords(data []byte, fn func(Record)) (valid int64) {
+	r := bytes.NewReader(data)
 	for {
-		if _, err := io.ReadFull(f, hdr); err != nil {
-			return off, total, nil // clean EOF or torn header: prefix ends here
+		payload, err := ReadFrame(r, maxRecordBytes)
+		if err != nil {
+			return valid
 		}
-		n := binary.LittleEndian.Uint32(hdr[0:4])
-		sum := binary.LittleEndian.Uint32(hdr[4:8])
-		if n > maxRecordBytes {
-			return off, total, nil
-		}
-		if cap(payload) < int(n) {
-			payload = make([]byte, n)
-		}
-		payload = payload[:n]
-		if _, err := io.ReadFull(f, payload); err != nil {
-			return off, total, nil
-		}
-		if crc32.ChecksumIEEE(payload) != sum {
-			return off, total, nil
-		}
-		var rec record
-		if err := json.Unmarshal(payload, &rec); err != nil {
-			return off, total, nil
+		var rec Record
+		if json.Unmarshal(payload, &rec) != nil {
+			return valid
 		}
 		fn(rec)
-		off += frameHeaderLen + int64(n)
+		valid = int64(len(data) - r.Len())
 	}
-}
-
-// RecordInfo is one journaled record in on-disk order, exposed read-only so
-// tests and tools can audit the raw log (e.g. assert answer rounds are
-// strictly increasing — the exactly-once property) without going through the
-// deduplicating recovery path.
-type RecordInfo struct {
-	Kind    Kind
-	ID      string
-	Round   int
-	Prefer  bool
-	Reason  string
-	IdemKey string
-	Epoch   uint64
 }
 
 // Records scans every segment in dir in sequence order and returns the raw
 // valid-prefix record stream, without mutating anything on disk. Unlike
 // Open it performs no truncation and no deduplication: what was physically
-// appended is what comes back.
-func Records(dir string) ([]RecordInfo, error) {
+// appended is what comes back, so tests and tools can audit the raw log
+// (e.g. assert answer rounds are strictly increasing — the exactly-once
+// property).
+func Records(dir string) ([]Record, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("wal: read dir: %w", err)
@@ -232,61 +176,13 @@ func Records(dir string) ([]RecordInfo, error) {
 		}
 	}
 	sort.Ints(seqs)
-	var out []RecordInfo
+	var out []Record
 	for _, seq := range seqs {
-		_, _, err := scanFrames(filepath.Join(dir, segName(seq)), func(rec record) {
-			out = append(out, RecordInfo{
-				Kind: rec.Kind, ID: rec.ID, Round: rec.Round,
-				Prefer: rec.Prefer, Reason: rec.Reason, IdemKey: rec.IK,
-				Epoch: rec.Epoch,
-			})
-		})
+		data, err := os.ReadFile(filepath.Join(dir, segName(seq)))
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("wal: read segment: %w", err)
 		}
+		decodeRecords(data, func(rec Record) { out = append(out, rec) })
 	}
 	return out, nil
-}
-
-// applyRecord folds one valid record into the session mirror. Duplicates
-// (from a compaction that crashed between rename and cleanup) are skipped:
-// creates for known ids are no-ops and answers carry an explicit round
-// index, so replaying the same record twice cannot double-feed an answer.
-func (l *Log) applyRecord(rec record) {
-	switch rec.Kind {
-	case KindCreate:
-		if _, dup := l.sessions[rec.ID]; dup {
-			return
-		}
-		l.sessions[rec.ID] = &SessionState{ID: rec.ID, Algo: rec.Algo, Eps: rec.Eps, Seed: rec.Seed, Fingerprint: rec.FP, IdemKey: rec.IK}
-	case KindAnswer:
-		st, ok := l.sessions[rec.ID]
-		if !ok {
-			mOrphanRecords.Inc()
-			return
-		}
-		if rec.Round <= len(st.Answers) {
-			return // duplicate
-		}
-		if rec.Round != len(st.Answers)+1 {
-			mOrphanRecords.Inc() // gap: a lost record upstream; keep the prefix
-			return
-		}
-		st.Answers = append(st.Answers, rec.Prefer)
-	case KindFinish:
-		st, ok := l.sessions[rec.ID]
-		if !ok {
-			mOrphanRecords.Inc()
-			return
-		}
-		st.Finished, st.Reason = true, rec.Reason
-	case KindControl:
-		// Failover epoch: adopt the highest seen. Not an orphan — control
-		// records carry no session id by design.
-		if rec.Epoch > l.epoch {
-			l.epoch = rec.Epoch
-		}
-	default:
-		mOrphanRecords.Inc()
-	}
 }

@@ -63,10 +63,10 @@ func TestApplyEntriesIdempotent(t *testing.T) {
 	defer l.Close()
 
 	batch := []Entry{
-		{LSN: 1, Kind: KindCreate, ID: "s1", Algo: "ea", Eps: 0.1, Seed: 7, IK: "k1"},
-		{LSN: 2, Kind: KindAnswer, ID: "s1", Round: 1, Prefer: true},
-		{LSN: 3, Kind: KindAnswer, ID: "s1", Round: 2, Prefer: false},
-		{LSN: 4, Kind: KindControl, Epoch: 3},
+		{LSN: 1, Record: Record{Kind: KindCreate, ID: "s1", Algo: "ea", Eps: 0.1, Seed: 7, IK: "k1"}},
+		{LSN: 2, Record: Record{Kind: KindAnswer, ID: "s1", Round: 1, Prefer: true}},
+		{LSN: 3, Record: Record{Kind: KindAnswer, ID: "s1", Round: 2, Prefer: false}},
+		{LSN: 4, Record: Record{Kind: KindControl, Epoch: 3}},
 	}
 	applied, err := l.ApplyEntries(batch)
 	if err != nil {
@@ -100,13 +100,13 @@ func TestApplyEntriesGap(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	if _, err := l.ApplyEntries([]Entry{{LSN: 1, Kind: KindCreate, ID: "s1"}}); err != nil {
+	if _, err := l.ApplyEntries([]Entry{{LSN: 1, Record: Record{Kind: KindCreate, ID: "s1"}}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.ApplyEntries([]Entry{{LSN: 2, Kind: KindAnswer, ID: "s1", Round: 5, Prefer: true}}); err == nil {
+	if _, err := l.ApplyEntries([]Entry{{LSN: 2, Record: Record{Kind: KindAnswer, ID: "s1", Round: 5, Prefer: true}}}); err == nil {
 		t.Fatal("answer gap applied without error")
 	}
-	if _, err := l.ApplyEntries([]Entry{{LSN: 3, Kind: KindAnswer, ID: "nope", Round: 1}}); err == nil {
+	if _, err := l.ApplyEntries([]Entry{{LSN: 3, Record: Record{Kind: KindAnswer, ID: "nope", Round: 1}}}); err == nil {
 		t.Fatal("orphan answer applied without error")
 	}
 }
@@ -219,7 +219,7 @@ func TestFenceRejectsAppends(t *testing.T) {
 	if !errors.Is(err, ErrStaleEpoch) {
 		t.Fatalf("append on fenced log: %v, want ErrStaleEpoch", err)
 	}
-	if _, err := l.ApplyEntries([]Entry{{LSN: 9, Kind: KindCreate, ID: "s2"}}); !errors.Is(err, ErrStaleEpoch) {
+	if _, err := l.ApplyEntries([]Entry{{LSN: 9, Record: Record{Kind: KindCreate, ID: "s2"}}}); !errors.Is(err, ErrStaleEpoch) {
 		t.Fatalf("replica apply on fenced log: %v, want ErrStaleEpoch", err)
 	}
 	// Adopting an epoch below the fence stays rejected; at the fence, clears.

@@ -23,19 +23,33 @@
 // torn-write truncation), so chaos tests can kill and recover a server
 // under injected disk failure.
 //
+// Every path that changes the in-memory session mirror — the primary's
+// appends, replay at recovery and after RepairSegment, and a follower's
+// ApplyEntries/ApplySnapshot — runs a record through one transition rule
+// (check) and folds what it admits with one function (fold). The rule calls
+// a record a duplicate when the mirror already reflects it (a create for a
+// known id, an answer at or below the applied round, a second tombstone, an
+// epoch at or below the current one) and an error when it cannot apply (an
+// answer or tombstone for an unknown id, an answer past the next round, an
+// unknown kind). Duplicates are skipped everywhere; the callers differ only
+// in what an error means. The primary rejects the append and returns it,
+// recovery counts the record in wal.orphan_records and keeps scanning (the
+// mirror stays a valid prefix across a hole), and a follower aborts the
+// batch so the sender falls back to a snapshot.
+//
 // Replication (internal/repl) builds on three additions. Every append is
 // assigned an in-memory log sequence number and handed to the Tail sink as
-// an Entry, so a primary can tail its own journal without re-reading
-// segment files; ReplSnapshot returns the full session mirror
-// plus the position it is consistent with, the catch-up path for a
-// follower that is too far behind the tail. A follower folds shipped
-// state in with ApplyEntries/ApplySnapshot, which are idempotent (creates
-// for known ids and answers at already-applied rounds are skipped), so
-// at-least-once shipping yields exactly-once state. Finally, a fourth
-// record kind — control {epoch} — persists the failover epoch: SetEpoch
-// journals a bump at promotion, and Fence rejects every later append with
-// ErrStaleEpoch once the node learns a higher epoch exists, which is what
-// keeps a deposed primary from committing writes nobody will replicate.
+// an Entry — the Record plus its position — so a primary can tail its own
+// journal without re-reading segment files; ReplSnapshot returns the full
+// session mirror plus the position it is consistent with, the catch-up path
+// for a follower that is too far behind the tail. A follower folds shipped
+// state in with ApplyEntries/ApplySnapshot; because the rule skips
+// duplicates, at-least-once shipping yields exactly-once state. Finally, a
+// fourth record kind — control {epoch} — persists the failover epoch:
+// SetEpoch journals a bump at promotion, and Fence rejects every later
+// append with ErrStaleEpoch once the node learns a higher epoch exists,
+// which is what keeps a deposed primary from committing writes nobody will
+// replicate.
 package wal
 
 import (
@@ -75,8 +89,9 @@ const (
 	ReasonExpired  = "expired"
 )
 
-// record is the JSON payload inside one frame.
-type record struct {
+// Record is the JSON payload inside one frame. Its tags are the on-disk
+// format; never rename them.
+type Record struct {
 	Kind   Kind    `json:"k"`
 	ID     string  `json:"id"`
 	Algo   string  `json:"algo,omitempty"`
@@ -211,21 +226,12 @@ var ErrStaleEpoch = errors.New("wal: stale epoch (node deposed)")
 
 // Entry is one journal append in replication form: the record plus the
 // in-memory position it was assigned. Positions order the tail stream and
-// size the replication lag; they are not persisted on disk.
+// size the replication lag; they are not persisted on disk. On the wire the
+// record's members sit beside "lsn" and "b" in one JSON object.
 type Entry struct {
-	LSN    int64   `json:"lsn"`
-	Bytes  int64   `json:"b"` // cumulative appended frame bytes at this entry
-	Kind   Kind    `json:"k"`
-	ID     string  `json:"id,omitempty"`
-	Algo   string  `json:"algo,omitempty"`
-	Eps    float64 `json:"eps,omitempty"`
-	Seed   int64   `json:"seed,omitempty"`
-	FP     uint64  `json:"fp,omitempty"`
-	Round  int     `json:"n,omitempty"`
-	Prefer bool    `json:"a,omitempty"`
-	Reason string  `json:"why,omitempty"`
-	IK     string  `json:"ik,omitempty"`
-	Epoch  uint64  `json:"ep,omitempty"`
+	LSN   int64 `json:"lsn"`
+	Bytes int64 `json:"b"` // cumulative appended frame bytes at this entry
+	Record
 }
 
 // Position is a replication stream offset: how many records the log has
@@ -334,14 +340,11 @@ func (l *Log) Close() error {
 func (l *Log) AppendCreateCtx(ctx context.Context, st SessionState) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if _, dup := l.sessions[st.ID]; dup {
+	rec := createRecord(&st)
+	if dup, _ := l.check(rec); dup {
 		return fmt.Errorf("wal: duplicate session id %q", st.ID)
 	}
-	err := l.append(ctx, record{Kind: KindCreate, ID: st.ID, Algo: st.Algo, Eps: st.Eps, Seed: st.Seed, FP: st.Fingerprint, IK: st.IdemKey})
-	if err == nil {
-		l.sessions[st.ID] = &SessionState{ID: st.ID, Algo: st.Algo, Eps: st.Eps, Seed: st.Seed, Fingerprint: st.Fingerprint, IdemKey: st.IdemKey}
-	}
-	return err
+	return l.appendLocked(ctx, rec, true)
 }
 
 // AppendAnswerCtx journals one committed answer for id. The round index is
@@ -351,54 +354,40 @@ func (l *Log) AppendCreateCtx(ctx context.Context, st SessionState) error {
 func (l *Log) AppendAnswerCtx(ctx context.Context, id string, prefer bool) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	st, ok := l.sessions[id]
-	if !ok {
-		return fmt.Errorf("wal: answer for unknown session %q", id)
+	rec := Record{Kind: KindAnswer, ID: id, Prefer: prefer}
+	if st, ok := l.sessions[id]; ok {
+		rec.Round = len(st.Answers) + 1
 	}
-	err := l.append(ctx, record{Kind: KindAnswer, ID: id, Round: len(st.Answers) + 1, Prefer: prefer})
-	if err == nil {
-		st.Answers = append(st.Answers, prefer)
+	if _, err := l.check(rec); err != nil {
+		return err
 	}
-	return err
-}
-
-// AppendFinishCtx journals a tombstone for id and, when enough dead
-// sessions have accumulated, compacts the log. Tracing is as for
-// AppendCreateCtx.
-func (l *Log) AppendFinishCtx(ctx context.Context, id, reason string) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	st, ok := l.sessions[id]
-	if !ok {
-		return fmt.Errorf("wal: finish for unknown session %q", id)
-	}
-	if st.Finished {
-		return nil
-	}
-	err := l.append(ctx, record{Kind: KindFinish, ID: id, Reason: reason})
-	if err == nil {
-		st.Finished, st.Reason = true, reason
-		l.dead++
-		if l.dead >= l.opts.CompactDeadSessions {
-			// Best-effort: compaction failure must not fail the session.
-			if cerr := l.compactLocked(); cerr != nil && l.sticky == nil {
-				l.sticky = cerr
-			}
-		}
-	}
-	return err
-}
-
-// append frames, writes and fsyncs one record into the active segment,
-// rotating first when the segment is full. Callers hold l.mu. The whole
-// commit is timed as a "wal.append" span when ctx carries an active trace.
-func (l *Log) append(ctx context.Context, rec record) error {
 	return l.appendLocked(ctx, rec, true)
 }
 
-// appendLocked is append with the fsync made optional, so batched replica
-// application can commit many records under one fsync. Callers hold l.mu.
-func (l *Log) appendLocked(ctx context.Context, rec record, sync bool) error {
+// AppendFinishCtx journals a tombstone for id and, when enough dead
+// sessions have accumulated, compacts the log. A second tombstone is a
+// no-op. Tracing is as for AppendCreateCtx.
+func (l *Log) AppendFinishCtx(ctx context.Context, id, reason string) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	rec := Record{Kind: KindFinish, ID: id, Reason: reason}
+	if dup, err := l.check(rec); dup || err != nil {
+		return err
+	}
+	if err := l.appendLocked(ctx, rec, true); err != nil {
+		return err
+	}
+	l.maybeCompactLocked()
+	return nil
+}
+
+// appendLocked frames and writes one admitted record into the active
+// segment, rotating first when the segment is full, then folds it into the
+// mirror, hands it to the tail sink and, when sync is set, fsyncs. Batched
+// replica application passes sync=false and commits many records under one
+// fsync. Callers hold l.mu. The whole commit is timed as a "wal.append"
+// span when ctx carries an active trace.
+func (l *Log) appendLocked(ctx context.Context, rec Record, sync bool) error {
 	sp := trace.StartLeaf(ctx, "wal.append")
 	if sp != nil {
 		sp.SetInt("kind", int64(rec.Kind))
@@ -442,30 +431,98 @@ func (l *Log) appendLocked(ctx context.Context, rec record, sync bool) error {
 	mAppends.Inc()
 	l.lsn++
 	l.cumBytes += int64(len(frame))
-	l.publishLocked(rec)
-	if !sync {
-		return nil
+	l.fold(rec)
+	if l.tail != nil {
+		// The sink runs under l.mu, so it sees entries in commit order.
+		l.tail.fn(Entry{LSN: l.lsn, Bytes: l.cumBytes, Record: rec})
 	}
-	if err := l.syncActive(ctx); err != nil {
-		// The record reached the OS but not necessarily the platter. Keep
-		// serving (the in-memory session is fine) but surface the hazard.
-		return nil
+	if sync {
+		// A failed fsync leaves the record in the OS but not necessarily on
+		// the platter. Keep serving (the in-memory session is fine); the
+		// failure is sticky and surfaces on /healthz.
+		l.syncActive(ctx)
 	}
 	return nil
 }
 
-// publishLocked hands the freshly appended record to the tail sink, if one
-// is installed. Callers hold l.mu, so the sink sees entries in commit order.
-func (l *Log) publishLocked(rec record) {
-	if l.tail == nil {
-		return
+// check is the journal's transition rule: it tests rec against the session
+// mirror. dup reports a record the mirror already reflects — a create for a
+// known id, an answer at or below the applied round, a second tombstone, an
+// epoch at or below the current one. A non-nil error reports a record that
+// cannot apply — an answer or tombstone for an unknown id, an answer past
+// the next round, an unknown kind. Callers hold l.mu.
+func (l *Log) check(rec Record) (dup bool, err error) {
+	switch rec.Kind {
+	case KindCreate:
+		_, dup = l.sessions[rec.ID]
+		return dup, nil
+	case KindControl:
+		return rec.Epoch <= l.epoch, nil
+	case KindAnswer, KindFinish:
+	default:
+		return false, fmt.Errorf("wal: record of unknown kind %d", rec.Kind)
 	}
-	l.tail.fn(Entry{
-		LSN: l.lsn, Bytes: l.cumBytes, Kind: rec.Kind, ID: rec.ID,
-		Algo: rec.Algo, Eps: rec.Eps, Seed: rec.Seed, FP: rec.FP,
-		Round: rec.Round, Prefer: rec.Prefer, Reason: rec.Reason,
-		IK: rec.IK, Epoch: rec.Epoch,
-	})
+	st, ok := l.sessions[rec.ID]
+	switch {
+	case !ok:
+		return false, fmt.Errorf("wal: record kind %d for unknown session %q", rec.Kind, rec.ID)
+	case rec.Kind == KindFinish:
+		return st.Finished, nil
+	case rec.Round > len(st.Answers)+1:
+		return false, fmt.Errorf("wal: answer gap for %q: round %d after %d applied", rec.ID, rec.Round, len(st.Answers))
+	}
+	return rec.Round <= len(st.Answers), nil
+}
+
+// fold applies a record check admitted (neither a duplicate nor an error)
+// to the session mirror, counting tombstones toward compaction and adopting
+// a raised epoch. Callers hold l.mu.
+func (l *Log) fold(rec Record) {
+	switch rec.Kind {
+	case KindCreate:
+		l.sessions[rec.ID] = &SessionState{ID: rec.ID, Algo: rec.Algo, Eps: rec.Eps, Seed: rec.Seed, Fingerprint: rec.FP, IdemKey: rec.IK}
+	case KindAnswer:
+		st := l.sessions[rec.ID]
+		st.Answers = append(st.Answers, rec.Prefer)
+	case KindFinish:
+		st := l.sessions[rec.ID]
+		st.Finished, st.Reason = true, rec.Reason
+		l.dead++
+	case KindControl:
+		l.epoch = rec.Epoch
+	}
+}
+
+// replay folds one record read back from disk, at recovery or from a
+// repaired segment. A duplicate — left by a compaction that crashed between
+// rename and cleanup, or already applied before a quarantine — is skipped;
+// a record the rule rejects is counted in wal.orphan_records and skipped, so
+// the mirror stays a valid prefix across a hole. Callers hold l.mu or own l.
+func (l *Log) replay(rec Record) {
+	if dup, err := l.check(rec); err != nil {
+		mOrphanRecords.Inc()
+	} else if !dup {
+		l.fold(rec)
+	}
+}
+
+// createRecord renders st's create record.
+func createRecord(st *SessionState) Record {
+	return Record{Kind: KindCreate, ID: st.ID, Algo: st.Algo, Eps: st.Eps, Seed: st.Seed, FP: st.Fingerprint, IK: st.IdemKey}
+}
+
+// stateRecords renders st as the records that rebuild it: its create, its
+// answers in round order and, when finished, its tombstone.
+func stateRecords(st *SessionState) []Record {
+	recs := make([]Record, 0, len(st.Answers)+2)
+	recs = append(recs, createRecord(st))
+	for i, a := range st.Answers {
+		recs = append(recs, Record{Kind: KindAnswer, ID: st.ID, Round: i + 1, Prefer: a})
+	}
+	if st.Finished {
+		recs = append(recs, Record{Kind: KindFinish, ID: st.ID, Reason: st.Reason})
+	}
+	return recs
 }
 
 // Tail installs sink as the log's replication tail: from now on every
@@ -527,18 +584,15 @@ func (l *Log) Epoch() uint64 {
 func (l *Log) SetEpoch(e uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if e <= l.epoch {
+	rec := Record{Kind: KindControl, Epoch: e}
+	if dup, _ := l.check(rec); dup {
 		return nil
 	}
 	if l.fencedBy > e {
 		return fmt.Errorf("%w: cannot adopt epoch %d below fence %d", ErrStaleEpoch, e, l.fencedBy)
 	}
 	l.fencedBy = 0 // adopting e supersedes any fence at or below it
-	if err := l.append(context.Background(), record{Kind: KindControl, Epoch: e}); err != nil {
-		return err
-	}
-	l.epoch = e
-	return nil
+	return l.appendLocked(context.Background(), rec, true)
 }
 
 // Fence rejects every subsequent append with ErrStaleEpoch: the node
@@ -609,7 +663,7 @@ func (l *Log) syncActive(ctx context.Context) error {
 }
 
 // encodeFrame renders len+crc+payload.
-func encodeFrame(rec record) ([]byte, error) {
+func encodeFrame(rec Record) ([]byte, error) {
 	payload, err := json.Marshal(rec)
 	if err != nil {
 		return nil, fmt.Errorf("wal: encode record: %w", err)
@@ -668,142 +722,66 @@ func ReadFrame(r io.Reader, max int) ([]byte, error) {
 	return payload, nil
 }
 
-// ApplyEntries folds shipped journal entries into this (follower) log:
-// each entry is deduplicated against the session mirror, appended to the
-// local journal, and the whole batch is committed under a single fsync.
-// Application is idempotent — creates for known ids, answers at rounds
-// already applied and repeated tombstones are skipped — so an at-least-once
-// shipping protocol still yields exactly-once state. A gap (an answer
-// beyond the next expected round, or an answer/finish for an unknown id)
-// aborts the batch with an error: the sender must resynchronize from a
-// snapshot. Returns how many entries were actually applied.
+// ApplyEntries folds shipped journal entries into this (follower) log
+// through the transition rule: duplicates — creates for known ids, answers
+// at rounds already applied, repeated tombstones, epochs already adopted —
+// are skipped, so an at-least-once shipping protocol still yields
+// exactly-once state. Admitted entries are appended to the local journal and
+// the whole batch is committed under a single fsync. An entry the rule
+// rejects (an answer beyond the next expected round, an answer/finish for an
+// unknown id) aborts the batch with an error: the sender must resynchronize
+// from a snapshot. Returns how many entries were actually applied.
 func (l *Log) ApplyEntries(entries []Entry) (applied int, err error) {
+	recs := make([]Record, len(entries))
+	for i := range entries {
+		recs[i] = entries[i].Record
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	return l.applyLocked(recs)
+}
+
+// ApplySnapshot merges a full session-state snapshot into this (follower)
+// log: each state's create, answers and tombstone go through the same path
+// as ApplyEntries, where the duplicate check drops what is already applied,
+// so only the deltas are journaled — unknown sessions whole, known ones
+// their missing answer suffix and tombstone. A sender may push a snapshot at
+// every reconnect without bloating the follower's journal. Returns how many
+// records were appended.
+func (l *Log) ApplySnapshot(states []SessionState) (applied int, err error) {
+	var recs []Record
+	for i := range states {
+		recs = append(recs, stateRecords(&states[i])...)
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.applyLocked(recs)
+}
+
+// applyLocked is the follower's side of the transition rule: it appends
+// each admitted record without an fsync, skips duplicates, stops at the
+// first record the rule rejects or the disk refuses, then commits whatever
+// was appended under one fsync. Callers hold l.mu.
+func (l *Log) applyLocked(recs []Record) (applied int, err error) {
 	ctx := context.Background()
-	for _, e := range entries {
-		ok, aerr := l.applyEntryLocked(ctx, e)
-		if aerr != nil {
-			err = aerr
+	for _, rec := range recs {
+		var dup bool
+		if dup, err = l.check(rec); err != nil {
 			break
 		}
-		if ok {
-			applied++
+		if dup {
+			continue
 		}
+		if err = l.appendLocked(ctx, rec, false); err != nil {
+			break
+		}
+		applied++
 	}
 	if applied > 0 {
 		l.syncActive(ctx) // failure is sticky and surfaces on /healthz
 		l.maybeCompactLocked()
 	}
 	return applied, err
-}
-
-// applyEntryLocked applies one shipped entry, reporting whether it changed
-// state. Callers hold l.mu.
-func (l *Log) applyEntryLocked(ctx context.Context, e Entry) (bool, error) {
-	rec := record{
-		Kind: e.Kind, ID: e.ID, Algo: e.Algo, Eps: e.Eps, Seed: e.Seed,
-		FP: e.FP, Round: e.Round, Prefer: e.Prefer, Reason: e.Reason,
-		IK: e.IK, Epoch: e.Epoch,
-	}
-	switch e.Kind {
-	case KindCreate:
-		if _, dup := l.sessions[e.ID]; dup {
-			return false, nil
-		}
-		if err := l.appendLocked(ctx, rec, false); err != nil {
-			return false, err
-		}
-		l.sessions[e.ID] = &SessionState{ID: e.ID, Algo: e.Algo, Eps: e.Eps, Seed: e.Seed, Fingerprint: e.FP, IdemKey: e.IK}
-		return true, nil
-	case KindAnswer:
-		st, ok := l.sessions[e.ID]
-		if !ok {
-			return false, fmt.Errorf("wal: replica answer for unknown session %q", e.ID)
-		}
-		if e.Round <= len(st.Answers) {
-			return false, nil // duplicate: already applied
-		}
-		if e.Round != len(st.Answers)+1 {
-			return false, fmt.Errorf("wal: replica answer gap for %q: round %d after %d applied", e.ID, e.Round, len(st.Answers))
-		}
-		if err := l.appendLocked(ctx, rec, false); err != nil {
-			return false, err
-		}
-		st.Answers = append(st.Answers, e.Prefer)
-		return true, nil
-	case KindFinish:
-		st, ok := l.sessions[e.ID]
-		if !ok {
-			return false, fmt.Errorf("wal: replica finish for unknown session %q", e.ID)
-		}
-		if st.Finished {
-			return false, nil
-		}
-		if err := l.appendLocked(ctx, rec, false); err != nil {
-			return false, err
-		}
-		st.Finished, st.Reason = true, e.Reason
-		l.dead++
-		return true, nil
-	case KindControl:
-		if e.Epoch <= l.epoch {
-			return false, nil
-		}
-		if err := l.appendLocked(ctx, rec, false); err != nil {
-			return false, err
-		}
-		l.epoch = e.Epoch
-		return true, nil
-	default:
-		return false, fmt.Errorf("wal: replica entry with unknown kind %d", e.Kind)
-	}
-}
-
-// ApplySnapshot merges a full session-state snapshot into this (follower)
-// log, journaling only the deltas: unknown sessions are created whole,
-// known ones have their missing answer suffix and tombstone appended. Like
-// ApplyEntries the merge is idempotent and commits under one fsync, so a
-// sender may push a snapshot at every reconnect without bloating the
-// follower's journal. Returns how many records were appended.
-func (l *Log) ApplySnapshot(states []SessionState) (applied int, err error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	ctx := context.Background()
-	for _, st := range states {
-		cur := l.sessions[st.ID]
-		if cur == nil {
-			rec := record{Kind: KindCreate, ID: st.ID, Algo: st.Algo, Eps: st.Eps, Seed: st.Seed, FP: st.Fingerprint, IK: st.IdemKey}
-			if err := l.appendLocked(ctx, rec, false); err != nil {
-				return applied, err
-			}
-			cur = &SessionState{ID: st.ID, Algo: st.Algo, Eps: st.Eps, Seed: st.Seed, Fingerprint: st.Fingerprint, IdemKey: st.IdemKey}
-			l.sessions[st.ID] = cur
-			applied++
-		}
-		for i := len(cur.Answers); i < len(st.Answers); i++ {
-			rec := record{Kind: KindAnswer, ID: st.ID, Round: i + 1, Prefer: st.Answers[i]}
-			if err := l.appendLocked(ctx, rec, false); err != nil {
-				return applied, err
-			}
-			cur.Answers = append(cur.Answers, st.Answers[i])
-			applied++
-		}
-		if st.Finished && !cur.Finished {
-			rec := record{Kind: KindFinish, ID: st.ID, Reason: st.Reason}
-			if err := l.appendLocked(ctx, rec, false); err != nil {
-				return applied, err
-			}
-			cur.Finished, cur.Reason = true, st.Reason
-			l.dead++
-			applied++
-		}
-	}
-	if applied > 0 {
-		l.syncActive(ctx)
-		l.maybeCompactLocked()
-	}
-	return applied, nil
 }
 
 // maybeCompactLocked runs a best-effort compaction once enough tombstoned
@@ -895,39 +873,29 @@ func (l *Log) compactLocked() error {
 		}
 	}
 	sort.Strings(ids)
+	var recs []Record
 	if l.epoch > 0 {
 		// The epoch must survive compaction: a deposed primary that compacts
 		// away its control record and restarts would come back believing an
 		// older epoch and re-enter split brain. Write it first so recovery
 		// adopts it before any session state.
-		frame, err := encodeFrame(record{Kind: KindControl, Epoch: l.epoch})
+		recs = append(recs, Record{Kind: KindControl, Epoch: l.epoch})
+	}
+	for _, id := range ids {
+		recs = append(recs, stateRecords(l.sessions[id])...)
+	}
+	var buf []byte
+	for _, rec := range recs {
+		frame, err := encodeFrame(rec)
 		if err != nil {
 			tmp.Close()
 			return err
 		}
-		if _, err := tmp.Write(frame); err != nil {
-			tmp.Close()
-			return fmt.Errorf("wal: compact write: %w", err)
-		}
+		buf = append(buf, frame...)
 	}
-	for _, id := range ids {
-		st := l.sessions[id]
-		frames := make([]record, 0, len(st.Answers)+1)
-		frames = append(frames, record{Kind: KindCreate, ID: id, Algo: st.Algo, Eps: st.Eps, Seed: st.Seed, FP: st.Fingerprint, IK: st.IdemKey})
-		for i, a := range st.Answers {
-			frames = append(frames, record{Kind: KindAnswer, ID: id, Round: i + 1, Prefer: a})
-		}
-		for _, rec := range frames {
-			frame, err := encodeFrame(rec)
-			if err != nil {
-				tmp.Close()
-				return err
-			}
-			if _, err := tmp.Write(frame); err != nil {
-				tmp.Close()
-				return fmt.Errorf("wal: compact write: %w", err)
-			}
-		}
+	if _, err := tmp.Write(buf); err != nil {
+		tmp.Close()
+		return fmt.Errorf("wal: compact write: %w", err)
 	}
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()

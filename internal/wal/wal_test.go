@@ -221,3 +221,57 @@ func dirSize(t *testing.T, dir string) int64 {
 	}
 	return total
 }
+
+// A second tombstone with a different reason changes nothing on any path:
+// the primary's append is a no-op, and both replay at recovery and a
+// follower's ApplyEntries keep the first reason.
+func TestSecondFinishKeepsFirstReason(t *testing.T) {
+	ctx := context.Background()
+	l, _, err := Open(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	mustCreate(t, l, "s1", 1)
+	if err := l.AppendFinishCtx(ctx, "s1", ReasonExpired); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.AppendFinishCtx(ctx, "s1", ReasonAborted); err != nil {
+		t.Fatal(err)
+	}
+	states, _, _ := l.ReplSnapshot()
+	if len(states) != 1 || states[0].Reason != ReasonExpired {
+		t.Fatalf("primary after a second finish: %+v, want reason %q", states, ReasonExpired)
+	}
+
+	finish := func(reason string) Entry {
+		var e Entry
+		e.Kind, e.ID, e.Reason = KindFinish, "s1", reason
+		return e
+	}
+	var create Entry
+	create.Kind, create.ID = KindCreate, "s1"
+	batch := []Entry{create, finish(ReasonExpired), finish(ReasonAborted)}
+	f, _, err := Open(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if n, err := f.ApplyEntries(batch); err != nil || n != 2 {
+		t.Fatalf("follower applied %d entries (err %v), want the create and the first finish", n, err)
+	}
+	if states, _, _ := f.ReplSnapshot(); len(states) != 1 || states[0].Reason != ReasonExpired {
+		t.Fatalf("follower after a second finish: %+v, want reason %q", states, ReasonExpired)
+	}
+
+	dir := t.TempDir()
+	writeSegment(t, dir, 1, `{"k":1,"id":"s1"}`, `{"k":3,"id":"s1","why":"expired"}`, `{"k":3,"id":"s1","why":"aborted"}`)
+	r, states, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if len(states) != 1 || states[0].Reason != ReasonExpired {
+		t.Fatalf("recovery of a second finish: %+v, want reason %q", states, ReasonExpired)
+	}
+}
