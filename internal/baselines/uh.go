@@ -22,9 +22,8 @@ import (
 
 // UHConfig tunes the UH family.
 type UHConfig struct {
-	MaxRounds  int // safety cap (default 1000)
-	NumSamples int // utility vectors sampled per round to refresh candidates (default 64)
-	PairPool   int // cap on candidate pairs evaluated per round (default 200)
+	MaxRounds int // safety cap (default 1000)
+	PairPool  int // cap on candidate pairs evaluated per round (default 200)
 
 	// HullFilter restricts UH-Simplex's candidates to convex-hull extreme
 	// points (the published description) once the candidate set is small
@@ -36,9 +35,6 @@ type UHConfig struct {
 func (c UHConfig) defaults() UHConfig {
 	if c.MaxRounds == 0 {
 		c.MaxRounds = 1000
-	}
-	if c.NumSamples == 0 {
-		c.NumSamples = 64
 	}
 	if c.PairPool == 0 {
 		c.PairPool = 200
