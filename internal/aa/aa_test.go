@@ -192,7 +192,7 @@ func TestActionDirectionDiversity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	acts := a.selectActions(context.Background(), geom.NewIncremental(poly), ball)
+	acts := a.selectActions(context.Background(), geom.NewIncremental(4), ball)
 	if len(acts) < 2 {
 		t.Skipf("only %d actions available", len(acts))
 	}

@@ -83,15 +83,14 @@ func TestEngineMatchesScratchFixedSeeds(t *testing.T) {
 // runWitness executes one seeded AA session like runSeeded, with
 // geom.inc.witness failing every outer-rectangle pass when reference is set,
 // so each rectangle objective is re-solved instead of served from its
-// witness; the test fails if that fault never fired. A noisy session is
-// resilient and draws its flips from its own seeded stream.
+// witness; the test fails if that fault never fired. A noisy session draws
+// its flips from its own seeded stream.
 func runWitness(t *testing.T, reference bool, dataSeed, rngSeed int64, u []float64, noisy bool) core.Result {
 	t.Helper()
 	ds := testData(t, 300, len(u), dataSeed)
 	cfg := smallCfg()
 	var user core.User = core.SimulatedUser{Utility: u}
 	if noisy {
-		cfg.Resilient = true
 		user = core.NoisyUser{Utility: u, FlipProb: 0.3, Rng: rand.New(rand.NewSource(rngSeed + 1))}
 	}
 	var plan *fault.Plan

@@ -33,12 +33,12 @@ type Round struct {
 	// non-empty range.
 	Center []float64
 
-	// Point is the dataset index a terminal view already certifies as the
-	// answer, or −1 when Env.Final derives it.
+	// Point is the dataset index a terminal view that is not Degraded names
+	// as the episode's answer; −1 on every other view.
 	Point int
 }
 
-// Env is an algorithm's side of the interaction loop: the three places where
+// Env is an algorithm's side of the interaction loop: the two places where
 // EA (§IV-B) and AA (§IV-C) differ. Everything else — choosing a question,
 // asking it, applying the answer as a halfspace, recording replay — is the
 // shared MDP episode of Loop.
@@ -48,9 +48,6 @@ type Env interface {
 	Round(ctx context.Context, geo *geom.Incremental, eps float64) (*Round, error)
 	// Prune runs after the answer to question number rounds was applied.
 	Prune(geo *geom.Incremental, rounds int)
-	// Final returns the answer of an episode that ended on the healthy view
-	// last whose Point is −1.
-	Final(geo *geom.Incremental, last *Round) int
 }
 
 // Loop is the interaction MDP of Algorithms 1–4, written once: it binds an
@@ -164,7 +161,7 @@ func (l Loop) Run(ctx context.Context, ds *dataset.Dataset, user User, eps float
 // only Result.Rounds is meaningful then.
 func (l Loop) episode(ctx context.Context, user User, eps float64, obs Observer, replay *rl.Replay, epsilon float64) (Result, error) {
 	training := replay != nil
-	geo := geom.NewIncremental(geom.NewPolytope(l.DS.Dim()))
+	geo := geom.NewIncremental(l.DS.Dim())
 	var lastCenter []float64
 	var qas []QA
 	rounds, recovered := 0, 0
@@ -213,7 +210,7 @@ func (l Loop) episode(ctx context.Context, user User, eps float64, obs Observer,
 		l.Env.Prune(geo, rounds)
 		qas = append(qas, QA{I: act.I, J: act.J, PreferredI: prefI})
 		if obs != nil {
-			obs.Round(rounds, geo.P.Halfspaces)
+			obs.Round(rounds, geo.Halfspaces())
 		}
 		next, err := l.round(rctx, geo, eps)
 		if rsp != nil {
@@ -243,13 +240,9 @@ func (l Loop) episode(ctx context.Context, user User, eps float64, obs Observer,
 	if !cur.Terminal && rounds >= l.MaxRounds {
 		return degrade(l.CapReason)
 	}
-	idx := cur.Point
-	if idx < 0 {
-		idx = l.Env.Final(geo, cur)
-	}
 	return Result{
-		PointIndex:      idx,
-		Point:           l.DS.Points[idx],
+		PointIndex:      cur.Point,
+		Point:           l.DS.Points[cur.Point],
 		Rounds:          rounds,
 		Trace:           qas,
 		PanicsRecovered: recovered,

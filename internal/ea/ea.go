@@ -22,16 +22,15 @@ import (
 // Config collects EA's hyperparameters. Zero values select the paper's §V
 // settings via Defaults.
 type Config struct {
-	Me         int     // selected extreme utility vectors mₑ in the state
-	Mh         int     // action-space size m_h (paper: 5)
-	DEps       float64 // neighborhood radius d_ε of the greedy cover
-	NumSamples int     // sampled utility vectors for terminal-polyhedron construction (Lemma 5)
-	MaxRounds  int     // safety cap on interactive rounds
+	Me         int // selected extreme utility vectors mₑ in the state
+	Mh         int // action-space size m_h (paper: 5)
+	NumSamples int // sampled utility vectors for terminal-polyhedron construction (Lemma 5)
+	MaxRounds  int // safety cap on interactive rounds
 	RL         rl.Config
 
 	// Resilient enables the error-tolerant mode of the paper's future work
 	// (§VI): when contradictory answers empty the utility range, the least
-	// consistent halfspaces are dropped (geom.RepairFeasibility) and the
+	// consistent halfspaces are dropped (geom.Incremental.Repair) and the
 	// interaction continues instead of terminating with a fallback point.
 	Resilient bool
 
@@ -49,9 +48,6 @@ func (c Config) Defaults() Config {
 	if c.Mh == 0 {
 		c.Mh = 5
 	}
-	if c.DEps == 0 {
-		c.DEps = 0.1
-	}
 	if c.NumSamples == 0 {
 		c.NumSamples = 64
 	}
@@ -61,6 +57,10 @@ func (c Config) Defaults() Config {
 	c.RL = c.RL.Defaults()
 	return c
 }
+
+// dEps is the neighborhood radius d_ε of the greedy cover that picks the
+// state's extreme vectors.
+const dEps = 0.1
 
 // EA is the exact RL interactive algorithm, bound to the dataset and regret
 // threshold it was trained for.
@@ -137,18 +137,16 @@ func (e *EA) loop() core.Loop {
 // list (bit-identical to scratch enumeration) and rebuilds from scratch
 // whenever it cannot vouch for it.
 func (e *EA) Round(ctx context.Context, geo *geom.Incremental, eps float64) (*core.Round, error) {
-	poly := geo.P
 	r := &core.Round{Point: -1}
 	verts, err := geo.VerticesCtx(ctx)
 	if err != nil {
 		return nil, fmt.Errorf("ea: %w", err)
 	}
-	if len(verts) == 0 && e.cfg.Resilient && len(poly.Halfspaces) > 0 {
+	if len(verts) == 0 && e.cfg.Resilient && len(geo.Halfspaces()) > 0 {
 		// Contradictory answers emptied R: drop the least consistent
-		// constraints and continue (§VI future work). The repair mutates the
-		// polytope directly; the engine notices via the mutation generation
-		// and resynchronizes on the re-read.
-		poly.RepairFeasibility(0)
+		// constraints and continue (§VI future work). The repair resets the
+		// engine's state, so the re-read enumerates the repaired range.
+		geo.Repair()
 		if verts, err = geo.VerticesCtx(ctx); err != nil {
 			return nil, fmt.Errorf("ea: %w", err)
 		}
@@ -159,7 +157,7 @@ func (e *EA) Round(ctx context.Context, geo *geom.Incremental, eps float64) (*co
 		r.Terminal = true
 		r.Degraded = true
 		r.Reason = "utility range empty (contradictory answers)"
-		r.State = e.encodeState(nil, geom.Ball{Center: make([]float64, poly.Dim)})
+		r.State = e.encodeState(nil, geom.Ball{Center: make([]float64, geo.Dim())})
 		return r, nil
 	}
 	vtops := e.ds.TopPoints(verts, nil)
@@ -181,7 +179,7 @@ func (e *EA) Round(ctx context.Context, geo *geom.Incremental, eps float64) (*co
 	for _, t := range vtops {
 		tops[t] = true
 	}
-	if samples, err := poly.SampleCtx(ctx, e.rng, e.cfg.NumSamples, geom.SampleOptions{}); err == nil {
+	if samples, err := geo.SampleCtx(ctx, e.rng, e.cfg.NumSamples); err == nil {
 		for _, t := range e.ds.TopPoints(samples, nil) {
 			tops[t] = true
 		}
@@ -214,16 +212,6 @@ func (e *EA) Round(ctx context.Context, geo *geom.Incremental, eps float64) (*co
 // Prune implements core.Env: EA keeps R's halfspace set irredundant after
 // every answer.
 func (e *EA) Prune(geo *geom.Incremental, rounds int) { geo.Reduce() }
-
-// Final implements core.Env for a view that certified no point: the top
-// point w.r.t. the inner-ball center of R (or the simplex centroid).
-func (e *EA) Final(geo *geom.Incremental, last *core.Round) int {
-	center := geom.SimplexCentroid(geo.P.Dim)
-	if ball, err := geo.P.InnerBallCtx(context.Background()); err == nil {
-		center = ball.Center
-	}
-	return e.ds.TopPoint(center)
-}
 
 // bestRep picks the representative with the smallest worst-case regret over
 // the vertex set.
@@ -290,7 +278,7 @@ func (e *EA) encodeState(verts [][]float64, ball geom.Ball) []float64 {
 				chosen = chosen[:e.cfg.Me]
 			}
 		} else {
-			chosen = geom.GreedyCover(verts, e.cfg.Me, e.cfg.DEps)
+			chosen = geom.GreedyCover(verts, e.cfg.Me, dEps)
 		}
 		for k, vi := range chosen {
 			copy(state[k*d:], verts[vi])

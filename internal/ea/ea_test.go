@@ -27,7 +27,7 @@ func smallCfg() Config {
 
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.Defaults()
-	if c.Me != 5 || c.Mh != 5 || c.DEps != 0.1 || c.NumSamples != 64 || c.MaxRounds != 200 {
+	if c.Me != 5 || c.Mh != 5 || c.NumSamples != 64 || c.MaxRounds != 200 {
 		t.Errorf("defaults = %+v", c)
 	}
 	if c.RL.Hidden != 64 {

@@ -32,7 +32,6 @@ func BenchmarkVertices4D(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.vertsDirty = true
 		if _, err := p.VerticesCtx(context.Background()); err != nil {
 			b.Fatal(err)
 		}
@@ -126,8 +125,7 @@ func BenchmarkIncrementalClip4D(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		p := NewPolytope(d)
-		g := NewIncremental(p)
+		g := NewIncremental(d)
 		for _, h := range cuts[:10] {
 			g.AddCtx(context.Background(), h)
 		}
@@ -142,15 +140,13 @@ func BenchmarkIncrementalClip4D(b *testing.B) {
 	}
 }
 
-// BenchmarkVertices5D stresses the parallel first-index partition with a
-// larger enumeration pool (the paper's practical ceiling for exact
-// polyhedra).
+// BenchmarkVertices5D runs the scratch enumeration on a larger pool: 14 cuts
+// at d=5, the paper's practical ceiling for exact polyhedra.
 func BenchmarkVertices5D(b *testing.B) {
 	p := benchPolytope(5, 14, 8)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.vertsDirty = true
 		if _, err := p.VerticesCtx(context.Background()); err != nil {
 			b.Fatal(err)
 		}

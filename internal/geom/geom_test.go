@@ -87,18 +87,22 @@ func TestVerticesAfterCut(t *testing.T) {
 	}
 }
 
+// The handle serves its maintained vertex list until R changes; an Add
+// replaces the list (here by clipping) instead of serving the stale one.
 func TestVerticesCache(t *testing.T) {
-	p := NewPolytope(3)
-	v1, _ := p.VerticesCtx(context.Background())
-	v2, _ := p.VerticesCtx(context.Background())
+	ctx := context.Background()
+	g := NewIncremental(3)
+	v1, _ := g.VerticesCtx(ctx)
+	v2, _ := g.VerticesCtx(ctx)
 	if &v1[0][0] != &v2[0][0] {
-		t.Error("second call should return the cached set")
+		t.Error("second read should return the maintained list")
 	}
+	g.AddCtx(ctx, Halfspace{Normal: []float64{1, -1, 0}})
+	v3, _ := g.VerticesCtx(ctx)
+	p := NewPolytope(3)
 	p.Add(Halfspace{Normal: []float64{1, -1, 0}})
-	v3, _ := p.VerticesCtx(context.Background())
-	if len(v3) == 0 {
-		t.Error("cache must be invalidated by Add")
-	}
+	want, _ := p.VerticesCtx(ctx)
+	sameVertices(t, "after Add", v3, want)
 }
 
 // Property: every enumerated vertex is feasible, and every vertex of the cut
@@ -475,7 +479,7 @@ func TestRepairFeasibility(t *testing.T) {
 	p.Add(Halfspace{Normal: []float64{1, -1, 0}})  // u1 ≥ u2
 	p.Add(Halfspace{Normal: []float64{-1, 1, 0}})  // u2 ≥ u1 (degenerate with above)
 	p.Add(Halfspace{Normal: []float64{-1, -1, 0}}) // u1+u2 ≤ 0: kills the interior
-	removed := p.RepairFeasibility(0)
+	removed := p.RepairFeasibility()
 	if removed == 0 {
 		t.Fatal("repair removed nothing from a contradictory set")
 	}
@@ -486,14 +490,7 @@ func TestRepairFeasibility(t *testing.T) {
 	// A healthy polytope is untouched.
 	q := NewPolytope(3)
 	q.Add(Halfspace{Normal: []float64{1, -1, 0}})
-	if got := q.RepairFeasibility(0); got != 0 {
+	if got := q.RepairFeasibility(); got != 0 {
 		t.Errorf("repair removed %d from a feasible polytope", got)
-	}
-	// maxDrops caps removals.
-	r := NewPolytope(2)
-	r.Add(Halfspace{Normal: []float64{-1, -1}})
-	r.Add(Halfspace{Normal: []float64{-2, -2}})
-	if got := r.RepairFeasibility(1); got > 1 {
-		t.Errorf("repair ignored maxDrops: removed %d", got)
 	}
 }

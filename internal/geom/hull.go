@@ -2,10 +2,8 @@ package geom
 
 import (
 	"context"
-	"math/rand"
 
 	"isrl/internal/lp"
-	"isrl/internal/vec"
 )
 
 // ExtremePoints returns the indices of the points that are vertices of the
@@ -61,29 +59,4 @@ func isExtreme(points [][]float64, i, d int) bool {
 	}
 	res := solveLP(context.Background(), prob)
 	return res.Status != lp.Optimal
-}
-
-// EstimateVolume returns the fraction of the utility space U covered by R,
-// estimated with n uniform simplex samples. This Monte-Carlo fraction is the
-// quantity behind the paper's Lemma 5: the number of samples landing in a
-// sub-polytope tracks its volume share. The error is O(1/√n).
-func (p *Polytope) EstimateVolume(rng *rand.Rand, n int) float64 {
-	if n <= 0 {
-		n = 1000
-	}
-	in := 0
-	for i := 0; i < n; i++ {
-		u := SampleSimplex(rng, p.Dim)
-		inside := true
-		for _, h := range p.Halfspaces {
-			if vec.Dot(h.Normal, u) < 0 {
-				inside = false
-				break
-			}
-		}
-		if inside {
-			in++
-		}
-	}
-	return float64(in) / float64(n)
 }

@@ -89,40 +89,3 @@ func dot(a, b []float64) float64 {
 	}
 	return s
 }
-
-func TestEstimateVolumeFullAndHalf(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	p := NewPolytope(3)
-	if v := p.EstimateVolume(rng, 2000); math.Abs(v-1) > 1e-9 {
-		t.Errorf("full simplex volume fraction = %v", v)
-	}
-	p.Add(Halfspace{Normal: []float64{1, -1, 0}}) // u1 ≥ u2: half by symmetry
-	v := p.EstimateVolume(rng, 4000)
-	if v < 0.45 || v > 0.55 {
-		t.Errorf("half-simplex volume fraction = %v, want ≈0.5", v)
-	}
-	// Empty region.
-	p.Add(Halfspace{Normal: []float64{-1, -1, -1}})
-	if v := p.EstimateVolume(rng, 500); v != 0 {
-		t.Errorf("impossible region volume = %v", v)
-	}
-}
-
-// Lemma-5 style check: a polytope with twice the volume receives about
-// twice the samples.
-func TestVolumeTracksSampleCounts(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	big := NewPolytope(3) // u1 ≥ u2 (half)
-	big.Add(Halfspace{Normal: []float64{1, -1, 0}})
-	small := NewPolytope(3) // u1 ≥ u2 and u1 ≥ u3 (third, by symmetry)
-	small.Add(Halfspace{Normal: []float64{1, -1, 0}})
-	small.Add(Halfspace{Normal: []float64{1, 0, -1}})
-	vb := big.EstimateVolume(rng, 6000)
-	vs := small.EstimateVolume(rng, 6000)
-	if vb <= vs {
-		t.Fatalf("bigger polytope got fewer samples: %v vs %v", vb, vs)
-	}
-	if ratio := vb / vs; ratio < 1.2 || ratio > 1.8 {
-		t.Errorf("volume ratio = %v, want ≈1.5", ratio)
-	}
-}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/rand"
 	"sort"
 
 	"isrl/internal/fault"
@@ -16,10 +17,10 @@ import (
 // mutates its polytope one halfspace per round, yet the scratch primitives
 // (vertex enumeration, the Chebyshev LP, the 2d outer-rectangle LPs, the
 // cuts-both-sides probes) recompute everything from the constraint list every
-// time. An Incremental handle wraps one Polytope and maintains cross-round
-// state instead:
+// time. An Incremental handle owns one session's Polytope and maintains
+// cross-round state instead:
 //
-//   - a VertexSet updated by clipping the current vertices against the new
+//   - a vertexSet updated by clipping the current vertices against the new
 //     halfspace — keep/cut classification, new vertices on crossing edges —
 //     instead of re-enumerating all (d−1)-subsets;
 //   - warm lp.Solvers for the inner-ball and base (feasibility/extrema)
@@ -30,11 +31,11 @@ import (
 // Cut probes keep no state: the caller's inner ball certifies most of them
 // in O(d), and the rest run on the warm base solver.
 //
-// Every maintained structure watches the polytope's mutation generation and
-// degrades to the scratch path on out-of-band changes, numeric doubt, or an
-// armed geom.inc.clip / geom.inc.witness fault — results stay exactly those
-// of the scratch primitives (bit-identical for vertices, tolerance-identical
-// for warm LP).
+// The handle is the polytope's only writer, so every mutation updates the
+// maintained structures or drops them (Repair); each one degrades to the
+// scratch path on numeric doubt or an armed geom.inc.clip / geom.inc.witness
+// fault — results stay exactly those of the scratch primitives (bit-identical
+// for vertices, tolerance-identical for warm LP).
 
 // incVertex is one maintained vertex with its active constraint set: indices
 // into the pool (unit normals first, then nonzero halfspace normals), sorted
@@ -44,7 +45,7 @@ type incVertex struct {
 	active []int
 }
 
-// VertexSet maintains the vertex list of a simple polytope across halfspace
+// vertexSet maintains the vertex list of a simple polytope across halfspace
 // additions and redundant-halfspace removals. It mirrors the constraint pool
 // of Polytope.VerticesCtx and reproduces its output bit for bit: kept vertices
 // keep the floats of their original d×d solves, and a new vertex is solved
@@ -52,7 +53,7 @@ type incVertex struct {
 // would build for its active set. Whenever the polytope is not simple —
 // some vertex lies on more or fewer than d−1 pool hyperplanes — clipping
 // refuses and the owner falls back to scratch enumeration.
-type VertexSet struct {
+type vertexSet struct {
 	d      int
 	pool   [][]float64 // d unit normals, then nonzero halfspace normals
 	norms  []float64   // ‖pool[i]‖, for classification tolerances
@@ -61,15 +62,12 @@ type VertexSet struct {
 	simple bool        // every vertex has exactly d−1 active constraints
 }
 
-// Len reports the number of maintained vertices.
-func (vs *VertexSet) Len() int { return len(vs.verts) }
-
-// rebuild refreshes vs from a scratch enumeration of p (served from p's
-// cache when clean) and recomputes every active set.
-func (vs *VertexSet) rebuild(ctx context.Context, p *Polytope) error {
+// rebuild refreshes vs from a scratch enumeration of p, recomputes every
+// active set and returns the enumerated list.
+func (vs *vertexSet) rebuild(ctx context.Context, p *Polytope) ([][]float64, error) {
 	verts, err := p.VerticesCtx(ctx)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	d := p.Dim
 	vs.d = d
@@ -106,7 +104,7 @@ func (vs *VertexSet) rebuild(ctx context.Context, p *Polytope) error {
 		}
 		vs.verts = append(vs.verts, incVertex{u: u, active: act})
 	}
-	return nil
+	return verts, nil
 }
 
 // clip folds one freshly added halfspace into the vertex set. p must already
@@ -115,7 +113,7 @@ func (vs *VertexSet) rebuild(ctx context.Context, p *Polytope) error {
 // hyperplane, a non-simple new vertex, a quantized-key collision, an emptied
 // or collapsed region — and the caller must rebuild; vs may then be left
 // partially updated.
-func (vs *VertexSet) clip(p *Polytope, h Halfspace) bool {
+func (vs *vertexSet) clip(p *Polytope, h Halfspace) bool {
 	if !vs.simple {
 		return false
 	}
@@ -264,7 +262,7 @@ func (vs *VertexSet) clip(p *Polytope, h Halfspace) bool {
 // It returns false — caller must rebuild — when the certificate is
 // contradicted at tolerance level (some vertex does lie on the hyperplane)
 // or the set is not simple.
-func (vs *VertexSet) remove(listIdx int) bool {
+func (vs *vertexSet) remove(listIdx int) bool {
 	pi := vs.hsPool[listIdx]
 	vs.hsPool = append(vs.hsPool[:listIdx], vs.hsPool[listIdx+1:]...)
 	if pi < 0 {
@@ -298,27 +296,28 @@ func (vs *VertexSet) remove(listIdx int) bool {
 	return true
 }
 
-// Incremental is a per-session geometry handle over one Polytope. All
-// methods route to the scratch primitives when the maintained state is cold
-// or degraded, so callers get scratch semantics with cross-round reuse as an
-// optimization. Not safe for concurrent use (matching lp.Solver).
+// Incremental is a session's utility range R: it owns its Polytope, and
+// every mutation goes through AddCtx, Reduce or Repair, so the maintained
+// state always describes the polytope it was built from. All reads route to
+// the scratch primitives when that state is cold or degraded, so callers get
+// scratch semantics with cross-round reuse as an optimization. Not safe for
+// concurrent use (matching lp.Solver).
 type Incremental struct {
-	P *Polytope
+	p *Polytope
 
-	vs      *VertexSet
-	vsFresh bool // vs mirrors P and P.verts is the maintained list
+	vs      vertexSet
+	verts   [][]float64 // vs's vertex list, served while vsFresh
+	vsFresh bool        // vs and verts mirror p
 
 	inner *lp.Solver // Chebyshev-center program; nil until first InnerBallCtx
 	base  *lp.Solver // feasibility/extrema program; nil until first use
 
 	// rectX[k] and rectVal[k] are the optimizer and value of the last Optimal
 	// solve of outer-rectangle objective k (2i maximizes uᵢ, 2i+1 minimizes
-	// it); an empty rectX[k] means no witness. Witnesses live until the
-	// polytope grows. Allocated on the first OuterRectCtx.
+	// it); an empty rectX[k] means no witness. Witnesses live until Repair
+	// grows R. Allocated on the first OuterRectCtx.
 	rectX   [][]float64
 	rectVal []float64
-
-	seenGen, seenGrow uint64
 }
 
 // witnessTol is the containment slack for reusing an outer-rectangle
@@ -330,26 +329,23 @@ const witnessTol = 1e-8
 // feasibility tolerance of the ball itself.
 const ballTol = 1e-7
 
-// NewIncremental returns a handle over p with no state warmed yet.
-func NewIncremental(p *Polytope) *Incremental {
-	return &Incremental{P: p, seenGen: p.gen, seenGrow: p.grow}
+// NewIncremental returns the full utility space U in d dimensions, with no
+// state warmed yet.
+func NewIncremental(d int) *Incremental {
+	return &Incremental{p: NewPolytope(d)}
 }
 
-// sync drops whatever an out-of-band polytope mutation invalidated. Mutations
-// through the handle re-read the generation themselves, so only foreign ones
-// (direct Add, RepairFeasibility, ReduceRedundant) land here.
-func (g *Incremental) sync() {
-	if g.P.gen != g.seenGen {
-		g.vsFresh = false
-		g.inner, g.base = nil, nil
-		g.seenGen = g.P.gen
-	}
-	if g.P.grow != g.seenGrow {
-		for k := range g.rectX {
-			g.rectX[k] = g.rectX[k][:0] // R may have grown: optimizers may no longer be optimal
-		}
-		g.seenGrow = g.P.grow
-	}
+// Dim reports the dimension of R.
+func (g *Incremental) Dim() int { return g.p.Dim }
+
+// Halfspaces returns the halfspaces bounding R. The slice is the handle's
+// own: callers must neither modify nor retain it.
+func (g *Incremental) Halfspaces() []Halfspace { return g.p.Halfspaces }
+
+// SampleCtx draws n points from R with Polytope.SampleCtx, which starts its
+// chains from a scratch inner-ball solve; the warm state is not consulted.
+func (g *Incremental) SampleCtx(ctx context.Context, rng *rand.Rand, n int) ([][]float64, error) {
+	return g.p.SampleCtx(ctx, rng, n, SampleOptions{})
 }
 
 // AddCtx intersects the polytope with h, folding it into every maintained
@@ -357,34 +353,26 @@ func (g *Incremental) sync() {
 // constraint push. A successful or degraded clip shows up as a
 // "geom.inc.clip" span when ctx carries an active trace.
 func (g *Incremental) AddCtx(ctx context.Context, h Halfspace) {
-	g.sync()
-	p := g.P
-	p.Add(h)
-	g.seenGen = p.gen
-	if g.vs != nil && g.vsFresh {
+	g.p.Add(h)
+	if g.vsFresh {
 		_, sp := trace.Start(ctx, "geom.inc.clip")
-		if err := fault.Hit(fault.PointIncClip); err != nil {
-			g.vsFresh = false
-			incFallbacks.Inc()
-		} else if g.vs.clip(p, h) {
+		if fault.Hit(fault.PointIncClip) == nil && g.vs.clip(g.p, h) {
 			incClips.Inc()
-			verts := make([][]float64, len(g.vs.verts))
+			g.verts = make([][]float64, len(g.vs.verts))
 			for i := range g.vs.verts {
-				verts[i] = g.vs.verts[i].u
+				g.verts[i] = g.vs.verts[i].u
 			}
-			p.verts = verts
-			p.vertsDirty = false
 		} else {
 			g.vsFresh = false
 			incFallbacks.Inc()
 		}
 		if sp != nil {
-			sp.SetInt("vertices", int64(len(p.verts)))
+			sp.SetInt("vertices", int64(len(g.verts)))
 		}
 		sp.End()
 	}
 	if g.inner != nil {
-		if row, ok := innerBallRow(h, p.Dim); ok {
+		if row, ok := innerBallRow(h, g.p.Dim); ok {
 			g.inner.Push(lp.Constraint{Coeffs: row, Sense: lp.GE, RHS: 0})
 		}
 	}
@@ -396,50 +384,44 @@ func (g *Incremental) AddCtx(ctx context.Context, h Halfspace) {
 // VerticesCtx returns the vertex set of R, serving the maintained list when
 // it is current and rebuilding it from scratch enumeration otherwise.
 func (g *Incremental) VerticesCtx(ctx context.Context) ([][]float64, error) {
-	g.sync()
-	if g.vs != nil && g.vsFresh && !g.P.vertsDirty {
+	if g.vsFresh {
 		incVertHits.Inc()
-		return g.P.verts, nil
-	}
-	if g.vs == nil {
-		g.vs = &VertexSet{}
+		return g.verts, nil
 	}
 	incRebuilds.Inc()
-	if err := g.vs.rebuild(ctx, g.P); err != nil {
-		g.vsFresh = false
+	verts, err := g.vs.rebuild(ctx, g.p)
+	if err != nil {
 		return nil, err
 	}
-	g.vsFresh = true
-	return g.P.verts, nil
+	g.verts, g.vsFresh = verts, true
+	return verts, nil
 }
 
 // InnerBallCtx returns the Chebyshev ball of R, warm-re-solving the
 // maintained inner-ball program instead of rebuilding the LP each round.
 func (g *Incremental) InnerBallCtx(ctx context.Context) (Ball, error) {
-	g.sync()
 	_, sp := trace.Start(ctx, "geom.inner_ball")
 	defer sp.End()
 	if g.inner == nil {
-		g.inner = lp.NewSolver(g.P.innerBallProblem())
+		g.inner = lp.NewSolver(g.p.innerBallProblem())
 	}
 	res := g.inner.Solve()
 	if res.Status != lp.Optimal {
 		return Ball{}, fmt.Errorf("geom: inner ball: %v", res.Status)
 	}
-	d := g.P.Dim
+	d := g.p.Dim
 	return Ball{Center: vec.Clone(res.X[:d]), Radius: res.Objective}, nil
 }
 
 // OuterRectCtx returns the per-dimension extrema of u over R, driving the 2d
 // solves through the warm base solver (phase-1-free re-optimizations). R only
-// shrinks between growth resets, so an objective whose last optimizer still
+// shrinks between Repair resets, so an objective whose last optimizer still
 // lies in R keeps its value and skips the LP; an armed geom.inc.witness fault
 // solves every objective instead.
 func (g *Incremental) OuterRectCtx(ctx context.Context) (emin, emax []float64, err error) {
-	g.sync()
 	_, sp := trace.Start(ctx, "geom.outer_rect")
 	defer sp.End()
-	d := g.P.Dim
+	d := g.p.Dim
 	if g.rectX == nil {
 		buf := make([]float64, 2*d*d)
 		g.rectX = make([][]float64, 2*d)
@@ -453,11 +435,11 @@ func (g *Incremental) OuterRectCtx(ctx context.Context) (emin, emax []float64, e
 	emax = make([]float64, d)
 	obj := make([]float64, d)
 	for k := 0; k < 2*d; k++ {
-		if reuse && len(g.rectX[k]) > 0 && g.P.Contains(g.rectX[k], witnessTol) {
+		if reuse && len(g.rectX[k]) > 0 && g.p.Contains(g.rectX[k], witnessTol) {
 			incRectWitnessHits.Inc()
 		} else {
 			if g.base == nil {
-				g.base = lp.NewSolver(g.P.baseProblem(0))
+				g.base = lp.NewSolver(g.p.baseProblem(0))
 			}
 			vec.Fill(obj, 0)
 			obj[k/2] = 1 - float64(2*(k%2)) // +1 maximizes uᵢ, −1 minimizes it
@@ -487,7 +469,6 @@ func (g *Incremental) OuterRectCtx(ctx context.Context) (emin, emax []float64, e
 // therefore reaches n·c ± r‖n_p‖ on the two sides, and |n·c| < r‖n_p‖ −
 // margin proves the cut in O(d) with no LP.
 func (g *Incremental) CutsBothSides(ball Ball, h Halfspace, margin float64) bool {
-	g.sync()
 	n := h.Normal
 	if ball.Radius > 0 {
 		mean := vec.Sum(n) / float64(len(n))
@@ -502,9 +483,9 @@ func (g *Incremental) CutsBothSides(ball Ball, h Halfspace, margin float64) bool
 		}
 	}
 	if g.base == nil {
-		g.base = lp.NewSolver(g.P.baseProblem(0))
+		g.base = lp.NewSolver(g.p.baseProblem(0))
 	}
-	obj := make([]float64, g.P.Dim)
+	obj := make([]float64, g.p.Dim)
 	copy(obj, n)
 	if res := g.base.SolveWith(obj); res.Status != lp.Optimal || res.Objective <= margin {
 		return false
@@ -522,24 +503,30 @@ func (g *Incremental) CutsBothSides(ball Ball, h Halfspace, margin float64) bool
 // constraint, so a removed redundant halfspace does change its optimum, and
 // rebuilding also keeps tableau width bounded by the live constraint count.
 func (g *Incremental) Reduce() int {
-	g.sync()
-	p := g.P
-	removed := p.reduceRedundant(func(i int, clean bool) {
-		if g.vs == nil || !g.vsFresh {
-			return
-		}
-		if !g.vs.remove(i) {
+	removed := g.p.reduceRedundant(func(i int) {
+		if g.vsFresh && !g.vs.remove(i) {
 			g.vsFresh = false
 			incFallbacks.Inc()
-			return
-		}
-		if clean {
-			p.vertsDirty = false
 		}
 	})
 	if removed > 0 {
 		g.inner, g.base = nil, nil
 	}
-	g.seenGen = p.gen
+	return removed
+}
+
+// Repair is Polytope.RepairFeasibility on R. Dropping a halfspace may grow
+// R, which neither clipping, nor a pushed solver row, nor a witness can
+// follow, so when it removes any it drops the vertex set, both warm solvers
+// and every outer-rectangle witness; the next reads rebuild from scratch.
+func (g *Incremental) Repair() int {
+	removed := g.p.RepairFeasibility()
+	if removed > 0 {
+		g.vsFresh = false
+		g.inner, g.base = nil, nil
+		for k := range g.rectX {
+			g.rectX[k] = g.rectX[k][:0]
+		}
+	}
 	return removed
 }

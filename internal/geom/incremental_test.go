@@ -63,9 +63,8 @@ func TestIncrementalMatchesScratchProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		d := 2 + rng.Intn(4)
 		uStar := randSimplexPoint(rng, d)
-		pInc := NewPolytope(d)
 		pScr := NewPolytope(d)
-		g := NewIncremental(pInc)
+		g := NewIncremental(d)
 
 		// Fixed probe pool, re-asked as R shrinks. Half the normals carry a
 		// large mean component: it shifts w·u by a constant on the simplex,
@@ -157,7 +156,7 @@ func TestIncrementalMatchesScratchProperty(t *testing.T) {
 			// that side reaches exactly f·c; a margin just above it makes the
 			// scratch verdict false, and a certificate that over-claims the
 			// ball's reach on that side disagrees.
-			for k, f := range g.P.Halfspaces {
+			for k, f := range g.Halfspaces() {
 				tf := vec.Dot(f.Normal, bInc.Center)
 				if math.Abs(tf-bInc.Radius*vec.Norm(f.Normal)) > 1e-9 {
 					continue
@@ -196,9 +195,8 @@ func TestIncrementalClipFaultFallsBackScratch(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	d := 4
 	uStar := randSimplexPoint(rng, d)
-	pInc := NewPolytope(d)
 	pScr := NewPolytope(d)
-	g := NewIncremental(pInc)
+	g := NewIncremental(d)
 	for step := 0; step < 15; step++ {
 		w := randCut(rng, d, uStar)
 		g.AddCtx(ctx, Halfspace{Normal: w})
@@ -218,53 +216,21 @@ func TestIncrementalClipFaultFallsBackScratch(t *testing.T) {
 	}
 }
 
-// TestIncrementalSyncAfterForeignMutation mutates the polytope behind the
-// handle's back (direct Add, scratch reduce, feasibility repair) and checks
-// the next access notices and re-synchronizes instead of serving stale state.
-func TestIncrementalSyncAfterForeignMutation(t *testing.T) {
+// TestIncrementalRepairResetsState pins Repair, the one mutation that can
+// grow R: every structure warmed on the old range must be dropped, or the
+// next reads describe a range that no longer exists.
+//
+// R starts as {u₀ ≥ u₁, u₀ ≥ u₂}. The cut u₁ ≥ u₀ flattens it to a face,
+// and repair drops the short-normal u₀ ≥ u₁, whose removal recovers the
+// most slack: R becomes {u₁ ≥ u₀ ≥ u₂}, mostly outside the old range. The
+// probe, asked with the handle's ball of each range, misses the old R but
+// cuts the new one; the warm solvers still hold the dropped row; the
+// vertex list is the face's; and the old minimizer of u₀, (⅓,⅓,⅓), still
+// lies in R although min u₀ fell from ⅓ to 0.
+func TestIncrementalRepairResetsState(t *testing.T) {
 	ctx := context.Background()
-	rng := rand.New(rand.NewSource(17))
 	d := 3
-	uStar := randSimplexPoint(rng, d)
-	p := NewPolytope(d)
-	scr := NewPolytope(d)
-	g := NewIncremental(p)
-	for step := 0; step < 10; step++ {
-		w := randCut(rng, d, uStar)
-		if step%2 == 0 {
-			g.AddCtx(ctx, Halfspace{Normal: w}) // through the handle
-		} else {
-			p.Add(Halfspace{Normal: vec.Clone(w)}) // behind its back
-		}
-		scr.Add(Halfspace{Normal: vec.Clone(w)})
-		if step == 5 {
-			p.ReduceRedundant()
-			scr.ReduceRedundant()
-		}
-		vInc, err := g.VerticesCtx(ctx)
-		if err != nil {
-			t.Fatalf("step %d: %v", step, err)
-		}
-		vScr, err := scr.VerticesCtx(ctx)
-		if err != nil {
-			t.Fatalf("step %d: scratch: %v", step, err)
-		}
-		sameVertices(t, "post-foreign-mutation vertices", vInc, vScr)
-		if b, err := g.InnerBallCtx(ctx); err != nil || !scr.Contains(b.Center, 1e-6) {
-			t.Fatalf("step %d: inner ball after foreign mutation: %v", step, err)
-		}
-	}
-
-	// Feasibility repair is the one mutation that grows R, so it must drop
-	// the rectangle witnesses. R starts as {u₀ ≥ u₁, u₀ ≥ u₂}. The cut
-	// u₁ ≥ u₀ flattens it to a face, and repair drops the short-normal
-	// u₀ ≥ u₁, whose removal recovers the most slack: R becomes
-	// {u₁ ≥ u₀ ≥ u₂}, mostly outside the old range. The probe, asked with
-	// the handle's ball of each range, misses the old R but cuts the new
-	// one, and the old minimizer of u₀, (⅓,⅓,⅓), still lies in R although
-	// min u₀ fell from ⅓ to 0.
-	p = NewPolytope(d)
-	g = NewIncremental(p)
+	g := NewIncremental(d)
 	g.AddCtx(ctx, Halfspace{Normal: []float64{0.1, -0.1, 0}})
 	g.AddCtx(ctx, Halfspace{Normal: []float64{1, 0, -1}})
 	probe := Halfspace{Normal: []float64{-0.75, 0.25, -0.75}}
@@ -278,18 +244,59 @@ func TestIncrementalSyncAfterForeignMutation(t *testing.T) {
 	if _, _, err := g.OuterRectCtx(ctx); err != nil {
 		t.Fatal(err)
 	}
-	p.Add(Halfspace{Normal: []float64{-1, 1, 0}})
-	if n := p.RepairFeasibility(0); n != 1 || len(p.Halfspaces) != 2 || p.Halfspaces[0].Normal[0] != 1 {
-		t.Fatalf("repair dropped %d halfspaces, left %v; want u₀ ≥ u₁ dropped", n, p.Halfspaces)
+
+	// A full-dimensional R needs no repair: nothing is dropped and the
+	// witnesses survive.
+	if n := g.Repair(); n != 0 {
+		t.Fatalf("repair of a healthy range dropped %d halfspaces", n)
 	}
-	scr = NewPolytope(d)
+	hits := incRectWitnessHits.Value()
+	if _, _, err := g.OuterRectCtx(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if incRectWitnessHits.Value()-hits != int64(2*d) {
+		t.Fatalf("no-op repair dropped witnesses: %d of %d reused", incRectWitnessHits.Value()-hits, 2*d)
+	}
+
+	// Warm every structure on the flattened range, then repair it.
+	g.AddCtx(ctx, Halfspace{Normal: []float64{-1, 1, 0}})
+	if _, err := g.VerticesCtx(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.InnerBallCtx(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := g.OuterRectCtx(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if n, hs := g.Repair(), g.Halfspaces(); n != 1 || len(hs) != 2 || hs[0].Normal[0] != 1 {
+		t.Fatalf("repair dropped %d halfspaces, left %v; want u₀ ≥ u₁ dropped", n, hs)
+	}
+
+	scr := NewPolytope(d)
 	scr.Add(Halfspace{Normal: []float64{1, 0, -1}})
 	scr.Add(Halfspace{Normal: []float64{-1, 1, 0}})
+	vInc, err := g.VerticesCtx(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vScr, err := scr.VerticesCtx(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameVertices(t, "vertices after repair", vInc, vScr)
 	if ball, err = g.InnerBallCtx(ctx); err != nil {
 		t.Fatal(err)
 	}
+	bScr, err := scr.InnerBallCtx(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(ball.Radius-bScr.Radius) > 1e-6*(1+bScr.Radius) {
+		t.Fatalf("inner radius after repair %v, scratch %v", ball.Radius, bScr.Radius)
+	}
 	if got, want := g.CutsBothSides(ball, probe, 1e-9), scr.CutsBothSides(probe, 1e-9); got != want || !want {
-		t.Fatalf("probe after growth: cuts=%v, scratch %v (want true)", got, want)
+		t.Fatalf("probe after repair: cuts=%v, scratch %v (want true)", got, want)
 	}
 	minInc, maxInc, err := g.OuterRectCtx(ctx)
 	if err != nil {
@@ -301,7 +308,7 @@ func TestIncrementalSyncAfterForeignMutation(t *testing.T) {
 	}
 	for i := 0; i < d; i++ {
 		if math.Abs(minInc[i]-minScr[i]) > 1e-6 || math.Abs(maxInc[i]-maxScr[i]) > 1e-6 {
-			t.Fatalf("dim %d after growth: rect [%v,%v], scratch [%v,%v]", i, minInc[i], maxInc[i], minScr[i], maxScr[i])
+			t.Fatalf("dim %d after repair: rect [%v,%v], scratch [%v,%v]", i, minInc[i], maxInc[i], minScr[i], maxScr[i])
 		}
 	}
 }

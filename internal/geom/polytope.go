@@ -17,17 +17,6 @@ import (
 type Polytope struct {
 	Dim        int
 	Halfspaces []Halfspace
-
-	// vertsDirty marks the cached vertex set stale.
-	verts      [][]float64
-	vertsDirty bool
-
-	// Mutation generations, read by the round-incremental engine to detect
-	// changes made behind its back: gen counts every structural mutation,
-	// grow only those that may enlarge R (halfspace drops during feasibility
-	// repair) — the ones that invalidate the outer-rectangle witnesses.
-	gen  uint64
-	grow uint64
 }
 
 // NewPolytope returns the full utility space U in d dimensions.
@@ -35,21 +24,15 @@ func NewPolytope(d int) *Polytope {
 	if d < 2 {
 		panic(fmt.Sprintf("geom: polytope dimension %d < 2", d))
 	}
-	return &Polytope{Dim: d, vertsDirty: true}
+	return &Polytope{Dim: d}
 }
 
-// Clone returns a deep copy of p (vertex cache included).
+// Clone returns a deep copy of p.
 func (p *Polytope) Clone() *Polytope {
-	c := &Polytope{Dim: p.Dim, vertsDirty: p.vertsDirty, gen: p.gen, grow: p.grow}
+	c := &Polytope{Dim: p.Dim}
 	c.Halfspaces = make([]Halfspace, len(p.Halfspaces))
 	for i, h := range p.Halfspaces {
 		c.Halfspaces[i] = Halfspace{Normal: vec.Clone(h.Normal)}
-	}
-	if p.verts != nil {
-		c.verts = make([][]float64, len(p.verts))
-		for i, v := range p.verts {
-			c.verts[i] = vec.Clone(v)
-		}
 	}
 	return c
 }
@@ -60,8 +43,6 @@ func (p *Polytope) Add(h Halfspace) {
 		panic(fmt.Sprintf("geom: halfspace dim %d, polytope dim %d", len(h.Normal), p.Dim))
 	}
 	p.Halfspaces = append(p.Halfspaces, h)
-	p.vertsDirty = true
-	p.gen++
 }
 
 // Contains reports whether u lies in R within tol.
@@ -257,16 +238,15 @@ var ErrEmpty = errors.New("geom: empty polytope")
 // error-tolerant interaction of the paper's future work (§VI): when a user's
 // answers contradict each other the learned constraints cannot all hold, so
 // the least-consistent ones are discarded. Returns the number of halfspaces
-// removed (0 when R was already full-dimensional); maxDrops ≤ 0 means
-// unlimited.
-func (p *Polytope) RepairFeasibility(maxDrops int) int {
+// removed (0 when R was already full-dimensional).
+func (p *Polytope) RepairFeasibility() int {
 	removed := 0
 	for {
 		slack, _, ok := p.InteriorSlack()
 		if ok && slack > 1e-9 {
 			return removed
 		}
-		if len(p.Halfspaces) == 0 || (maxDrops > 0 && removed >= maxDrops) {
+		if len(p.Halfspaces) == 0 {
 			return removed
 		}
 		bestIdx, bestSlack := -1, math.Inf(-1)
@@ -283,9 +263,6 @@ func (p *Polytope) RepairFeasibility(maxDrops int) int {
 			return removed
 		}
 		p.Halfspaces = append(p.Halfspaces[:bestIdx], p.Halfspaces[bestIdx+1:]...)
-		p.vertsDirty = true
-		p.gen++
-		p.grow++ // dropping a binding constraint may enlarge R
 		removed++
 	}
 }
@@ -299,9 +276,8 @@ func (p *Polytope) ReduceRedundant() int { return p.reduceRedundant(nil) }
 // reduceRedundant is the removal loop behind ReduceRedundant and
 // Incremental.Reduce, so both make the same keep/remove decisions by
 // construction. After each removal it calls removed, when non-nil, with the
-// list index the halfspace occupied and whether the vertex cache was clean
-// just before the removal.
-func (p *Polytope) reduceRedundant(removed func(i int, clean bool)) int {
+// list index the halfspace occupied.
+func (p *Polytope) reduceRedundant(removed func(i int)) int {
 	n := 0
 	// One scratch relaxation and one negated-normal buffer serve every
 	// probe; the actual removal splices p.Halfspaces in place.
@@ -316,13 +292,10 @@ func (p *Polytope) reduceRedundant(removed func(i int, clean bool)) int {
 			i++ // h actively cuts; keep it
 			continue
 		}
-		clean := !p.vertsDirty
 		p.Halfspaces = append(p.Halfspaces[:i], p.Halfspaces[i+1:]...)
-		p.vertsDirty = true
-		p.gen++ // R itself is unchanged (h was redundant), so grow stays put
 		n++
 		if removed != nil {
-			removed(i, clean)
+			removed(i)
 		}
 	}
 	return n

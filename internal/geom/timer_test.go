@@ -80,7 +80,7 @@ func TestKernelHistogramAndSpanShareOneClock(t *testing.T) {
 			}
 		}},
 		{"geom.vertices", verticesMS, func(t *testing.T) func(context.Context) {
-			p := testPoly(t, 3, 13) // never enumerated: a cache miss
+			p := testPoly(t, 3, 13)
 			return func(ctx context.Context) {
 				if _, err := p.VerticesCtx(ctx); err != nil {
 					t.Fatal(err)

@@ -28,14 +28,11 @@ const MaxVertexBases = 2_000_000
 // independent active constraints drawn from the non-negativity facets
 // {uᵢ = 0} and the learned hyperplanes {wₖ·u = 0}. VerticesCtx enumerates
 // all (d−1)-subsets of that pool, solves each d×d system, and keeps the
-// feasible solutions, deduplicated. The result is cached until the polytope
-// changes. An actual enumeration (cache-miss path only) is timed into
-// geom.vertices_ms and, when ctx carries an active trace, as a
+// feasible solutions, deduplicated. Every call enumerates afresh (a session
+// reads the list Incremental maintains instead). The enumeration is timed
+// into geom.vertices_ms and, when ctx carries an active trace, as a
 // "geom.vertices" span carrying the halfspace and vertex counts.
 func (p *Polytope) VerticesCtx(ctx context.Context) ([][]float64, error) {
-	if !p.vertsDirty {
-		return p.verts, nil
-	}
 	_, t := trace.StartTimer(ctx, "geom.vertices", verticesMS)
 	defer t.End()
 	vertexEnums.Inc()
@@ -67,8 +64,6 @@ func (p *Polytope) VerticesCtx(ctx context.Context) ([][]float64, error) {
 	out := p.enumerateVertices(pool)
 	// Canonical order keeps downstream behaviour deterministic.
 	sort.Slice(out, func(i, j int) bool { return lexLess(out[i], out[j]) })
-	p.verts = out
-	p.vertsDirty = false
 	if sp := t.Span(); sp != nil {
 		sp.SetInt("halfspaces", int64(len(p.Halfspaces)))
 		sp.SetInt("vertices", int64(len(out)))

@@ -17,6 +17,11 @@ go test -race -run 'Fault|Noisy|Chaos|Recover|Journal|Proxy|Client|Repl|Failover
 # how many cores the scheduler has.
 go test -count=1 -run 'Golden|IndependentOfCores' -cpu 1,2,4 ./internal/...
 
+# Benchmark smoke: run every internal benchmark once, so a benchmark that
+# no longer works fails here rather than only compiling under go vet. The
+# root package's experiment benchmarks (about 100 s) are left out.
+go test -count=1 -run '^$' -bench . -benchtime 1x ./internal/...
+
 # Fuzz smoke: the WAL frame parser must survive a short fuzzing burst (the
 # seed corpus plus a few seconds of mutation) — it guards both the on-disk
 # journal and the replication wire. The model loader gets the same burst: a
