@@ -175,10 +175,12 @@ func TestChaosVertexPanicGuardedEA(t *testing.T) {
 
 // TestChaosReplayDeterministic: the same seed and single-threaded drive
 // produce the identical fault sequence — chaos runs are regressions, not
-// flakes.
+// flakes. Every halfspace clip fails, so each round's vertex read runs the
+// scratch enumeration that geom.vertices guards.
 func TestChaosReplayDeterministic(t *testing.T) {
 	run := func() (int, int, bool) {
-		plan := fault.NewPlan(21).Set(fault.PointVertices, fault.Spec{ErrProb: 0.3})
+		plan := fault.NewPlan(24).Set(fault.PointVertices, fault.Spec{ErrProb: 0.3}).
+			Set(fault.PointIncClip, fault.Spec{ErrProb: 1})
 		fault.Install(plan)
 		defer fault.Install(nil)
 		ds := chaosDataset()
@@ -190,5 +192,8 @@ func TestChaosReplayDeterministic(t *testing.T) {
 	h2, i2, d2 := run()
 	if h1 != h2 || i1 != i2 || d1 != d2 {
 		t.Fatalf("seeded chaos run not reproducible: (%d,%d,%v) vs (%d,%d,%v)", h1, i1, d1, h2, i2, d2)
+	}
+	if i1 == 0 {
+		t.Fatalf("no geom.vertices fault injected in %d hits; the replay checks nothing", h1)
 	}
 }

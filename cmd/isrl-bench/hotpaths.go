@@ -87,10 +87,12 @@ func nsPerOp(r testing.BenchmarkResult) float64 {
 }
 
 // hotPoly builds a d-dimensional utility range narrowed by random preference
-// halfspaces, mirroring mid-interaction polytope state.
-func hotPoly(d int, seed int64) (*geom.Polytope, error) {
+// halfspaces, mirroring mid-interaction polytope state. A halfspace that
+// would leave the range with no vertex is skipped.
+func hotPoly(d int, seed int64) *geom.Incremental {
+	ctx := context.Background()
 	rng := rand.New(rand.NewSource(seed))
-	p := geom.NewPolytope(d)
+	g := geom.NewIncremental(d)
 	for k := 0; k < d+2; k++ {
 		pi := make([]float64, d)
 		pj := make([]float64, d)
@@ -99,16 +101,12 @@ func hotPoly(d int, seed int64) (*geom.Polytope, error) {
 			pj[i] = rng.Float64()
 		}
 		h := geom.NewHalfspace(pi, pj)
-		q := p.Clone()
-		q.Add(h)
-		if !q.IsEmpty() {
-			p.Add(h)
+		hs := g.Halfspaces()
+		if vs, err := geom.ScratchVertices(ctx, d, append(hs[:len(hs):len(hs)], h)); err == nil && len(vs) > 0 {
+			g.AddCtx(ctx, h)
 		}
 	}
-	if p.IsEmpty() {
-		return nil, fmt.Errorf("hotpaths: benchmark polytope is empty")
-	}
-	return p, nil
+	return g
 }
 
 // hotLP mirrors the geometry layer's feasibility probes: a random objective
@@ -250,14 +248,11 @@ func runHotpaths(quick bool, outPath, comparePath string) error {
 	speed("question_scoring", s, b)
 
 	// Hit-and-run sampling at d=4: 256 points from the default 4 chains.
-	poly, err := hotPoly(4, 11)
-	if err != nil {
-		return err
-	}
+	poly := hotPoly(4, 11)
 	add(row("sample_d4", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := poly.SampleCtx(context.Background(), rand.New(rand.NewSource(7)), 256, geom.SampleOptions{}); err != nil {
+			if _, err := poly.SampleCtx(context.Background(), rand.New(rand.NewSource(7)), 256); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -279,7 +274,7 @@ func runHotpaths(quick bool, outPath, comparePath string) error {
 	add(row("vertices_d4", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := poly.VerticesCtx(context.Background()); err != nil {
+			if _, err := geom.ScratchVertices(context.Background(), 4, poly.Halfspaces()); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -287,23 +282,15 @@ func runHotpaths(quick bool, outPath, comparePath string) error {
 
 	// Round geometry: replay a fixed 12-cut d=4 interaction through the
 	// per-round geometry reads (vertices, inner sphere, outer rectangle).
-	// The scratch row rebuilds everything from the halfspace set each round —
-	// the pre-engine behavior — while the incremental row maintains the
-	// vertex set by halfspace clipping and re-solves warm LPs.
+	// The scratch row rebuilds everything from the halfspace set each round
+	// (geom.ScratchRound), while the incremental row maintains the vertex set
+	// by halfspace clipping and re-solves warm LPs.
 	cuts := roundCuts(4, 12, 13)
 	scr := row("round_geometry_scratch", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			p := geom.NewPolytope(4)
-			for _, h := range cuts {
-				p.Add(h)
-				if _, err := p.VerticesCtx(context.Background()); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := p.InnerBallCtx(context.Background()); err != nil {
-					b.Fatal(err)
-				}
-				if _, _, err := p.OuterRect(); err != nil {
+			for k := range cuts {
+				if err := geom.ScratchRound(context.Background(), 4, cuts[:k+1]); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -74,7 +74,7 @@ func main() {
 		followAddr  = flag.String("follow", "", "run as follower: listen for a primary's journal stream on this address (requires -state-dir)")
 		promAfter   = flag.Duration("promote-after", 10*time.Second, "follower only: promote to primary after this much stream silence (0 disables auto-promotion)")
 		replToken   = flag.String("repl-token", "", "shared secret for the replication link; a follower drops handshakes without it (empty disables)")
-		faultSpec   = flag.String("fault", "", "fault-injection plan, e.g. 'lp.solve:err=0.01;geom.vertices:panic=0.001' (testing only)")
+		faultSpec   = flag.String("fault", "", "fault-injection plan, e.g. 'lp.solve:err=0.01;geom.vertices:panic=0.001' (testing only; geom.vertices fires only on scratch vertex enumerations: a session's first read and clip fallbacks)")
 		faultSeed   = flag.Int64("fault-seed", 1, "seed for the fault-injection plan")
 		logLevel    = flag.String("log-level", "info", "debug, info, warn, error")
 		logJSON     = flag.Bool("log-json", false, "emit JSON logs instead of text")

@@ -14,19 +14,18 @@ import (
 
 // AdaptiveConfig tunes the preference-learning baseline.
 type AdaptiveConfig struct {
-	PoolSize  int // candidate pairs sampled per round (default 150)
 	MaxRounds int // cap, default 500
 }
 
 func (c AdaptiveConfig) defaults() AdaptiveConfig {
-	if c.PoolSize == 0 {
-		c.PoolSize = 150
-	}
 	if c.MaxRounds == 0 {
 		c.MaxRounds = 500
 	}
 	return c
 }
+
+// adaptivePool is the number of candidate pairs Adaptive samples per round.
+const adaptivePool = 150
 
 // Adaptive reconstructs the preference-learning algorithm of Qian et al.
 // (VLDB'15) discussed in the paper's related work: it asks adaptively
@@ -56,18 +55,19 @@ func (a *Adaptive) Name() string { return "Adaptive" }
 // of the learned utility vector (per the algorithm's own goal), not as a
 // regret bound.
 func (a *Adaptive) Run(ds *dataset.Dataset, user core.User, eps float64, obs core.Observer) (core.Result, error) {
+	ctx := context.Background()
 	d := ds.Dim()
-	poly := geom.NewPolytope(d)
+	g := geom.NewIncremental(d)
 	var trace []core.QA
 	rounds := 0
 	degReason := ""
 	for rounds < a.cfg.MaxRounds {
-		ball, err := poly.InnerBallCtx(context.Background())
+		ball, err := g.InnerBallCtx(ctx)
 		if err != nil {
 			degReason = "utility range empty (contradictory answers)"
 			break
 		}
-		emin, emax, err := poly.OuterRect()
+		emin, emax, err := g.OuterRectCtx(ctx)
 		if err != nil {
 			degReason = fmt.Sprintf("outer rectangle failed: %v", err)
 			break
@@ -77,29 +77,29 @@ func (a *Adaptive) Run(ds *dataset.Dataset, user core.User, eps float64, obs cor
 		if maxSpread(emin, emax) <= eps {
 			break
 		}
-		act := a.pickPair(ds, poly, ball.Center)
+		act := a.pickPair(ds, g, ball)
 		if act == nil {
 			break
 		}
 		pi, pj := ds.Points[act[0]], ds.Points[act[1]]
 		prefI := user.Prefer(pi, pj)
 		if prefI {
-			poly.Add(geom.NewHalfspace(pi, pj))
+			g.AddCtx(ctx, geom.NewHalfspace(pi, pj))
 		} else {
-			poly.Add(geom.NewHalfspace(pj, pi))
+			g.AddCtx(ctx, geom.NewHalfspace(pj, pi))
 		}
 		rounds++
 		trace = append(trace, core.QA{I: act[0], J: act[1], PreferredI: prefI})
 		if obs != nil {
-			obs.Round(rounds, poly.Halfspaces)
+			obs.Round(rounds, g.Halfspaces())
 		}
-		if rounds%8 == 0 && len(poly.Halfspaces) > 2*d {
-			poly.ReduceRedundant()
+		if rounds%8 == 0 && len(g.Halfspaces()) > 2*d {
+			g.Reduce()
 		}
 	}
 	// Return the top tuple under the learned preference.
 	center := geom.SimplexCentroid(d)
-	if ball, err := poly.InnerBallCtx(context.Background()); err == nil {
+	if ball, err := g.InnerBallCtx(ctx); err == nil {
 		center = ball.Center
 	}
 	if degReason != "" {
@@ -120,15 +120,17 @@ func maxSpread(emin, emax []float64) float64 {
 }
 
 // pickPair selects the sampled pair whose hyperplane passes nearest the
-// region's center and still cuts it — the even-bisection heuristic.
-func (a *Adaptive) pickPair(ds *dataset.Dataset, poly *geom.Polytope, center []float64) *[2]int {
+// center of R's inner ball and still cuts R — the even-bisection heuristic.
+// ball must be the inner ball of g's current R; it certifies most cuts
+// without an LP.
+func (a *Adaptive) pickPair(ds *dataset.Dataset, g *geom.Incremental, ball geom.Ball) *[2]int {
 	n := ds.Len()
 	type cand struct {
 		i, j int
 		dist float64
 	}
-	cands := make([]cand, 0, a.cfg.PoolSize)
-	for t := 0; t < a.cfg.PoolSize; t++ {
+	cands := make([]cand, 0, adaptivePool)
+	for t := 0; t < adaptivePool; t++ {
 		i, j := a.rng.Intn(n), a.rng.Intn(n)
 		if i == j {
 			continue
@@ -137,14 +139,14 @@ func (a *Adaptive) pickPair(ds *dataset.Dataset, poly *geom.Polytope, center []f
 		if vec.Norm(h.Normal) < 1e-12 {
 			continue
 		}
-		cands = append(cands, cand{i: i, j: j, dist: h.Dist(center)})
+		cands = append(cands, cand{i: i, j: j, dist: h.Dist(ball.Center)})
 	}
 	sort.Slice(cands, func(x, y int) bool { return cands[x].dist < cands[y].dist })
 	for ci, c := range cands {
 		if ci >= 20 {
 			break
 		}
-		if poly.CutsBothSides(geom.NewHalfspace(ds.Points[c.i], ds.Points[c.j]), 1e-9) {
+		if g.CutsBothSides(ball, geom.NewHalfspace(ds.Points[c.i], ds.Points[c.j]), 1e-9) {
 			return &[2]int{c.i, c.j}
 		}
 	}

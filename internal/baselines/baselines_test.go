@@ -219,24 +219,6 @@ func TestNoisyUsersDoNotCrash(t *testing.T) {
 	}
 }
 
-// The hull filter must not break exactness and must never enlarge the
-// candidate set's answer quality.
-func TestUHSimplexHullFilter(t *testing.T) {
-	ds := testData(t, 300, 3, 30)
-	rng := rand.New(rand.NewSource(31))
-	alg := NewUHSimplex(UHConfig{HullFilter: 500}, rand.New(rand.NewSource(32)))
-	for trial := 0; trial < 3; trial++ {
-		u := geom.SampleSimplex(rng, 3)
-		res, err := alg.Run(ds, core.SimulatedUser{Utility: u}, 0.1, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rr := ds.RegretRatio(res.Point, u); rr > 0.1+1e-9 {
-			t.Errorf("trial %d: regret %v > eps with hull filter", trial, rr)
-		}
-	}
-}
-
 // Adaptive learns the preference itself, so it must ask more questions than
 // the regret-targeting stopping rule needs — and still land a good tuple.
 func TestAdaptiveAsksMoreThanUH(t *testing.T) {

@@ -23,24 +23,17 @@ import (
 // UHConfig tunes the UH family.
 type UHConfig struct {
 	MaxRounds int // safety cap (default 1000)
-	PairPool  int // cap on candidate pairs evaluated per round (default 200)
-
-	// HullFilter restricts UH-Simplex's candidates to convex-hull extreme
-	// points (the published description) once the candidate set is small
-	// enough for the LP-based extremity test; 0 disables, otherwise it is
-	// the maximum candidate count at which the filter runs.
-	HullFilter int
 }
 
 func (c UHConfig) defaults() UHConfig {
 	if c.MaxRounds == 0 {
 		c.MaxRounds = 1000
 	}
-	if c.PairPool == 0 {
-		c.PairPool = 200
-	}
 	return c
 }
+
+// uhPairPool caps the candidate pairs a UH round evaluates.
+const uhPairPool = 200
 
 // UHRandom is the SIGMOD'19 random-pair algorithm: it keeps the candidate
 // set of points still able to be top-1 somewhere in the utility range and
@@ -112,14 +105,16 @@ func (u *UHSimplex) Run(ds *dataset.Dataset, user core.User, eps float64, obs co
 	})
 }
 
-// runUH is the shared UH interaction loop: exact polytope maintenance,
-// candidate discovery from vertex and sample top-1 points, Lemma-4 stopping.
+// runUH is the shared UH interaction loop: exact polytope maintenance on a
+// geom.Incremental (vertices clipped per answer, not re-enumerated),
+// candidate discovery from vertex top-1 points, Lemma-4 stopping.
 func runUH(ds *dataset.Dataset, user core.User, eps float64, obs core.Observer, cfg UHConfig,
 	rng *rand.Rand, pick func(pairs [][2]int, verts [][]float64) [2]int) (core.Result, error) {
 
 	ds.BuildTopIndex()
+	ctx := context.Background()
 	d := ds.Dim()
-	poly := geom.NewPolytope(d)
+	g := geom.NewIncremental(d)
 	// Candidate set: initially every (skyline) point; pruned each round by
 	// utility-range domination, as in the SIGMOD'19 algorithms.
 	cands := make([]int, ds.Len())
@@ -130,7 +125,7 @@ func runUH(ds *dataset.Dataset, user core.User, eps float64, obs core.Observer, 
 	rounds := 0
 	degReason := ""
 	for rounds < cfg.MaxRounds {
-		verts, err := poly.VerticesCtx(context.Background())
+		verts, err := g.VerticesCtx(ctx)
 		if err != nil {
 			// Exhausted vertex budget or injected fault: degrade rather than
 			// fail the whole session (core's shared contract).
@@ -146,10 +141,7 @@ func runUH(ds *dataset.Dataset, user core.User, eps float64, obs core.Observer, 
 			return core.Result{PointIndex: idx, Point: ds.Points[idx], Rounds: rounds, Trace: trace}, nil
 		}
 		cands = pruneByTops(ds, cands, verts, vtops)
-		if cfg.HullFilter > 0 && len(cands) > 1 && len(cands) <= cfg.HullFilter {
-			cands = hullCandidates(ds, cands)
-		}
-		pairs := cuttingPairs(ds, cands, verts, rng, cfg.PairPool)
+		pairs := cuttingPairs(ds, cands, verts, rng, uhPairPool)
 		if len(pairs) == 0 {
 			break
 		}
@@ -157,15 +149,15 @@ func runUH(ds *dataset.Dataset, user core.User, eps float64, obs core.Observer, 
 		pi, pj := ds.Points[pr[0]], ds.Points[pr[1]]
 		prefI := user.Prefer(pi, pj)
 		if prefI {
-			poly.Add(geom.NewHalfspace(pi, pj))
+			g.AddCtx(ctx, geom.NewHalfspace(pi, pj))
 		} else {
-			poly.Add(geom.NewHalfspace(pj, pi))
+			g.AddCtx(ctx, geom.NewHalfspace(pj, pi))
 		}
-		poly.ReduceRedundant()
+		g.Reduce()
 		rounds++
 		trace = append(trace, core.QA{I: pr[0], J: pr[1], PreferredI: prefI})
 		if obs != nil {
-			obs.Round(rounds, poly.Halfspaces)
+			obs.Round(rounds, g.Halfspaces())
 		}
 	}
 	if rounds >= cfg.MaxRounds && degReason == "" {
@@ -173,7 +165,7 @@ func runUH(ds *dataset.Dataset, user core.User, eps float64, obs core.Observer, 
 	}
 	// Fallback: best point at the inner-ball center.
 	center := geom.SimplexCentroid(d)
-	if ball, err := poly.InnerBallCtx(context.Background()); err == nil {
+	if ball, err := g.InnerBallCtx(ctx); err == nil {
 		center = ball.Center
 	}
 	if degReason != "" {
@@ -181,26 +173,6 @@ func runUH(ds *dataset.Dataset, user core.User, eps float64, obs core.Observer, 
 	}
 	idx := ds.TopPoint(center)
 	return core.Result{PointIndex: idx, Point: ds.Points[idx], Rounds: rounds, Trace: trace}, nil
-}
-
-// hullCandidates keeps only the candidates that are extreme points of the
-// candidate set's convex hull — only those can be the unique top-1 under a
-// linear utility, which is the candidate definition in the published
-// UH-Simplex.
-func hullCandidates(ds *dataset.Dataset, cands []int) []int {
-	pts := make([][]float64, len(cands))
-	for i, c := range cands {
-		pts[i] = ds.Points[c]
-	}
-	ext := geom.ExtremePoints(pts)
-	if len(ext) == 0 {
-		return cands
-	}
-	out := make([]int, len(ext))
-	for i, e := range ext {
-		out[i] = cands[e]
-	}
-	return out
 }
 
 // pruneByTops drops candidates that are utility-dominated inside R by one of

@@ -14,7 +14,7 @@ import (
 // runSeeded executes one seeded EA session and returns its result. Each call
 // builds a fresh EA so the RNG stream starts from the same state. With
 // scratch set, the geom.inc.clip fault fails every halfspace clip, so the
-// engine serves every vertex read from Polytope.VerticesCtx — the scratch
+// engine serves every vertex read from its scratch primitive — the scratch
 // enumeration — and the run is the reference the engine must reproduce; the
 // test fails if the fault never fired.
 func runSeeded(t *testing.T, scratch bool, dataSeed, rngSeed int64, u []float64) core.Result {

@@ -32,7 +32,7 @@ import (
 // plans may also name points of their own for application-level hooks.
 const (
 	PointLPSolve    = "lp.solve"         // internal/lp: one simplex solve
-	PointVertices   = "geom.vertices"    // internal/geom: one vertex enumeration
+	PointVertices   = "geom.vertices"    // internal/geom: one scratch vertex enumeration (see ParsePlan)
 	PointSample     = "geom.sample"      // internal/geom: one hit-and-run sampling run
 	PointOracle     = "core.oracle"      // internal/core: one session oracle question
 	PointWALWrite   = "wal.write"        // internal/wal: one journal record write
@@ -210,6 +210,11 @@ func Hit(point string) error {
 // before arming). Example:
 //
 //	lp.solve:err=0.01;geom.vertices:panic=0.005,after=10;core.oracle:lat=50ms
+//
+// geom.vertices fires only on scratch vertex enumerations: a session's first
+// vertex read and the reads after a halfspace clip falls back. A clipped
+// round serves its maintained list without a hit, so a plan that wants the
+// fault every round also arms geom.inc.clip:err=1.
 func ParsePlan(spec string, seed int64) (*Plan, error) {
 	p := NewPlan(seed)
 	for _, entry := range strings.Split(spec, ";") {

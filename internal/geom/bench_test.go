@@ -6,9 +6,9 @@ import (
 	"testing"
 )
 
-func benchPolytope(d, cuts int, seed int64) *Polytope {
+func benchPolytope(d, cuts int, seed int64) *polytope {
 	rng := rand.New(rand.NewSource(seed))
-	p := NewPolytope(d)
+	p := newPolytope(d)
 	u := SampleSimplex(rng, d) // keep a witness feasible
 	for k := 0; k < cuts; k++ {
 		w := make([]float64, d)
@@ -66,7 +66,7 @@ func BenchmarkHitAndRunSample(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := p.SampleCtx(context.Background(), rng, 64, SampleOptions{}); err != nil {
+		if _, err := p.SampleCtx(context.Background(), rng, 64); err != nil {
 			b.Fatal(err)
 		}
 	}

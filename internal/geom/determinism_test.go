@@ -11,10 +11,10 @@ import (
 
 // testPoly builds a d-dimensional utility range narrowed by a few random
 // preference halfspaces, mirroring mid-interaction state.
-func testPoly(t *testing.T, d int, seed int64) *Polytope {
+func testPoly(t *testing.T, d int, seed int64) *polytope {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	p := NewPolytope(d)
+	p := newPolytope(d)
 	for k := 0; k < d+2; k++ {
 		pi := make([]float64, d)
 		pj := make([]float64, d)
@@ -55,7 +55,7 @@ func sampleHash(pts [][]float64) uint64 {
 func TestSampleMatchesGolden(t *testing.T) {
 	want := map[int]uint64{3: 0xffada63c7222f547, 5: 0xf01e0e7f776bc260}
 	for _, d := range []int{3, 5} {
-		pts, err := testPoly(t, d, 21).SampleCtx(context.Background(), rand.New(rand.NewSource(22)), 40, SampleOptions{})
+		pts, err := testPoly(t, d, 21).SampleCtx(context.Background(), rand.New(rand.NewSource(22)), 40)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,15 +7,16 @@ import (
 	"isrl/internal/geom"
 )
 
-// ExamplePolytope shows the utility range narrowing that drives the whole
+// ExampleIncremental shows the utility range narrowing that drives the whole
 // interactive regret query: a user preferring p1 to p2 halves the simplex.
-func ExamplePolytope() {
-	r := geom.NewPolytope(2) // the whole utility space U
+func ExampleIncremental() {
+	ctx := context.Background()
+	r := geom.NewIncremental(2) // the whole utility space U
 	p1 := []float64{0.9, 0.1}
 	p2 := []float64{0.1, 0.9}
-	r.Add(geom.NewHalfspace(p1, p2)) // "I prefer p1" (Lemma 1)
+	r.AddCtx(ctx, geom.NewHalfspace(p1, p2)) // "I prefer p1" (Lemma 1)
 
-	verts, err := r.VerticesCtx(context.Background())
+	verts, err := r.VerticesCtx(ctx)
 	if err != nil {
 		panic(err)
 	}
@@ -27,9 +28,9 @@ func ExamplePolytope() {
 	// [1.0 0.0]
 }
 
-// ExamplePolytope_InnerBallCtx computes the paper's §IV-C inner sphere.
-func ExamplePolytope_InnerBallCtx() {
-	r := geom.NewPolytope(2)
+// ExampleIncremental_InnerBallCtx computes the paper's §IV-C inner sphere.
+func ExampleIncremental_InnerBallCtx() {
+	r := geom.NewIncremental(2)
 	b, err := r.InnerBallCtx(context.Background())
 	if err != nil {
 		panic(err)

@@ -51,7 +51,7 @@ func TestSimplexHelpers(t *testing.T) {
 
 func TestVerticesOfFullSimplex(t *testing.T) {
 	for d := 2; d <= 6; d++ {
-		p := NewPolytope(d)
+		p := newPolytope(d)
 		vs, err := p.VerticesCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
@@ -70,7 +70,7 @@ func TestVerticesOfFullSimplex(t *testing.T) {
 func TestVerticesAfterCut(t *testing.T) {
 	// 2D simplex is the segment (1,0)-(0,1). Cut with u1 ≥ u2
 	// (normal (1,-1)): vertices become (1,0) and (0.5,0.5).
-	p := NewPolytope(2)
+	p := newPolytope(2)
 	p.Add(Halfspace{Normal: []float64{1, -1}})
 	vs, err := p.VerticesCtx(context.Background())
 	if err != nil {
@@ -99,7 +99,7 @@ func TestVerticesCache(t *testing.T) {
 	}
 	g.AddCtx(ctx, Halfspace{Normal: []float64{1, -1, 0}})
 	v3, _ := g.VerticesCtx(ctx)
-	p := NewPolytope(3)
+	p := newPolytope(3)
 	p.Add(Halfspace{Normal: []float64{1, -1, 0}})
 	want, _ := p.VerticesCtx(ctx)
 	sameVertices(t, "after Add", v3, want)
@@ -111,7 +111,7 @@ func TestVerticesFeasibleRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 60; trial++ {
 		d := 2 + rng.Intn(4)
-		p := NewPolytope(d)
+		p := newPolytope(d)
 		u := SampleSimplex(rng, d) // kept-feasible witness
 		for k := 0; k < 1+rng.Intn(6); k++ {
 			w := make([]float64, d)
@@ -139,7 +139,7 @@ func TestVerticesFeasibleRandom(t *testing.T) {
 }
 
 func TestIsEmptyAndContains(t *testing.T) {
-	p := NewPolytope(2)
+	p := newPolytope(2)
 	if p.IsEmpty() {
 		t.Fatal("full simplex reported empty")
 	}
@@ -155,7 +155,7 @@ func TestIsEmptyAndContains(t *testing.T) {
 }
 
 func TestInteriorSlack(t *testing.T) {
-	p := NewPolytope(3)
+	p := newPolytope(3)
 	p.Add(Halfspace{Normal: []float64{1, -1, 0}})
 	slack, u, ok := p.InteriorSlack()
 	if !ok || slack <= 0 {
@@ -165,7 +165,7 @@ func TestInteriorSlack(t *testing.T) {
 		t.Errorf("witness %v infeasible", u)
 	}
 	// Empty interior on the flip side.
-	q := NewPolytope(2)
+	q := newPolytope(2)
 	q.Add(Halfspace{Normal: []float64{1, -1}})
 	q.Add(Halfspace{Normal: []float64{-1, 1}})
 	s2, _, ok := q.InteriorSlack()
@@ -178,7 +178,7 @@ func TestInteriorSlack(t *testing.T) {
 }
 
 func TestCutsBothSides(t *testing.T) {
-	p := NewPolytope(2)
+	p := newPolytope(2)
 	mid := Halfspace{Normal: []float64{1, -1}} // passes through (0.5,0.5)
 	if !p.CutsBothSides(mid, 1e-9) {
 		t.Error("bisecting hyperplane should cut both sides")
@@ -191,7 +191,7 @@ func TestCutsBothSides(t *testing.T) {
 }
 
 func TestOuterRect(t *testing.T) {
-	p := NewPolytope(2)
+	p := newPolytope(2)
 	emin, emax, err := p.OuterRect()
 	if err != nil {
 		t.Fatal(err)
@@ -210,7 +210,7 @@ func TestOuterRect(t *testing.T) {
 }
 
 func TestInnerBall(t *testing.T) {
-	p := NewPolytope(2)
+	p := newPolytope(2)
 	b, err := p.InnerBallCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -231,7 +231,7 @@ func TestInnerBallRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 50; trial++ {
 		d := 2 + rng.Intn(5)
-		p := NewPolytope(d)
+		p := newPolytope(d)
 		u := SampleSimplex(rng, d)
 		for k := 0; k < rng.Intn(7); k++ {
 			w := make([]float64, d)
@@ -259,7 +259,7 @@ func TestInnerBallRandom(t *testing.T) {
 }
 
 func TestReduceRedundant(t *testing.T) {
-	p := NewPolytope(3)
+	p := newPolytope(3)
 	p.Add(Halfspace{Normal: []float64{1, -1, 0}})
 	p.Add(Halfspace{Normal: []float64{2, -2, 0}}) // same halfspace scaled
 	p.Add(Halfspace{Normal: []float64{1, -0.5, 0}})
@@ -326,10 +326,10 @@ func TestEnclosingBallContainsAll(t *testing.T) {
 
 func TestSampleInsidePolytope(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	p := NewPolytope(4)
+	p := newPolytope(4)
 	p.Add(Halfspace{Normal: []float64{1, -1, 0, 0}})
 	p.Add(Halfspace{Normal: []float64{0, 1, -1, 0}})
-	samples, err := p.SampleCtx(context.Background(), rng, 200, SampleOptions{})
+	samples, err := p.SampleCtx(context.Background(), rng, 200)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,8 +347,8 @@ func TestSampleInsidePolytope(t *testing.T) {
 // the 3-simplex should approximate 1/2.
 func TestSampleRoughlyUniform(t *testing.T) {
 	rng := rand.New(rand.NewSource(2024))
-	p := NewPolytope(3)
-	samples, err := p.SampleCtx(context.Background(), rng, 2000, SampleOptions{})
+	p := newPolytope(3)
+	samples, err := p.SampleCtx(context.Background(), rng, 2000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,9 +365,9 @@ func TestSampleRoughlyUniform(t *testing.T) {
 }
 
 func TestSampleEmptyPolytopeFails(t *testing.T) {
-	p := NewPolytope(2)
+	p := newPolytope(2)
 	p.Add(Halfspace{Normal: []float64{-1, -1}})
-	if _, err := p.SampleCtx(context.Background(), rand.New(rand.NewSource(1)), 5, SampleOptions{}); err == nil {
+	if _, err := p.SampleCtx(context.Background(), rand.New(rand.NewSource(1)), 5); err == nil {
 		t.Error("sampling an empty polytope must fail")
 	}
 }
@@ -432,7 +432,7 @@ func TestGreedyCoverMonotone(t *testing.T) {
 }
 
 func TestPolytopeClone(t *testing.T) {
-	p := NewPolytope(3)
+	p := newPolytope(3)
 	p.Add(Halfspace{Normal: []float64{1, -1, 0}})
 	c := p.Clone()
 	c.Add(Halfspace{Normal: []float64{0, 1, -1}})
@@ -448,7 +448,7 @@ func TestPolytopeClone(t *testing.T) {
 func TestVerticesBudgetError(t *testing.T) {
 	// High dimension with many halfspaces exceeds the enumeration budget
 	// and must return a descriptive error instead of hanging.
-	p := NewPolytope(12)
+	p := newPolytope(12)
 	rng := rand.New(rand.NewSource(44))
 	for k := 0; k < 40; k++ {
 		w := make([]float64, 12)
@@ -463,7 +463,7 @@ func TestVerticesBudgetError(t *testing.T) {
 }
 
 func TestZeroNormalHalfspaceIgnored(t *testing.T) {
-	p := NewPolytope(3)
+	p := newPolytope(3)
 	p.Add(Halfspace{Normal: []float64{0, 0, 0}})
 	vs, err := p.VerticesCtx(context.Background())
 	if err != nil {
@@ -475,7 +475,7 @@ func TestZeroNormalHalfspaceIgnored(t *testing.T) {
 }
 
 func TestRepairFeasibility(t *testing.T) {
-	p := NewPolytope(3)
+	p := newPolytope(3)
 	p.Add(Halfspace{Normal: []float64{1, -1, 0}})  // u1 ≥ u2
 	p.Add(Halfspace{Normal: []float64{-1, 1, 0}})  // u2 ≥ u1 (degenerate with above)
 	p.Add(Halfspace{Normal: []float64{-1, -1, 0}}) // u1+u2 ≤ 0: kills the interior
@@ -488,7 +488,7 @@ func TestRepairFeasibility(t *testing.T) {
 		t.Errorf("interior not restored: slack=%v ok=%v", slack, ok)
 	}
 	// A healthy polytope is untouched.
-	q := NewPolytope(3)
+	q := newPolytope(3)
 	q.Add(Halfspace{Normal: []float64{1, -1, 0}})
 	if got := q.RepairFeasibility(); got != 0 {
 		t.Errorf("repair removed %d from a feasible polytope", got)

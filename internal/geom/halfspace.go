@@ -7,6 +7,14 @@
 // the paper's §IV-A. Hyperplanes pass through the origin (they come from
 // score comparisons u·(pᵢ−pⱼ) = 0), so each halfspace is stored as just its
 // normal vector with the convention normal·u ≥ 0.
+//
+// Every algorithm reaches a utility range through one engine, Incremental:
+// NewIncremental(d) builds U, AddCtx and Reduce (and Repair, for
+// contradictory answers) mutate it, and VerticesCtx, InnerBallCtx,
+// OuterRectCtx, CutsBothSides and SampleCtx read it, reusing state across
+// rounds. The scratch primitives behind it stay unexported; ScratchVertices
+// and ScratchRound expose them only so benchmarks can time the reads with
+// no state kept.
 package geom
 
 import (

@@ -17,7 +17,7 @@ import (
 // mutates its polytope one halfspace per round, yet the scratch primitives
 // (vertex enumeration, the Chebyshev LP, the 2d outer-rectangle LPs, the
 // cuts-both-sides probes) recompute everything from the constraint list every
-// time. An Incremental handle owns one session's Polytope and maintains
+// time. An Incremental handle owns one session's polytope and maintains
 // cross-round state instead:
 //
 //   - a vertexSet updated by clipping the current vertices against the new
@@ -47,7 +47,7 @@ type incVertex struct {
 
 // vertexSet maintains the vertex list of a simple polytope across halfspace
 // additions and redundant-halfspace removals. It mirrors the constraint pool
-// of Polytope.VerticesCtx and reproduces its output bit for bit: kept vertices
+// of polytope.VerticesCtx and reproduces its output bit for bit: kept vertices
 // keep the floats of their original d×d solves, and a new vertex is solved
 // from the same system rows, in the same order, that the scratch enumeration
 // would build for its active set. Whenever the polytope is not simple —
@@ -64,7 +64,7 @@ type vertexSet struct {
 
 // rebuild refreshes vs from a scratch enumeration of p, recomputes every
 // active set and returns the enumerated list.
-func (vs *vertexSet) rebuild(ctx context.Context, p *Polytope) ([][]float64, error) {
+func (vs *vertexSet) rebuild(ctx context.Context, p *polytope) ([][]float64, error) {
 	verts, err := p.VerticesCtx(ctx)
 	if err != nil {
 		return nil, err
@@ -113,7 +113,7 @@ func (vs *vertexSet) rebuild(ctx context.Context, p *Polytope) ([][]float64, err
 // hyperplane, a non-simple new vertex, a quantized-key collision, an emptied
 // or collapsed region — and the caller must rebuild; vs may then be left
 // partially updated.
-func (vs *vertexSet) clip(p *Polytope, h Halfspace) bool {
+func (vs *vertexSet) clip(p *polytope, h Halfspace) bool {
 	if !vs.simple {
 		return false
 	}
@@ -296,14 +296,14 @@ func (vs *vertexSet) remove(listIdx int) bool {
 	return true
 }
 
-// Incremental is a session's utility range R: it owns its Polytope, and
+// Incremental is a session's utility range R: it owns its polytope, and
 // every mutation goes through AddCtx, Reduce or Repair, so the maintained
 // state always describes the polytope it was built from. All reads route to
 // the scratch primitives when that state is cold or degraded, so callers get
 // scratch semantics with cross-round reuse as an optimization. Not safe for
 // concurrent use (matching lp.Solver).
 type Incremental struct {
-	p *Polytope
+	p *polytope
 
 	vs      vertexSet
 	verts   [][]float64 // vs's vertex list, served while vsFresh
@@ -332,7 +332,7 @@ const ballTol = 1e-7
 // NewIncremental returns the full utility space U in d dimensions, with no
 // state warmed yet.
 func NewIncremental(d int) *Incremental {
-	return &Incremental{p: NewPolytope(d)}
+	return &Incremental{p: newPolytope(d)}
 }
 
 // Dim reports the dimension of R.
@@ -342,10 +342,12 @@ func (g *Incremental) Dim() int { return g.p.Dim }
 // own: callers must neither modify nor retain it.
 func (g *Incremental) Halfspaces() []Halfspace { return g.p.Halfspaces }
 
-// SampleCtx draws n points from R with Polytope.SampleCtx, which starts its
-// chains from a scratch inner-ball solve; the warm state is not consulted.
+// SampleCtx draws n points from R by hit-and-run (polytope.SampleCtx). The
+// chains start from a scratch inner-ball solve; the warm inner-ball program
+// is not consulted, so a draw depends only on R, rng and n, not on which
+// reads warmed the handle before it.
 func (g *Incremental) SampleCtx(ctx context.Context, rng *rand.Rand, n int) ([][]float64, error) {
-	return g.p.SampleCtx(ctx, rng, n, SampleOptions{})
+	return g.p.SampleCtx(ctx, rng, n)
 }
 
 // AddCtx intersects the polytope with h, folding it into every maintained
@@ -460,7 +462,7 @@ func (g *Incremental) OuterRectCtx(ctx context.Context) (emin, emax []float64, e
 	return emin, emax, nil
 }
 
-// CutsBothSides is Polytope.CutsBothSides, certified by ball when it can be
+// CutsBothSides is polytope.CutsBothSides, certified by ball when it can be
 // and decided by the warm base solver otherwise. ball must be the Chebyshev
 // ball of the current R (InnerBallCtx since the last mutation); a zero Ball
 // certifies nothing. The Chebyshev program measures facet distances in the
@@ -495,7 +497,7 @@ func (g *Incremental) CutsBothSides(ball Ball, h Halfspace, margin float64) bool
 	return res.Status == lp.Optimal && res.Objective > margin
 }
 
-// Reduce is Polytope.ReduceRedundant with maintained-state upkeep: it runs
+// Reduce is polytope.ReduceRedundant with maintained-state upkeep: it runs
 // the same removal loop (identical removal decisions), the vertex set
 // survives each removal by reindexing (a redundant halfspace is active at no
 // vertex of a simple polytope), and the warm solvers are dropped for lazy
@@ -515,7 +517,7 @@ func (g *Incremental) Reduce() int {
 	return removed
 }
 
-// Repair is Polytope.RepairFeasibility on R. Dropping a halfspace may grow
+// Repair is polytope.RepairFeasibility on R. Dropping a halfspace may grow
 // R, which neither clipping, nor a pushed solver row, nor a witness can
 // follow, so when it removes any it drops the vertex set, both warm solvers
 // and every outer-rectangle witness; the next reads rebuild from scratch.

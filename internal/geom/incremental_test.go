@@ -63,7 +63,7 @@ func TestIncrementalMatchesScratchProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		d := 2 + rng.Intn(4)
 		uStar := randSimplexPoint(rng, d)
-		pScr := NewPolytope(d)
+		pScr := newPolytope(d)
 		g := NewIncremental(d)
 
 		// Fixed probe pool, re-asked as R shrinks. Half the normals carry a
@@ -195,7 +195,7 @@ func TestIncrementalClipFaultFallsBackScratch(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	d := 4
 	uStar := randSimplexPoint(rng, d)
-	pScr := NewPolytope(d)
+	pScr := newPolytope(d)
 	g := NewIncremental(d)
 	for step := 0; step < 15; step++ {
 		w := randCut(rng, d, uStar)
@@ -273,7 +273,7 @@ func TestIncrementalRepairResetsState(t *testing.T) {
 		t.Fatalf("repair dropped %d halfspaces, left %v; want u₀ ≥ u₁ dropped", n, hs)
 	}
 
-	scr := NewPolytope(d)
+	scr := newPolytope(d)
 	scr.Add(Halfspace{Normal: []float64{1, 0, -1}})
 	scr.Add(Halfspace{Normal: []float64{-1, 1, 0}})
 	vInc, err := g.VerticesCtx(ctx)

@@ -2,7 +2,6 @@ package geom
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 
@@ -11,25 +10,28 @@ import (
 	"isrl/internal/vec"
 )
 
-// Polytope is a utility range R = U ∩ ⋂ₖ {wₖ·u ≥ 0}: the probability simplex
+// polytope is a utility range R = U ∩ ⋂ₖ {wₖ·u ≥ 0}: the probability simplex
 // intersected with the homogeneous halfspaces accumulated during interaction.
-// The zero value is unusable; construct with NewPolytope.
-type Polytope struct {
+// Its methods are the scratch primitives: each one rebuilds its answer from
+// the halfspace list. Incremental owns one as its state and falls back to
+// these primitives, and the property tests hold Incremental's reads against
+// them. The zero value is unusable; construct with newPolytope.
+type polytope struct {
 	Dim        int
 	Halfspaces []Halfspace
 }
 
-// NewPolytope returns the full utility space U in d dimensions.
-func NewPolytope(d int) *Polytope {
+// newPolytope returns the full utility space U in d dimensions.
+func newPolytope(d int) *polytope {
 	if d < 2 {
 		panic(fmt.Sprintf("geom: polytope dimension %d < 2", d))
 	}
-	return &Polytope{Dim: d}
+	return &polytope{Dim: d}
 }
 
 // Clone returns a deep copy of p.
-func (p *Polytope) Clone() *Polytope {
-	c := &Polytope{Dim: p.Dim}
+func (p *polytope) Clone() *polytope {
+	c := &polytope{Dim: p.Dim}
 	c.Halfspaces = make([]Halfspace, len(p.Halfspaces))
 	for i, h := range p.Halfspaces {
 		c.Halfspaces[i] = Halfspace{Normal: vec.Clone(h.Normal)}
@@ -38,7 +40,7 @@ func (p *Polytope) Clone() *Polytope {
 }
 
 // Add intersects p with h.
-func (p *Polytope) Add(h Halfspace) {
+func (p *polytope) Add(h Halfspace) {
 	if len(h.Normal) != p.Dim {
 		panic(fmt.Sprintf("geom: halfspace dim %d, polytope dim %d", len(h.Normal), p.Dim))
 	}
@@ -46,7 +48,7 @@ func (p *Polytope) Add(h Halfspace) {
 }
 
 // Contains reports whether u lies in R within tol.
-func (p *Polytope) Contains(u []float64, tol float64) bool {
+func (p *polytope) Contains(u []float64, tol float64) bool {
 	if len(u) != p.Dim {
 		return false
 	}
@@ -70,7 +72,7 @@ func (p *Polytope) Contains(u []float64, tol float64) bool {
 
 // baseProblem returns an LP skeleton with u ∈ U and all halfspace rows, plus
 // room for extra variables appended after the d utility coordinates.
-func (p *Polytope) baseProblem(extraVars int) *lp.Problem {
+func (p *polytope) baseProblem(extraVars int) *lp.Problem {
 	d := p.Dim
 	prob := &lp.Problem{NumVars: d + extraVars, Maximize: make([]float64, d+extraVars)}
 	ones := make([]float64, d+extraVars)
@@ -87,7 +89,7 @@ func (p *Polytope) baseProblem(extraVars int) *lp.Problem {
 }
 
 // IsEmpty reports whether R has no point (within LP tolerance).
-func (p *Polytope) IsEmpty() bool {
+func (p *polytope) IsEmpty() bool {
 	prob := p.baseProblem(0)
 	return solveLP(context.Background(), prob).Status != lp.Optimal
 }
@@ -97,7 +99,7 @@ func (p *Polytope) IsEmpty() bool {
 // full-dimensional intersection with every halfspace strict; a negative one
 // means R is empty. This is the paper's "maximize x subject to w·u > x"
 // feasibility probe from §IV-C.
-func (p *Polytope) InteriorSlack() (slack float64, u []float64, ok bool) {
+func (p *polytope) InteriorSlack() (slack float64, u []float64, ok bool) {
 	d := p.Dim
 	prob := &lp.Problem{NumVars: d + 1, Maximize: make([]float64, d+1)}
 	prob.Maximize[d] = 1
@@ -130,11 +132,11 @@ func (p *Polytope) InteriorSlack() (slack float64, u []float64, ok bool) {
 // CutsBothSides reports whether the hyperplane of h properly splits R: both
 // R∩{w·u ≥ margin} and R∩{−w·u ≥ margin} are non-empty. margin > 0 demands a
 // full-dimensional piece on each side (Lemma 8's strict-narrowing condition).
-func (p *Polytope) CutsBothSides(h Halfspace, margin float64) bool {
+func (p *polytope) CutsBothSides(h Halfspace, margin float64) bool {
 	return p.sideFeasible(h.Normal, margin) && p.sideFeasible(vec.Scale(nil, -1, h.Normal), margin)
 }
 
-func (p *Polytope) sideFeasible(w []float64, margin float64) bool {
+func (p *polytope) sideFeasible(w []float64, margin float64) bool {
 	prob := p.baseProblem(0)
 	copy(prob.Maximize, w)
 	res := solveLP(context.Background(), prob)
@@ -143,7 +145,7 @@ func (p *Polytope) sideFeasible(w []float64, margin float64) bool {
 
 // OuterRect returns e_min and e_max, the per-dimension extrema of u over R,
 // computed with 2d LPs (paper §IV-C). It fails when R is empty.
-func (p *Polytope) OuterRect() (emin, emax []float64, err error) {
+func (p *polytope) OuterRect() (emin, emax []float64, err error) {
 	d := p.Dim
 	emin = make([]float64, d)
 	emax = make([]float64, d)
@@ -177,7 +179,7 @@ type Ball struct {
 // paper's inner-sphere LP from §IV-C (the Chebyshev center of R restricted
 // to the simplex). It fails when R is empty. The LP is wrapped in a
 // "geom.inner_ball" span when ctx carries an active trace.
-func (p *Polytope) InnerBallCtx(ctx context.Context) (Ball, error) {
+func (p *polytope) InnerBallCtx(ctx context.Context) (Ball, error) {
 	ctx, sp := trace.Start(ctx, "geom.inner_ball")
 	defer sp.End()
 	res := solveLP(ctx, p.innerBallProblem())
@@ -190,7 +192,7 @@ func (p *Polytope) InnerBallCtx(ctx context.Context) (Ball, error) {
 // innerBallProblem builds the Chebyshev-center LP over R ∩ U with variables
 // (c₀..c_{d−1}, r). Shared by the from-scratch solve and the warm solver so
 // both paths assemble bit-identical tableaus.
-func (p *Polytope) innerBallProblem() *lp.Problem {
+func (p *polytope) innerBallProblem() *lp.Problem {
 	d := p.Dim
 	prob := &lp.Problem{NumVars: d + 1, Maximize: make([]float64, d+1)}
 	prob.Maximize[d] = 1 // maximize radius r
@@ -229,9 +231,6 @@ func innerBallRow(h Halfspace, d int) ([]float64, bool) {
 	return row, true
 }
 
-// ErrEmpty reports an operation on an empty utility range.
-var ErrEmpty = errors.New("geom: empty polytope")
-
 // RepairFeasibility restores a non-empty interior to R by greedily removing
 // halfspaces: while the interior slack is non-positive, it drops the
 // halfspace whose removal recovers the most slack. This implements the
@@ -239,7 +238,7 @@ var ErrEmpty = errors.New("geom: empty polytope")
 // answers contradict each other the learned constraints cannot all hold, so
 // the least-consistent ones are discarded. Returns the number of halfspaces
 // removed (0 when R was already full-dimensional).
-func (p *Polytope) RepairFeasibility() int {
+func (p *polytope) RepairFeasibility() int {
 	removed := 0
 	for {
 		slack, _, ok := p.InteriorSlack()
@@ -254,7 +253,7 @@ func (p *Polytope) RepairFeasibility() int {
 		for i := range p.Halfspaces {
 			rest = append(rest[:0], p.Halfspaces[:i]...)
 			rest = append(rest, p.Halfspaces[i+1:]...)
-			q := &Polytope{Dim: p.Dim, Halfspaces: rest}
+			q := &polytope{Dim: p.Dim, Halfspaces: rest}
 			if s, _, ok := q.InteriorSlack(); ok && s > bestSlack {
 				bestSlack, bestIdx = s, i
 			}
@@ -271,13 +270,13 @@ func (p *Polytope) RepairFeasibility() int {
 // max −w·u over R\{h} is ≤ 0 (every point of the relaxation already
 // satisfies h). Keeping the set small bounds the vertex-enumeration pool.
 // Returns the number of halfspaces removed.
-func (p *Polytope) ReduceRedundant() int { return p.reduceRedundant(nil) }
+func (p *polytope) ReduceRedundant() int { return p.reduceRedundant(nil) }
 
 // reduceRedundant is the removal loop behind ReduceRedundant and
 // Incremental.Reduce, so both make the same keep/remove decisions by
 // construction. After each removal it calls removed, when non-nil, with the
 // list index the halfspace occupied.
-func (p *Polytope) reduceRedundant(removed func(i int)) int {
+func (p *polytope) reduceRedundant(removed func(i int)) int {
 	n := 0
 	// One scratch relaxation and one negated-normal buffer serve every
 	// probe; the actual removal splices p.Halfspaces in place.
@@ -287,7 +286,7 @@ func (p *Polytope) reduceRedundant(removed func(i int)) int {
 		h := p.Halfspaces[i]
 		rest = append(rest[:0], p.Halfspaces[:i]...)
 		rest = append(rest, p.Halfspaces[i+1:]...)
-		q := &Polytope{Dim: p.Dim, Halfspaces: rest}
+		q := &polytope{Dim: p.Dim, Halfspaces: rest}
 		if q.sideFeasible(vec.Scale(neg, -1, h.Normal), 1e-9) {
 			i++ // h actively cuts; keep it
 			continue
@@ -299,4 +298,27 @@ func (p *Polytope) reduceRedundant(removed func(i int)) int {
 		}
 	}
 	return n
+}
+
+// ScratchVertices enumerates the vertices of U ∩ ⋂ hs from scratch, keeping
+// no state: the enumeration behind Incremental's first vertex read and its
+// fallbacks. It exists so benchmarks can time that path on its own.
+func ScratchVertices(ctx context.Context, d int, hs []Halfspace) ([][]float64, error) {
+	return (&polytope{Dim: d, Halfspaces: hs}).VerticesCtx(ctx)
+}
+
+// ScratchRound runs one round's geometry reads on U ∩ ⋂ hs with nothing
+// kept from earlier rounds: vertex enumeration, the inner-ball LP and the 2d
+// outer-rectangle LPs, each built from the halfspace list. It is the
+// reference that benchmarks time Incremental's warm reads against.
+func ScratchRound(ctx context.Context, d int, hs []Halfspace) error {
+	p := &polytope{Dim: d, Halfspaces: hs}
+	if _, err := p.VerticesCtx(ctx); err != nil {
+		return err
+	}
+	if _, err := p.InnerBallCtx(ctx); err != nil {
+		return err
+	}
+	_, _, err := p.OuterRect()
+	return err
 }

@@ -27,18 +27,6 @@ func SampleSimplex(rng *rand.Rand, d int) []float64 {
 	return u
 }
 
-// SampleOptions tunes hit-and-run sampling inside a utility range.
-type SampleOptions struct {
-	// Start, when non-nil and still inside R, seeds every chain from this
-	// point and skips the inner-ball LP entirely — the cross-round warm
-	// start for callers that already know an interior point (a previously
-	// computed Chebyshev center). A nil or no-longer-contained Start falls
-	// back to solving for the ball center as before. Note the fallback also
-	// restores the empty-interior error; a caller-provided Start bypasses
-	// that check.
-	Start []float64
-}
-
 // sampleChains is the number of independent hit-and-run chains SampleCtx
 // decomposes a draw into (capped at the number of points drawn). Each chain
 // discards 5·d burn-in steps and keeps every d-th step after that.
@@ -54,8 +42,8 @@ var chainRNGs = sync.Pool{New: func() any { return rand.New(rand.NewSource(1)) }
 // independent chains (sampleChains), run one after another, each
 // starting at the inner ball center with its own RNG stream seeded in chain
 // order from rng; chain c fills the next contiguous block of the output, so
-// the output is a deterministic function of (rng state, n, opts). It fails
-// when R is empty or has no interior.
+// the output is a deterministic function of (rng state, n). It fails when R
+// is empty or has no interior.
 //
 // Hit-and-run is the workhorse behind the paper's Lemma-5 sampling step: the
 // number of sample vectors falling inside a terminal polyhedron tracks its
@@ -64,7 +52,7 @@ var chainRNGs = sync.Pool{New: func() any { return rand.New(rand.NewSource(1)) }
 // The whole draw — inner-ball LP plus the chains — is timed into
 // geom.sample_ms and, when ctx carries an active trace, as a "geom.sample"
 // span annotated with the point and chain counts.
-func (p *Polytope) SampleCtx(ctx context.Context, rng *rand.Rand, n int, opts SampleOptions) ([][]float64, error) {
+func (p *polytope) SampleCtx(ctx context.Context, rng *rand.Rand, n int) ([][]float64, error) {
 	ctx, t := trace.StartTimer(ctx, "geom.sample", sampleMS)
 	defer t.End()
 	sampleCalls.Inc()
@@ -73,17 +61,14 @@ func (p *Polytope) SampleCtx(ctx context.Context, rng *rand.Rand, n int, opts Sa
 		return nil, fmt.Errorf("geom: sample: %w", err)
 	}
 	d := p.Dim
-	from := opts.Start
-	if len(from) != d || !p.Contains(from, 1e-7) {
-		ib, err := p.InnerBallCtx(ctx)
-		if err != nil {
-			return nil, err
-		}
-		if ib.Radius <= 0 {
-			return nil, fmt.Errorf("geom: sample: polytope has empty interior (radius %g)", ib.Radius)
-		}
-		from = ib.Center
+	ib, err := p.InnerBallCtx(ctx)
+	if err != nil {
+		return nil, err
 	}
+	if ib.Radius <= 0 {
+		return nil, fmt.Errorf("geom: sample: polytope has empty interior (radius %g)", ib.Radius)
+	}
+	from := ib.Center
 	chains := sampleChains
 	if chains > n {
 		chains = n
@@ -120,7 +105,7 @@ func (p *Polytope) SampleCtx(ctx context.Context, rng *rand.Rand, n int, opts Sa
 // runChain walks one hit-and-run chain from start, filling every
 // pre-allocated slot of out with a retained sample: 5·d burn-in steps, then
 // one sample every d steps.
-func (p *Polytope) runChain(rng *rand.Rand, start []float64, out [][]float64) {
+func (p *polytope) runChain(rng *rand.Rand, start []float64, out [][]float64) {
 	cur := vec.Clone(start)
 	dir := make([]float64, len(start))
 	burnIn, thin := 5*p.Dim, p.Dim
@@ -151,7 +136,7 @@ func (p *Polytope) runChain(rng *rand.Rand, start []float64, out [][]float64) {
 
 // randomZeroSumDir fills dir with a unit Gaussian direction projected onto
 // the zero-sum hyperplane (tangent space of Σu = 1).
-func (p *Polytope) randomZeroSumDir(rng *rand.Rand, dir []float64) {
+func (p *polytope) randomZeroSumDir(rng *rand.Rand, dir []float64) {
 	d := len(dir)
 	for {
 		var mean float64
@@ -171,7 +156,7 @@ func (p *Polytope) randomZeroSumDir(rng *rand.Rand, dir []float64) {
 
 // chord intersects the line cur + t·dir with R, returning the feasible
 // t-interval. ok is false when the interval is empty or degenerate.
-func (p *Polytope) chord(cur, dir []float64) (lo, hi float64, ok bool) {
+func (p *polytope) chord(cur, dir []float64) (lo, hi float64, ok bool) {
 	lo, hi = math.Inf(-1), math.Inf(1)
 	clip := func(num, den float64) bool {
 		// Constraint: num + t·den ≥ 0.

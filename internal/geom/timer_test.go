@@ -74,7 +74,7 @@ func TestKernelHistogramAndSpanShareOneClock(t *testing.T) {
 		{"geom.sample", sampleMS, func(t *testing.T) func(context.Context) {
 			p := testPoly(t, 3, 12)
 			return func(ctx context.Context) {
-				if _, err := p.SampleCtx(ctx, rand.New(rand.NewSource(1)), 16, SampleOptions{}); err != nil {
+				if _, err := p.SampleCtx(ctx, rand.New(rand.NewSource(1)), 16); err != nil {
 					t.Fatal(err)
 				}
 			}

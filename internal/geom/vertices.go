@@ -32,7 +32,7 @@ const MaxVertexBases = 2_000_000
 // reads the list Incremental maintains instead). The enumeration is timed
 // into geom.vertices_ms and, when ctx carries an active trace, as a
 // "geom.vertices" span carrying the halfspace and vertex counts.
-func (p *Polytope) VerticesCtx(ctx context.Context) ([][]float64, error) {
+func (p *polytope) VerticesCtx(ctx context.Context) ([][]float64, error) {
 	_, t := trace.StartTimer(ctx, "geom.vertices", verticesMS)
 	defer t.End()
 	vertexEnums.Inc()
@@ -89,7 +89,7 @@ var enumPool = sync.Pool{New: func() any { return new(enumScratch) }}
 // enumerateVertices solves the d×d system of every (d−1)-subset of pool in
 // lexicographic order and returns the feasible solutions, deduplicated by
 // quantized key with the first-enumerated representative kept.
-func (p *Polytope) enumerateVertices(pool [][]float64) [][]float64 {
+func (p *polytope) enumerateVertices(pool [][]float64) [][]float64 {
 	d := p.Dim
 	sc := enumPool.Get().(*enumScratch)
 	defer enumPool.Put(sc)
@@ -139,7 +139,7 @@ func (p *Polytope) enumerateVertices(pool [][]float64) [][]float64 {
 	return out
 }
 
-func (p *Polytope) feasibleVertex(u []float64) bool {
+func (p *polytope) feasibleVertex(u []float64) bool {
 	var s float64
 	for _, ui := range u {
 		if ui < -vertexTol {

@@ -87,8 +87,11 @@ func TestServerFaultInjectedPanicKeepsServing(t *testing.T) {
 		t.Fatalf("no opening question: %+v", st)
 	}
 
-	// Arm after the session is live so its first question came up clean.
-	fault.Install(fault.NewPlan(11).Set(fault.PointVertices, fault.Spec{PanicProb: 1}))
+	// Arm after the session is live so its first question came up clean. The
+	// failed clip sends the next vertex read to scratch enumeration, where
+	// the panic fires.
+	fault.Install(fault.NewPlan(11).Set(fault.PointVertices, fault.Spec{PanicProb: 1}).
+		Set(fault.PointIncClip, fault.Spec{ErrProb: 1}))
 	defer fault.Install(nil)
 
 	st = postJSON(t, ts.URL+"/sessions/"+st.ID+"/answer", `{"prefer_first":true}`, http.StatusOK)
@@ -125,7 +128,8 @@ func TestServerFaultDegradedResult(t *testing.T) {
 	degradedBefore := obs.Default().Counter("sessions.degraded").Value()
 
 	_, created := doJSON(t, srv, http.MethodPost, "/sessions", nil)
-	fault.Install(fault.NewPlan(12).Set(fault.PointVertices, fault.Spec{ErrProb: 1}))
+	fault.Install(fault.NewPlan(12).Set(fault.PointVertices, fault.Spec{ErrProb: 1}).
+		Set(fault.PointIncClip, fault.Spec{ErrProb: 1}))
 	defer fault.Install(nil)
 
 	rec, st := doJSON(t, srv, http.MethodPost, "/sessions/"+created.ID+"/answer", answerPayload{PreferFirst: true})
@@ -207,7 +211,8 @@ func TestServerFaultAnswerDeadline(t *testing.T) {
 	srv, _ := testServerWith(t, WithAnswerDeadline(50*time.Millisecond))
 	_, created := doJSON(t, srv, http.MethodPost, "/sessions", nil)
 
-	fault.Install(fault.NewPlan(13).Set(fault.PointVertices, fault.Spec{Latency: 400 * time.Millisecond}))
+	fault.Install(fault.NewPlan(13).Set(fault.PointVertices, fault.Spec{Latency: 400 * time.Millisecond}).
+		Set(fault.PointIncClip, fault.Spec{ErrProb: 1}))
 	defer fault.Install(nil)
 
 	rec, _ := doJSON(t, srv, http.MethodPost, "/sessions/"+created.ID+"/answer", answerPayload{PreferFirst: true})
