@@ -177,6 +177,22 @@ func hotActions(rng *rand.Rand, k, dim int) [][]float64 {
 	return actions
 }
 
+// hotBatch builds a replay minibatch of n transitions with mh next actions
+// each; every seventh transition is terminal.
+func hotBatch(rng *rand.Rand, stateDim, actionDim, n, mh int) []rl.Transition {
+	batch := make([]rl.Transition, n)
+	for i := range batch {
+		batch[i] = rl.Transition{
+			State:       hotActions(rng, 1, stateDim)[0],
+			Action:      hotActions(rng, 1, actionDim)[0],
+			Next:        hotActions(rng, 1, stateDim)[0],
+			NextActions: hotActions(rng, mh, actionDim),
+			Terminal:    i%7 == 0,
+		}
+	}
+	return batch
+}
+
 // benchScoring returns the serial (per-candidate Q forward + argmax, the
 // pre-batching code path) and batched (Agent.BestCtx, one GEMM) rows for an
 // agent of the given shape scoring k candidates.
@@ -246,6 +262,17 @@ func runHotpaths(quick bool, outPath, comparePath string) error {
 	s, b = benchScoring("question_score_aa_d4", 13, 8, cands)
 	add(s, b)
 	speed("question_scoring", s, b)
+
+	// One DQN gradient step at AA's d=20 shape (state 3d+1=61, action 2d=40):
+	// the paper's minibatch of 64 with m_h = 5 next actions per transition.
+	agent := rl.NewAgent(61, 40, rl.Config{}, rand.New(rand.NewSource(25)))
+	batch := hotBatch(rand.New(rand.NewSource(26)), 61, 40, 64, 5)
+	add(row("dqn_train_step_aa_d20", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			agent.TrainBatch(batch)
+		}
+	}))
 
 	// Hit-and-run sampling at d=4: 256 points from the default 4 chains.
 	poly := hotPoly(4, 11)
@@ -409,6 +436,7 @@ func runHotpaths(quick bool, outPath, comparePath string) error {
 // against a committed baseline. The scoring rows scale with -quick and are
 // excluded.
 var fixedWorkloadRows = map[string]bool{
+	"dqn_train_step_aa_d20":      true,
 	"sample_d4":                  true,
 	"vertices_d4":                true,
 	"lp_solve_d4":                true,

@@ -407,6 +407,7 @@ type tableau struct {
 	cols   int
 	banned []bool // columns barred from entering (dead artificials)
 	ar     *arena // scratch source for the reduced-cost row
+	pivots int    // pivots run has made
 }
 
 // run maximizes obj over the current tableau, returning the objective value.
@@ -473,6 +474,7 @@ func (tb *tableau) run(obj []float64, banned []bool) (float64, Status) {
 			return 0, Unbounded
 		}
 		tb.pivot(leave, enter)
+		tb.pivots++
 		// Update reduced costs.
 		f := red[enter]
 		if f != 0 {

@@ -20,13 +20,15 @@ import (
 // Warm-start telemetry. solves counts warm attempts (Push and SolveWith on a
 // live basis), hits the attempts that finished warm, fallbacks the attempts
 // that had to rebuild cold; cold counts every from-scratch solve a Solver ran
-// (lazy inits, periodic refactorizations and fallbacks alike).
+// (lazy inits, periodic refactorizations and fallbacks alike). pivots counts
+// Push's dual-simplex pivots and primal_pivots SolveWith's primal ones.
 var (
-	warmSolves    = obs.Default().Counter("lp.warm.solves")
-	warmHits      = obs.Default().Counter("lp.warm.hits")
-	warmPivots    = obs.Default().Counter("lp.warm.pivots")
-	warmFallbacks = obs.Default().Counter("lp.warm.fallbacks")
-	warmCold      = obs.Default().Counter("lp.warm.cold")
+	warmSolves       = obs.Default().Counter("lp.warm.solves")
+	warmHits         = obs.Default().Counter("lp.warm.hits")
+	warmPivots       = obs.Default().Counter("lp.warm.pivots")
+	warmPrimalPivots = obs.Default().Counter("lp.warm.primal_pivots")
+	warmFallbacks    = obs.Default().Counter("lp.warm.fallbacks")
+	warmCold         = obs.Default().Counter("lp.warm.cold")
 )
 
 // refactorEvery bounds floating-point drift: after this many consecutive
@@ -156,6 +158,7 @@ func (s *Solver) SolveWith(objective []float64) Result {
 	s.ar.reset()
 	tab := &tableau{t: s.rows, basis: s.basis, cols: s.cols, banned: s.banned, ar: s.ar}
 	z, st := tab.run(s.obj, s.banned)
+	warmPrimalPivots.Add(int64(tab.pivots))
 	switch st {
 	case Optimal:
 		warmHits.Inc()

@@ -224,3 +224,40 @@ func TestWarmRefactorization(t *testing.T) {
 		}
 	}
 }
+
+// TestWarmSolveWithCountsPivots checks that a warm re-solve which ends at a
+// different vertex — so it must have pivoted — shows those pivots in
+// lp.warm.primal_pivots.
+func TestWarmSolveWithCountsPivots(t *testing.T) {
+	moved := 0
+	for seed := int64(300); seed < 320; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		d := 3 + rng.Intn(3)
+		s := NewSolver(randSimplexProblem(rng, d, 2))
+		prev := s.Solve()
+		for step := 0; step < 10 && prev.Status == Optimal; step++ {
+			hits, primal, dual := warmHits.Value(), warmPrimalPivots.Value(), warmPivots.Value()
+			res := s.SolveWith(randNormal(rng, d))
+			if res.Status == Optimal && warmHits.Value() > hits && !sameX(res.X, prev.X) {
+				moved++
+				if warmPrimalPivots.Value() == primal {
+					t.Fatalf("seed %d step %d: warm re-solve moved from %v to %v but lp.warm.primal_pivots stayed %d (lp.warm.pivots %d → %d)",
+						seed, step, prev.X, res.X, primal, dual, warmPivots.Value())
+				}
+			}
+			prev = res
+		}
+	}
+	if moved == 0 {
+		t.Fatal("no warm re-solve moved to another vertex")
+	}
+}
+
+func sameX(a, b []float64) bool {
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return len(a) == len(b)
+}

@@ -123,3 +123,41 @@ func TestForwardBatchSharedBitIdentical(t *testing.T) {
 		}
 	}
 }
+
+// ForwardBatchGrouped must be bit-identical to full per-row forwards on
+// states[group[r]] ⊕ rest[r] for the ragged groups a DQN minibatch produces:
+// groups of one to five rows, a state no row refers to, rows out of group
+// order, and first-layer widths with and without a partial 4-output block.
+func TestForwardBatchGroupedBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	for _, c := range []struct {
+		stateDim, actionDim, hidden int
+		act                         Activation
+	}{
+		{61, 40, 64, SELU}, // AA at d=20
+		{21, 8, 30, ReLU},
+		{5, 3, 7, Tanh},
+	} {
+		net := NewMLP([]int{c.stateDim + c.actionDim, c.hidden, 1}, c.act, rng)
+		sizes := []int{3, 1, 0, 5, 2, 4} // rows per group; group 2 has none
+		states := randBatch(rng, len(sizes), c.stateDim)
+		var group []int
+		for g, n := range sizes {
+			for i := 0; i < n; i++ {
+				group = append(group, g)
+			}
+		}
+		group[1], group[len(group)-1] = group[len(group)-1], group[1]
+		rest := randBatch(rng, len(group), c.actionDim)
+		got := net.ForwardBatchGrouped(states, group, rest).Clone()
+		full := make([]float64, c.stateDim+c.actionDim)
+		for r, g := range group {
+			copy(full, states.Row(g))
+			copy(full[c.stateDim:], rest.Row(r))
+			if want := net.Forward1(full); got.At(r, 0) != want {
+				t.Fatalf("%v %d+%d: ForwardBatchGrouped[%d] (group %d) = %v, Forward1 = %v",
+					c.act, c.stateDim, c.actionDim, r, g, got.At(r, 0), want)
+			}
+		}
+	}
+}

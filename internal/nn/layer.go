@@ -55,9 +55,9 @@ type Dense struct {
 	out []float64
 	gin []float64
 
-	xb         *vec.Mat  // cached batch input
-	outB, ginB *vec.Mat  // batch scratch, grown on demand
-	sharedH    []float64 // shared-prefix pre-activation scratch
+	xb         *vec.Mat // cached batch input
+	outB, ginB *vec.Mat // batch scratch, grown on demand
+	prefix     *vec.Mat // per-group prefix pre-activations (ForwardBatchGrouped)
 }
 
 // NewDense returns a Dense layer initialized with LeCun-normal weights

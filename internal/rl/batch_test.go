@@ -129,3 +129,73 @@ func TestTrainBatchBitIdenticalToSerial(t *testing.T) {
 		}
 	}
 }
+
+// raggedBatch builds a batch shaped like the ones EA and AA replay: each
+// transition has 0–5 next actions (EA's pair sampler can return fewer than
+// m_h), some non-terminal transitions have none, and every seventh is
+// terminal. allTerminal makes every transition terminal, so no target group
+// is formed at all.
+func raggedBatch(rng *rand.Rand, stateDim, actionDim, n int, allTerminal bool) []Transition {
+	randVec := func(k int) []float64 {
+		v := make([]float64, k)
+		for i := range v {
+			v[i] = rng.Float64()
+		}
+		return v
+	}
+	batch := make([]Transition, n)
+	for i := range batch {
+		tr := Transition{
+			State:  randVec(stateDim),
+			Action: randVec(actionDim),
+			Reward: rng.Float64() - 0.5,
+			Next:   randVec(stateDim),
+		}
+		for a, k := 0, (i+rng.Intn(2))%6; a < k; a++ {
+			tr.NextActions = append(tr.NextActions, randVec(actionDim))
+		}
+		tr.Terminal = allTerminal || i%7 == 3
+		batch[i] = tr
+	}
+	return batch
+}
+
+// The grouped target pass must reproduce the serial replica on ragged
+// next-action sets, for both the stabilized and the paper's recipe.
+func TestTrainBatchRaggedMatchesSerial(t *testing.T) {
+	for _, cfg := range []Config{
+		{SyncEvery: 3},
+		{SyncEvery: 3, UseSGD: true, MSE: true, VanillaDQN: true},
+	} {
+		batched := NewAgent(13, 6, cfg, rand.New(rand.NewSource(17)))
+		serial := NewAgent(13, 6, cfg, rand.New(rand.NewSource(17)))
+		rng := rand.New(rand.NewSource(18))
+		for step := 0; step < 8; step++ {
+			batch := raggedBatch(rng, 13, 6, 21+step, step == 4)
+			if step == 0 {
+				empty := 0
+				for _, tr := range batch {
+					if !tr.Terminal && len(tr.NextActions) == 0 {
+						empty++
+					}
+				}
+				if empty == 0 {
+					t.Fatal("ragged batch has no non-terminal transition without next actions")
+				}
+			}
+			lossB := batched.TrainBatch(batch)
+			lossS := serial.serialTrainBatch(batch)
+			if lossB != lossS {
+				t.Fatalf("vanilla=%v step %d: batched loss %v, serial %v", cfg.VanillaDQN, step, lossB, lossS)
+			}
+		}
+		bp, sp := batched.Main.Params(), serial.Main.Params()
+		for i := range bp {
+			for j := range bp[i].W {
+				if bp[i].W[j] != sp[i].W[j] {
+					t.Fatalf("vanilla=%v param %d w[%d]: batched %v, serial %v", cfg.VanillaDQN, i, j, bp[i].W[j], sp[i].W[j])
+				}
+			}
+		}
+	}
+}

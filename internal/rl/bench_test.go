@@ -46,6 +46,20 @@ func BenchmarkTrainBatch64(b *testing.B) {
 	}
 }
 
+// BenchmarkTrainBatchAAd20 is one gradient step at AA's d = 20 shape
+// (state 3d+1 = 61, action 2d = 40), the paper's minibatch of 64 with
+// m_h = 5 next actions per transition.
+func BenchmarkTrainBatchAAd20(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	a := NewAgent(61, 40, Config{}, rng)
+	batch := benchBatch(rng, 61, 40, 64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a.TrainBatch(batch)
+	}
+}
+
 func BenchmarkBestOf5(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	a := NewAgent(21, 8, Config{}, rng)

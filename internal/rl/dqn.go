@@ -116,13 +116,15 @@ type Agent struct {
 
 	// Batched-scoring and training scratch, preallocated so the per-round
 	// and per-update hot paths allocate nothing.
-	actMat *vec.Mat  // candidate-action rows for QBatch
-	qs     []float64 // candidate scores
-	xMat   *vec.Mat  // training-batch (s ⊕ a) rows
-	gMat   *vec.Mat  // training-batch dL/dQ rows
-	tgtMat *vec.Mat  // (next ⊕ argmax-action) rows for the target network
-	ys     []float64 // bootstrap targets
-	tgtRow []int     // batch index → tgtMat row (-1 when terminal/no actions)
+	actMat  *vec.Mat  // candidate-action rows (QBatch, and next actions in training)
+	qs      []float64 // candidate scores
+	xMat    *vec.Mat  // training-batch (s ⊕ a) rows
+	gMat    *vec.Mat  // training-batch dL/dQ rows
+	nextMat *vec.Mat  // one next state per target group
+	group   []int     // actMat row → target group
+	tgtMat  *vec.Mat  // (next ⊕ argmax-action) rows for the target network
+	ys      []float64 // bootstrap targets
+	tgtRow  []int     // batch index → target group and tgtMat row (-1 when terminal/no actions)
 }
 
 // emaDecay smooths the training-loss EMA over roughly the last ~200
@@ -261,11 +263,14 @@ func (a *Agent) SelectEpsGreedy(rng *rand.Rand, state []float64, actions [][]flo
 }
 
 // computeTargets fills a.ys with the bootstrap target r + γ·V(s′) of every
-// transition, using batched forwards throughout. Vanilla DQN takes max over
-// the target network; Double DQN selects the argmax with the main network
-// and evaluates it with the target network (one batched target pass over all
-// selected rows), which removes the maximization bias. The resulting targets
-// are bit-identical to scoring each (state, action) pair serially.
+// transition in a few batched passes. Each non-terminal transition with next
+// actions is one group of a single grouped forward: its next state is the
+// group's shared prefix and each candidate action one row. Vanilla DQN runs
+// that pass on the target network and takes each group's max; Double DQN
+// runs it on the main network, takes each group's argmax, and evaluates the
+// selected (next ⊕ action) rows in one target pass, which removes the
+// maximization bias. The targets are bit-identical to scoring each
+// (state, action) pair serially.
 func (a *Agent) computeTargets(batch []Transition) {
 	if cap(a.ys) < len(batch) {
 		a.ys = make([]float64, len(batch))
@@ -274,48 +279,72 @@ func (a *Agent) computeTargets(batch []Transition) {
 	a.ys = a.ys[:len(batch)]
 	a.tgtRow = a.tgtRow[:len(batch)]
 
-	if a.cfg.VanillaDQN {
-		for bi, tr := range batch {
-			y := tr.Reward
-			if !tr.Terminal && len(tr.NextActions) > 0 {
-				qs := a.qBatch(a.Target, tr.Next, tr.NextActions)
-				y += a.cfg.Gamma * qs[argmaxFirst(qs)]
-			}
-			a.ys[bi] = y
-		}
-		return
-	}
-	// Double DQN: batched main-network argmax per transition, then one
-	// batched target pass over all the selected (next ⊕ action) rows.
-	inDim := a.StateDim + a.ActionDim
-	rows := 0
-	for bi, tr := range batch {
-		a.tgtRow[bi] = -1
+	groups, rows := 0, 0
+	for _, tr := range batch {
 		if !tr.Terminal && len(tr.NextActions) > 0 {
-			rows++
+			groups++
+			rows += len(tr.NextActions)
 		}
 	}
-	a.tgtMat = vec.EnsureMat(a.tgtMat, rows, inDim)
-	row := 0
+	a.nextMat = vec.EnsureMat(a.nextMat, groups, a.StateDim)
+	a.actMat = vec.EnsureMat(a.actMat, rows, a.ActionDim)
+	a.group = a.group[:0]
+	g := 0
 	for bi, tr := range batch {
 		a.ys[bi] = tr.Reward
+		a.tgtRow[bi] = -1
 		if tr.Terminal || len(tr.NextActions) == 0 {
 			continue
 		}
-		best := argmaxFirst(a.qBatch(a.Main, tr.Next, tr.NextActions))
-		r := a.tgtMat.Row(row)
-		copy(r, tr.Next)
-		copy(r[a.StateDim:], tr.NextActions[best])
-		a.tgtRow[bi] = row
-		row++
+		if len(tr.Next) != a.StateDim {
+			panic(fmt.Sprintf("rl: transition %d next-state dim %d, want %d", bi, len(tr.Next), a.StateDim))
+		}
+		copy(a.nextMat.Row(g), tr.Next)
+		for i, act := range tr.NextActions {
+			if len(act) != a.ActionDim {
+				panic(fmt.Sprintf("rl: transition %d next action %d dim %d, want %d", bi, i, len(act), a.ActionDim))
+			}
+			copy(a.actMat.Row(len(a.group)), act)
+			a.group = append(a.group, g)
+		}
+		a.tgtRow[bi] = g
+		g++
 	}
-	if rows == 0 {
+	if groups == 0 {
+		return
+	}
+	net := a.Main
+	if a.cfg.VanillaDQN {
+		net = a.Target
+	}
+	qs := net.ForwardBatchGrouped(a.nextMat, a.group, a.actMat).Data // one column
+	if !a.cfg.VanillaDQN {
+		a.tgtMat = vec.EnsureMat(a.tgtMat, groups, a.StateDim+a.ActionDim)
+	}
+	r := 0
+	for bi, tr := range batch {
+		g := a.tgtRow[bi]
+		if g < 0 {
+			continue
+		}
+		n := len(tr.NextActions)
+		best := argmaxFirst(qs[r : r+n])
+		if a.cfg.VanillaDQN {
+			a.ys[bi] += a.cfg.Gamma * qs[r+best]
+		} else {
+			row := a.tgtMat.Row(g)
+			copy(row, tr.Next)
+			copy(row[a.StateDim:], tr.NextActions[best])
+		}
+		r += n
+	}
+	if a.cfg.VanillaDQN {
 		return
 	}
 	out := a.Target.ForwardBatch(a.tgtMat)
 	for bi := range batch {
-		if r := a.tgtRow[bi]; r >= 0 {
-			a.ys[bi] += a.cfg.Gamma * out.At(r, 0)
+		if g := a.tgtRow[bi]; g >= 0 {
+			a.ys[bi] += a.cfg.Gamma * out.At(g, 0)
 		}
 	}
 }
