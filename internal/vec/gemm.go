@@ -112,12 +112,13 @@ func MatMulNT(dst, a, b *Mat, bias []float64) *Mat {
 			if bias != nil {
 				s0, s1, s2, s3 = bias[j], bias[j+1], bias[j+2], bias[j+3]
 			}
-			b0 := b.Row(j)
-			b1 := b.Row(j + 1)
-			b2 := b.Row(j + 2)
-			b3 := b.Row(j + 3)
-			for p := 0; p < k; p++ {
-				ap := arow[p]
+			// Re-slicing to len(arow) lets the compiler drop the inner
+			// bounds checks.
+			b0 := b.Row(j)[:len(arow)]
+			b1 := b.Row(j + 1)[:len(arow)]
+			b2 := b.Row(j + 2)[:len(arow)]
+			b3 := b.Row(j + 3)[:len(arow)]
+			for p, ap := range arow {
 				s0 += ap * b0[p]
 				s1 += ap * b1[p]
 				s2 += ap * b2[p]
