@@ -75,11 +75,10 @@ func TestConcurrentLoadedSessionsMatchSerial(t *testing.T) {
 }
 
 // loadAllocBound caps the allocations of a Load that hits the decoded-model
-// cache: the EA and agent structs, the agent's input scratch and a View of a
-// three-layer network (network, layer slice, two dense layers with their
-// weight/bias headers and output scratch, one activation layer). Measured
-// at 14; the bound leaves slack for a few more, not for a decode.
-const loadAllocBound = 20
+// cache: the EA and agent structs only, since a loaded agent borrows its
+// network view and scoring scratch per call. Measured at 2; the bound leaves
+// slack for a few more, not for a per-agent View (12 more) or a decode.
+const loadAllocBound = 4
 
 // Sessions loaded from one model read the same weights, carry no training
 // state, and a warm Load stays within loadAllocBound.

@@ -65,13 +65,7 @@ func (n *Network) Params() []*Param {
 }
 
 // ZeroGrad clears all gradient accumulators.
-func (n *Network) ZeroGrad() {
-	for _, p := range n.Params() {
-		for i := range p.Grad {
-			p.Grad[i] = 0
-		}
-	}
-}
+func (n *Network) ZeroGrad() { ZeroGrads(n.Params()) }
 
 // Clone returns an independent deep copy — the way a DQN target network is
 // born.
@@ -87,6 +81,9 @@ func (n *Network) Clone() *Network {
 // only its forward scratch. Views of one network can run forward passes on
 // separate goroutines concurrently, as long as nothing writes n's weights;
 // a view has no gradient buffers, so it cannot be trained — Clone it first.
+// A view keeps its scratch between passes, sized to the largest batch it
+// has run, so many mostly idle scorers should share a few pooled views
+// rather than hold one each.
 func (n *Network) View() *Network {
 	v := &Network{Layers: make([]Layer, len(n.Layers))}
 	for i, l := range n.Layers {

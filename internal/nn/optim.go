@@ -137,6 +137,13 @@ func Huber(pred, target, grad []float64, delta float64) (float64, []float64) {
 	return loss, grad
 }
 
+// ZeroGrads clears the gradient accumulators of params.
+func ZeroGrads(params []*Param) {
+	for _, p := range params {
+		clear(p.Grad)
+	}
+}
+
 // ClipGrads scales all gradients down so their global L2 norm is at most
 // maxNorm. Returns the pre-clip norm. A non-positive maxNorm is a no-op.
 func ClipGrads(params []*Param, maxNorm float64) float64 {

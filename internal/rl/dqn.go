@@ -96,23 +96,30 @@ func PaperConfig() Config {
 // the concatenation s ⊕ a with a scalar head. Target network Q̂(·;Θ′) is
 // synchronized from the main network every SyncEvery updates.
 //
-// An agent from UnmarshalAgent starts as a read-only View of a decoded model
-// shared with every other agent loaded from the same bytes, and Target is
-// nil. Its first TrainBatch or SyncTarget call clones Main into private
-// weights and builds Target and the optimizer, so the shared weights are
-// never written.
+// An agent from UnmarshalAgent starts with Main set to a decoded model shared
+// with every other agent loaded from the same bytes, no Target and no
+// scratch. Main is then only read, never run: each Q, QBatch or BestCtx call
+// borrows a pooled scorer (a View of Main plus its scoring scratch) for the
+// length of the call, so an idle agent holds no forward scratch. Its first
+// TrainBatch or SyncTarget call clones Main into private weights and builds
+// Target, the optimizer and private scratch, so the shared weights are never
+// written.
 type Agent struct {
 	StateDim, ActionDim int
 
 	Main, Target *nn.Network
 	cfg          Config
 	opt          nn.Optimizer
+	params       []*nn.Param // Main's parameters, listed once with the training state
 	updates      int
 	syncs        int     // target-network synchronizations
 	lastLoss     float64 // loss of the most recent batch
 	lossEMA      float64 // exponential moving average of the batch loss
 
-	in []float64 // scratch forward input
+	// scorers is set while Main is shared (see newScorerPool); the agent
+	// then scores on borrowed scratch and leaves in, actMat and qs nil.
+	scorers *sync.Pool
+	in      []float64 // scratch forward input
 
 	// Batched-scoring and training scratch, preallocated so the per-round
 	// and per-update hot paths allocate nothing.
@@ -143,6 +150,7 @@ func NewAgent(stateDim, actionDim int, cfg Config, rng *rand.Rand) *Agent {
 		Target:    main.Clone(),
 		cfg:       cfg,
 		opt:       newOptimizer(cfg),
+		params:    main.Params(),
 		in:        make([]float64, inDim),
 	}
 }
@@ -154,18 +162,52 @@ func newOptimizer(cfg Config) nn.Optimizer {
 	return nn.NewAdam(cfg.LR)
 }
 
-// own gives a loaded agent its training state on first use: private weights
-// cloned from the shared view, a Target synchronized to them, and a fresh
-// optimizer. The clone is bit-identical to the view, so a loaded agent
-// trains bit-identically to a privately decoded copy (checkpoint resume
-// relies on this).
+// own gives an agent its training state on first use. A loaded agent gets
+// private weights cloned from the shared model, a Target synchronized to
+// them, a fresh optimizer and private scoring scratch; the clone is
+// bit-identical to the shared weights, so a loaded agent trains
+// bit-identically to a privately decoded copy (checkpoint resume relies on
+// this). Every agent then lists Main's parameters once, so a gradient step
+// does not rebuild the list.
 func (a *Agent) own() {
-	if a.Target != nil {
+	if a.params != nil {
 		return
 	}
-	a.Main = a.Main.Clone()
-	a.Target = a.Main.Clone()
-	a.opt = newOptimizer(a.cfg)
+	if a.Target == nil {
+		a.Main = a.Main.Clone()
+		a.Target = a.Main.Clone()
+		a.opt = newOptimizer(a.cfg)
+		a.scorers = nil
+		a.in = make([]float64, a.StateDim+a.ActionDim)
+	}
+	a.params = a.Main.Params()
+}
+
+// newScorerPool returns the scorers of one shared decoded network. A scorer
+// is a bare Agent whose Main is a View of net, with the scoring scratch (in,
+// actMat, qs) that View's forward passes fill. A loaded agent borrows one for
+// the length of a scoring call, so scratch scales with how many agents score
+// at once, not with how many are loaded.
+func newScorerPool(sd, ad int, net *nn.Network) *sync.Pool {
+	return &sync.Pool{New: func() any {
+		return &Agent{StateDim: sd, ActionDim: ad, Main: net.View(), in: make([]float64, sd+ad)}
+	}}
+}
+
+// borrow returns the agent a scoring call runs on: a itself when it owns
+// Main, otherwise a pooled scorer over the shared model. Hand it back with
+// release before the call returns.
+func (a *Agent) borrow() *Agent {
+	if a.scorers == nil {
+		return a
+	}
+	return a.scorers.Get().(*Agent)
+}
+
+func (a *Agent) release(s *Agent) {
+	if s != a {
+		a.scorers.Put(s)
+	}
 }
 
 // Config returns the resolved hyperparameters.
@@ -173,7 +215,9 @@ func (a *Agent) Config() Config { return a.cfg }
 
 // Q evaluates the main network's value for (state, action).
 func (a *Agent) Q(state, action []float64) float64 {
-	return a.forward(a.Main, state, action)
+	s := a.borrow()
+	defer a.release(s)
+	return s.forward(s.Main, state, action)
 }
 
 func (a *Agent) forward(net *nn.Network, state, action []float64) float64 {
@@ -191,7 +235,9 @@ func (a *Agent) forward(net *nn.Network, state, action []float64) float64 {
 // when nil or mis-sized). dst[i] is bit-identical to Q(state, actions[i]);
 // the batch is a pure optimization.
 func (a *Agent) QBatch(state []float64, actions [][]float64, dst []float64) []float64 {
-	qs := a.qBatch(a.Main, state, actions)
+	s := a.borrow()
+	defer a.release(s)
+	qs := s.qBatch(state, actions)
 	if len(dst) != len(qs) {
 		dst = make([]float64, len(qs))
 	}
@@ -199,9 +245,9 @@ func (a *Agent) QBatch(state []float64, actions [][]float64, dst []float64) []fl
 	return dst
 }
 
-// qBatch scores state against actions on net, returning a scratch slice
-// valid until the next qBatch call.
-func (a *Agent) qBatch(net *nn.Network, state []float64, actions [][]float64) []float64 {
+// qBatch scores state against actions on a.Main with a's scratch,
+// returning a scratch slice valid until the next qBatch call on a.
+func (a *Agent) qBatch(state []float64, actions [][]float64) []float64 {
 	if len(state) != a.StateDim {
 		panic(fmt.Sprintf("rl: QBatch state dim %d, want %d", len(state), a.StateDim))
 	}
@@ -212,7 +258,7 @@ func (a *Agent) qBatch(net *nn.Network, state []float64, actions [][]float64) []
 		}
 		copy(a.actMat.Row(i), act)
 	}
-	out := net.ForwardBatchShared(state, a.actMat)
+	out := a.Main.ForwardBatchShared(state, a.actMat)
 	if cap(a.qs) < len(actions) {
 		a.qs = make([]float64, len(actions))
 	}
@@ -235,7 +281,9 @@ func (a *Agent) BestCtx(ctx context.Context, state []float64, actions [][]float6
 	if len(actions) == 0 {
 		panic("rl: Best with no actions")
 	}
-	return argmaxFirst(a.qBatch(a.Main, state, actions))
+	s := a.borrow()
+	defer a.release(s)
+	return argmaxFirst(s.qBatch(state, actions))
 }
 
 // argmaxFirst returns the index of the largest value, breaking ties toward
@@ -357,7 +405,7 @@ func (a *Agent) TrainBatch(batch []Transition) float64 {
 		return 0
 	}
 	a.own()
-	a.Main.ZeroGrad()
+	nn.ZeroGrads(a.params)
 	a.computeTargets(batch)
 
 	// One batched forward over every (s, a) row, then per-row loss and one
@@ -405,8 +453,8 @@ func (a *Agent) TrainBatch(batch []Transition) float64 {
 		total += loss * inv
 	}
 	a.Main.BackwardBatch(a.gMat)
-	nn.ClipGrads(a.Main.Params(), a.cfg.GradClip)
-	a.opt.Step(a.Main.Params())
+	nn.ClipGrads(a.params, a.cfg.GradClip)
+	a.opt.Step(a.params)
 	a.updates++
 	a.lastLoss = total
 	if a.updates == 1 {
@@ -473,17 +521,19 @@ func (a *Agent) MarshalBinary() ([]byte, error) {
 // One entry suffices: a process serves one model at a time.
 var decoded struct {
 	sync.Mutex
-	blob   []byte // private copy of the bytes, compared in full
-	sd, ad int
-	net    *nn.Network // never run or written; agents get Views of it
+	blob    []byte // private copy of the bytes, compared in full
+	sd, ad  int
+	net     *nn.Network // never run or written; scorers run Views of it
+	scorers *sync.Pool  // see newScorerPool
 }
 
 // UnmarshalAgent restores an agent saved with MarshalBinary. cfg supplies
-// the hyperparameters (they are not serialized). Main is a View of a network
-// decoded once per distinct blob and shared with every other agent loaded
-// from the same bytes; training state is built on first training use (see
-// Agent). A blob that fails to decode or whose header disagrees with its
-// network is rejected and never cached.
+// the hyperparameters (they are not serialized). Main is a network decoded
+// once per distinct blob and shared with every other agent loaded from the
+// same bytes. The agent holds no scratch of its own: its scoring calls
+// borrow scorers pooled with the decoded network, and its training state is
+// built on first training use (see Agent). A blob that fails to decode or
+// whose header disagrees with its network is rejected and never cached.
 func UnmarshalAgent(data []byte, cfg Config) (*Agent, error) {
 	decoded.Lock()
 	defer decoded.Unlock()
@@ -494,13 +544,14 @@ func UnmarshalAgent(data []byte, cfg Config) (*Agent, error) {
 		}
 		decoded.blob = bytes.Clone(data)
 		decoded.sd, decoded.ad, decoded.net = sd, ad, net
+		decoded.scorers = newScorerPool(sd, ad, net)
 	}
 	return &Agent{
 		StateDim:  decoded.sd,
 		ActionDim: decoded.ad,
-		Main:      decoded.net.View(),
+		Main:      decoded.net,
 		cfg:       cfg.Defaults(),
-		in:        make([]float64, decoded.sd+decoded.ad),
+		scorers:   decoded.scorers,
 	}, nil
 }
 

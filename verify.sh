@@ -53,6 +53,7 @@ go -C e2ebench test -race .
 go run ./cmd/isrl-bench -hotpaths -quick -out /tmp/isrl_hotpaths_smoke.json -compare BENCH_hotpaths.json
 grep -q '"speedup"' /tmp/isrl_hotpaths_smoke.json
 grep -q '"dqn_candidate_scoring"' /tmp/isrl_hotpaths_smoke.json
+grep -q '"dqn_score_ea_d4_loaded"' /tmp/isrl_hotpaths_smoke.json
 grep -q '"dqn_train_step_aa_d20"' /tmp/isrl_hotpaths_smoke.json
 grep -q '"trace_disabled_span"' /tmp/isrl_hotpaths_smoke.json
 grep -q '"round_geometry_incremental"' /tmp/isrl_hotpaths_smoke.json
