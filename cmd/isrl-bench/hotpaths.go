@@ -18,8 +18,10 @@ import (
 	"isrl/internal/ea"
 	"isrl/internal/geom"
 	"isrl/internal/lp"
+	"isrl/internal/nn"
 	"isrl/internal/rl"
 	"isrl/internal/trace"
+	"isrl/internal/vec"
 )
 
 // The -hotpaths mode measures the optimized hot paths against their serial
@@ -55,6 +57,7 @@ type hotpathsReport struct {
 	GOARCH     string       `json:"goarch"`
 	GOMAXPROCS int          `json:"gomaxprocs"`
 	NumCPU     int          `json:"num_cpu"`
+	SIMD       string       `json:"simd"` // vec.SIMD(): the kernel behind the GEMM rows
 	Quick      bool         `json:"quick"`
 	Note       string       `json:"note"`
 	Benchmarks []benchRow   `json:"benchmarks"`
@@ -260,6 +263,7 @@ func runHotpaths(quick bool, outPath, comparePath string) error {
 		GOARCH:     runtime.GOARCH,
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		NumCPU:     runtime.NumCPU(),
+		SIMD:       vec.SIMD(),
 		Quick:      quick,
 		Note: "Serial baselines replicate the pre-batching code paths. " +
 			"dqn/question scoring speedups are algorithmic (batched GEMM + shared state " +
@@ -291,6 +295,34 @@ func runHotpaths(quick bool, outPath, comparePath string) error {
 	s, b = benchScoring("question_score_aa_d4", 13, 8, cands)
 	add(s, b)
 	speed("question_scoring", s, b)
+
+	// The first dense layer at AA's d=20 shape (state 61 ⊕ action 40 → 64
+	// hidden) over a minibatch of 64 rows. The generic row runs the
+	// pre-SIMD forward, vec.MatMulNT on the row-major weights; the other is
+	// Dense.ForwardBatch, which packs Wᵀ and runs the SIMD kernel when this
+	// host has one (the report's "simd" field).
+	fwdRng := rand.New(rand.NewSource(27))
+	dense := nn.NewDense(101, 64, fwdRng)
+	fwdX := vec.NewMat(64, 101)
+	for i := range fwdX.Data {
+		fwdX.Data[i] = fwdRng.NormFloat64()
+	}
+	fwdW := &vec.Mat{Rows: 64, Cols: 101, Data: dense.Weight.W}
+	fwdOut := vec.NewMat(64, 64)
+	gen := row("dense_forward_aa_d20_generic", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			vec.MatMulNT(fwdOut, fwdX, fwdW, dense.Bias.W)
+		}
+	})
+	simd := row("dense_forward_aa_d20", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			dense.ForwardBatch(fwdX)
+		}
+	})
+	add(gen, simd)
+	speed("dense_forward_simd", gen, simd)
 
 	// One DQN gradient step at AA's d=20 shape (state 3d+1=61, action 2d=40):
 	// the paper's minibatch of 64 with m_h = 5 next actions per transition.
@@ -465,18 +497,20 @@ func runHotpaths(quick bool, outPath, comparePath string) error {
 // against a committed baseline. The serial and batched scoring rows scale
 // with -quick and are excluded; the loaded-agent row scores a fixed 5.
 var fixedWorkloadRows = map[string]bool{
-	"dqn_score_ea_d4_loaded":     true,
-	"dqn_train_step_aa_d20":      true,
-	"sample_d4":                  true,
-	"vertices_d4":                true,
-	"lp_solve_d4":                true,
-	"lp_solve_d20":               true,
-	"trace_disabled_span":        true,
-	"round_geometry_scratch":     true,
-	"round_geometry_incremental": true,
-	"ea_session_d4_incremental":  true,
-	"aa_session_d4_incremental":  true,
-	"aa_session_d20_incremental": true,
+	"dqn_score_ea_d4_loaded":       true,
+	"dqn_train_step_aa_d20":        true,
+	"dense_forward_aa_d20":         true,
+	"dense_forward_aa_d20_generic": true,
+	"sample_d4":                    true,
+	"vertices_d4":                  true,
+	"lp_solve_d4":                  true,
+	"lp_solve_d20":                 true,
+	"trace_disabled_span":          true,
+	"round_geometry_scratch":       true,
+	"round_geometry_incremental":   true,
+	"ea_session_d4_incremental":    true,
+	"aa_session_d4_incremental":    true,
+	"aa_session_d20_incremental":   true,
 }
 
 // compareReports gates the fresh report against a committed baseline:
@@ -485,8 +519,8 @@ var fixedWorkloadRows = map[string]bool{
 // (≥1.1×) must not have decayed into a slowdown (<1.0×). Allocation counts
 // do not depend on the hardware, so that gate runs on every host; speedups
 // do, so the sign-flip checks skip themselves when the baseline was recorded
-// on different hardware. Timing noise is expected — only sign flips and
-// alloc growth fail.
+// on different hardware, which includes a different SIMD kernel. Timing
+// noise is expected — only sign flips and alloc growth fail.
 func compareReports(basePath string, cur hotpathsReport) error {
 	raw, err := os.ReadFile(basePath)
 	if err != nil {
@@ -499,10 +533,10 @@ func compareReports(basePath string, cur hotpathsReport) error {
 	var fails []string
 	gatedSpeedups, gatedAllocs := 0, 0
 	if base.GOOS != cur.GOOS || base.GOARCH != cur.GOARCH ||
-		base.NumCPU != cur.NumCPU || base.GOMAXPROCS != cur.GOMAXPROCS {
-		fmt.Printf("compare: baseline host (%s/%s, %d cpu, GOMAXPROCS %d) differs from this host (%s/%s, %d cpu, GOMAXPROCS %d); skipping speedup checks\n",
-			base.GOOS, base.GOARCH, base.NumCPU, base.GOMAXPROCS,
-			cur.GOOS, cur.GOARCH, cur.NumCPU, cur.GOMAXPROCS)
+		base.NumCPU != cur.NumCPU || base.GOMAXPROCS != cur.GOMAXPROCS || base.SIMD != cur.SIMD {
+		fmt.Printf("compare: baseline host (%s/%s, %d cpu, GOMAXPROCS %d, simd %q) differs from this host (%s/%s, %d cpu, GOMAXPROCS %d, simd %q); skipping speedup checks\n",
+			base.GOOS, base.GOARCH, base.NumCPU, base.GOMAXPROCS, base.SIMD,
+			cur.GOOS, cur.GOARCH, cur.NumCPU, cur.GOMAXPROCS, cur.SIMD)
 	} else {
 		curSp := map[string]float64{}
 		for _, sp := range cur.Speedups {

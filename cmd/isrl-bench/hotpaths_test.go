@@ -54,3 +54,24 @@ func TestCompareReportsAllocGateIgnoresHost(t *testing.T) {
 		t.Fatalf("speedup flip on the same host not caught: %v", err)
 	}
 }
+
+// A run whose GEMM rows ran on another kernel than the baseline's is another
+// host for the speedup checks: a generic host cannot show an AVX2 speedup.
+func TestCompareReportsSIMDKernelIsHardware(t *testing.T) {
+	base := hotpathsReport{
+		GOOS: "linux", GOARCH: "amd64", NumCPU: 2, GOMAXPROCS: 2, SIMD: "avx2",
+		Speedups: []speedupRow{{Name: "dense_forward_simd", Speedup: 4}},
+	}
+	path := writeBaseline(t, base)
+	generic := base
+	generic.SIMD = "generic"
+	generic.Speedups = []speedupRow{{Name: "dense_forward_simd", Speedup: 0.9}}
+	if err := compareReports(path, generic); err != nil {
+		t.Fatalf("speedup gated across SIMD kernels: %v", err)
+	}
+	same := generic
+	same.SIMD = "avx2"
+	if err := compareReports(path, same); err == nil || !strings.Contains(err.Error(), "dense_forward_simd") {
+		t.Fatalf("speedup flip on the same kernel not caught: %v", err)
+	}
+}

@@ -58,6 +58,7 @@ type Dense struct {
 	xb         *vec.Mat // cached batch input
 	outB, ginB *vec.Mat // batch scratch, grown on demand
 	prefix     *vec.Mat // per-group prefix pre-activations (ForwardBatchGrouped)
+	wT         *vec.Mat // packed Wᵀ or dWᵀ (In×Out), valid within one batch pass
 }
 
 // NewDense returns a Dense layer initialized with LeCun-normal weights

@@ -103,17 +103,36 @@ func (n *Network) View() *Network {
 
 // CopyWeightsFrom overwrites this network's parameters with src's — the
 // periodic target-network synchronization of DQN. The architectures must
-// match.
+// match. It walks the two layer lists pairwise and allocates nothing.
 func (n *Network) CopyWeightsFrom(src *Network) {
-	dst, s := n.Params(), src.Params()
-	if len(dst) != len(s) {
-		panic(fmt.Sprintf("nn: CopyWeightsFrom mismatched param counts %d vs %d", len(dst), len(s)))
+	if len(n.Layers) != len(src.Layers) {
+		panic(fmt.Sprintf("nn: CopyWeightsFrom mismatched layer counts %d vs %d", len(n.Layers), len(src.Layers)))
 	}
-	for i := range dst {
-		if len(dst[i].W) != len(s[i].W) {
-			panic(fmt.Sprintf("nn: CopyWeightsFrom param %d size %d vs %d", i, len(dst[i].W), len(s[i].W)))
+	for i, l := range n.Layers {
+		d, ok := l.(*Dense)
+		if !ok {
+			copyParams(i, l.Params(), src.Layers[i].Params())
+			continue
 		}
-		copy(dst[i].W, s[i].W)
+		s, ok := src.Layers[i].(*Dense)
+		if !ok || s.In != d.In || s.Out != d.Out {
+			panic(fmt.Sprintf("nn: CopyWeightsFrom layer %d: %T does not match dense %dx%d", i, src.Layers[i], d.In, d.Out))
+		}
+		copy(d.Weight.W, s.Weight.W)
+		copy(d.Bias.W, s.Bias.W)
+	}
+}
+
+// copyParams copies src's parameter values into dst's, for layer i.
+func copyParams(i int, dst, src []*Param) {
+	if len(dst) != len(src) {
+		panic(fmt.Sprintf("nn: CopyWeightsFrom layer %d param counts %d vs %d", i, len(dst), len(src)))
+	}
+	for j := range dst {
+		if len(dst[j].W) != len(src[j].W) {
+			panic(fmt.Sprintf("nn: CopyWeightsFrom layer %d param %d size %d vs %d", i, j, len(dst[j].W), len(src[j].W)))
+		}
+		copy(dst[j].W, src[j].W)
 	}
 }
 

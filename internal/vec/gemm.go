@@ -7,10 +7,77 @@ import "fmt"
 // Every kernel computes each output element with a single accumulator that
 // walks the shared dimension k in index order — exactly the accumulation
 // order of the serial Dot/MulVec loops — so a batched result is bit-identical
-// to the corresponding sequence of single-vector products. Speed comes from
-// register blocking across *independent* output elements (four accumulators
-// advancing in lock-step over k), which breaks the one-add-per-cycle latency
-// chain of a lone accumulator without ever reassociating a single sum.
+// to the corresponding sequence of single-vector products. Speed comes only
+// from working on *independent* output elements at once, never from
+// reassociating a single sum:
+//   - The generic Go loops keep four accumulators advancing in lock-step
+//     over k, which breaks the one-add-per-cycle latency chain of a lone
+//     accumulator.
+//   - MatMul, MatMulAcc and MatMulTNAcc, whose B rows are contiguous along
+//     the outputs, run every whole block of SIMDBlock = 32 contiguous outputs
+//     through an AVX2 kernel (gemm_amd64.s) when the CPU has AVX2 and the OS
+//     saves the ymm registers. Each of the kernel's 32 lanes is one output: it
+//     broadcasts a[p], multiplies by B's row with VMULPD and adds with VADDPD,
+//     p in index order. That is the MULSD-then-ADDSD pair Go emits for
+//     s += a*b at its default GOAMD64=v1 (and v2), so the lanes round exactly
+//     as the scalar loop does. FMA is never used: it rounds once where the
+//     loop rounds twice. (At GOAMD64=v3 the compiler may fuse the scalar
+//     loops themselves, which moves every trained weight on its own.)
+//   - The generic loops run the narrower tails, and everything on other
+//     GOARCH or on CPUs without AVX2. The choice is made once at start-up,
+//     with no flag; SIMD names the kernel this process selected.
+//   - MatMulNT reads B's rows along k, so it stays on the generic loop; a
+//     caller that wants SIMD packs Bᵀ and calls MatMulAcc.
+
+// SIMDBlock is the number of contiguous outputs one SIMD kernel call
+// computes. Output runs narrower than a block take the generic loop.
+const SIMDBlock = 32
+
+// mulAddRow sets dst[j] = init[j] + Σ_{p<n} a[p·as]·b[p·bs+j] for every
+// j < len(dst), walking p in index order per element. init may be dst
+// itself. Every bound is checked here, so the SIMD kernel it hands whole
+// blocks to never reads or writes out of range.
+func mulAddRow(dst, init, a []float64, as int, b []float64, bs, n int) {
+	m := len(dst)
+	if len(init) < m || n < 0 || as < 0 || bs < 0 {
+		panic(fmt.Sprintf("vec: mulAddRow bad shape: dst %d, init %d, n %d, strides %d/%d", m, len(init), n, as, bs))
+	}
+	if n == 0 || m == 0 {
+		copy(dst, init[:m])
+		return
+	}
+	if (n-1)*as >= len(a) || (n-1)*bs+m > len(b) {
+		panic(fmt.Sprintf("vec: mulAddRow out of range: a %d for %d×%d, b %d for %d×%d+%d", len(a), n, as, len(b), n, bs, m))
+	}
+	j := mulAddSIMD(dst, init, a, as, b, bs, n)
+	mulAddGeneric(dst[j:], init[j:m], a, as, b[j:], bs, n)
+}
+
+// mulAddGeneric is mulAddRow's portable loop: four independent output
+// accumulators advance together over p.
+func mulAddGeneric(dst, init, a []float64, as int, b []float64, bs, n int) {
+	m := len(dst)
+	j := 0
+	for ; j+4 <= m; j += 4 {
+		s0, s1, s2, s3 := init[j], init[j+1], init[j+2], init[j+3]
+		for p := 0; p < n; p++ {
+			ap := a[p*as]
+			bp := b[p*bs+j : p*bs+j+4 : p*bs+j+4]
+			s0 += ap * bp[0]
+			s1 += ap * bp[1]
+			s2 += ap * bp[2]
+			s3 += ap * bp[3]
+		}
+		dst[j], dst[j+1], dst[j+2], dst[j+3] = s0, s1, s2, s3
+	}
+	for ; j < m; j++ {
+		s := init[j]
+		for p := 0; p < n; p++ {
+			s += a[p*as] * b[p*bs+j]
+		}
+		dst[j] = s
+	}
+}
 
 // EnsureMat returns m resized to rows×cols, reusing m.Data when it has
 // capacity. Contents are unspecified after the call; kernels overwrite their
@@ -25,6 +92,31 @@ func EnsureMat(m *Mat, rows, cols int) *Mat {
 	}
 	m.Rows, m.Cols, m.Data = rows, cols, m.Data[:n]
 	return m
+}
+
+// Transpose stores Aᵀ into dst and returns dst (dst is reshaped as needed; it
+// must not alias A). It is how a caller packs a row-major weight matrix for
+// the SIMD path of MatMulAcc and MatMulTNAcc.
+func Transpose(dst, a *Mat) *Mat {
+	dst = EnsureMat(dst, a.Cols, a.Rows)
+	r := a.Rows
+	i := 0
+	// Four source rows at a time, so each destination row takes four
+	// contiguous stores per visit: about twice as fast as one row at a time
+	// at the paper's 64×101 layer.
+	for ; i+4 <= r; i += 4 {
+		r0, r1, r2, r3 := a.Row(i), a.Row(i+1), a.Row(i+2), a.Row(i+3)
+		for j, v := range r0 {
+			d := dst.Data[j*r+i : j*r+i+4 : j*r+i+4]
+			d[0], d[1], d[2], d[3] = v, r1[j], r2[j], r3[j]
+		}
+	}
+	for ; i < r; i++ {
+		for j, v := range a.Row(i) {
+			dst.Data[j*r+i] = v
+		}
+	}
+	return dst
 }
 
 // MatMul stores A·B into dst and returns dst (dst is reshaped as needed; it
@@ -53,39 +145,15 @@ func MatMulAcc(dst, a, b *Mat) *Mat {
 }
 
 // gemmNN computes dst = A·B (or dst += A·B when acc), walking k in order per
-// element. B is traversed row-wise in the inner loop, so four independent
-// column accumulators stream through the same cache lines.
+// element. B's rows are contiguous along the outputs, so each dst row is one
+// mulAddRow over A's row.
 func gemmNN(dst, a, b *Mat, acc bool) {
-	n, k, m := a.Rows, a.Cols, b.Cols
-	for i := 0; i < n; i++ {
-		arow := a.Row(i)
+	for i := 0; i < a.Rows; i++ {
 		drow := dst.Row(i)
-		j := 0
-		for ; j+4 <= m; j += 4 {
-			var s0, s1, s2, s3 float64
-			if acc {
-				s0, s1, s2, s3 = drow[j], drow[j+1], drow[j+2], drow[j+3]
-			}
-			for p := 0; p < k; p++ {
-				brow := b.Data[p*m+j : p*m+j+4 : p*m+j+4]
-				ap := arow[p]
-				s0 += ap * brow[0]
-				s1 += ap * brow[1]
-				s2 += ap * brow[2]
-				s3 += ap * brow[3]
-			}
-			drow[j], drow[j+1], drow[j+2], drow[j+3] = s0, s1, s2, s3
+		if !acc {
+			Fill(drow, 0)
 		}
-		for ; j < m; j++ {
-			var s float64
-			if acc {
-				s = drow[j]
-			}
-			for p := 0; p < k; p++ {
-				s += arow[p] * b.Data[p*m+j]
-			}
-			drow[j] = s
-		}
+		mulAddRow(drow, drow, a.Row(i), 1, b.Data, b.Cols, a.Cols)
 	}
 }
 
@@ -152,29 +220,14 @@ func MatMulTNAcc(dst, a, b *Mat) *Mat {
 	if dst.Rows != a.Cols || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("vec: MatMulTNAcc dst %dx%d, want %dx%d", dst.Rows, dst.Cols, a.Cols, b.Cols))
 	}
+	// Row o of dst walks column o of A (stride m) against B's rows.
 	n, m, k := a.Rows, a.Cols, b.Cols
+	if n == 0 {
+		return dst
+	}
 	for o := 0; o < m; o++ {
 		drow := dst.Row(o)
-		j := 0
-		for ; j+4 <= k; j += 4 {
-			s0, s1, s2, s3 := drow[j], drow[j+1], drow[j+2], drow[j+3]
-			for p := 0; p < n; p++ {
-				g := a.Data[p*m+o]
-				brow := b.Data[p*k+j : p*k+j+4 : p*k+j+4]
-				s0 += g * brow[0]
-				s1 += g * brow[1]
-				s2 += g * brow[2]
-				s3 += g * brow[3]
-			}
-			drow[j], drow[j+1], drow[j+2], drow[j+3] = s0, s1, s2, s3
-		}
-		for ; j < k; j++ {
-			s := drow[j]
-			for p := 0; p < n; p++ {
-				s += a.Data[p*m+o] * b.Data[p*k+j]
-			}
-			drow[j] = s
-		}
+		mulAddRow(drow, drow, a.Data[o:], m, b.Data, k, n)
 	}
 	return dst
 }

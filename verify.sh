@@ -9,6 +9,11 @@ set -eux
 test -z "$(gofmt -l .)"
 go build ./...
 go vet ./...
+# The GEMM kernels have an AVX2 assembly path on amd64 (vet's asmdecl check
+# covers it above) and generic Go loops everywhere else: vetting for arm64
+# builds every package with the generic kernels only, so the fallback keeps
+# compiling.
+GOARCH=arm64 go vet ./...
 go test -race ./...
 go test -race -run 'Fault|Noisy|Chaos|Recover|Journal|Proxy|Client|Repl|Failover|Scrub|Repair' -count=2 ./...
 
@@ -55,6 +60,9 @@ grep -q '"speedup"' /tmp/isrl_hotpaths_smoke.json
 grep -q '"dqn_candidate_scoring"' /tmp/isrl_hotpaths_smoke.json
 grep -q '"dqn_score_ea_d4_loaded"' /tmp/isrl_hotpaths_smoke.json
 grep -q '"dqn_train_step_aa_d20"' /tmp/isrl_hotpaths_smoke.json
+grep -q '"dense_forward_aa_d20_generic"' /tmp/isrl_hotpaths_smoke.json
+grep -q '"dense_forward_aa_d20"' /tmp/isrl_hotpaths_smoke.json
+grep -q '"simd"' /tmp/isrl_hotpaths_smoke.json
 grep -q '"trace_disabled_span"' /tmp/isrl_hotpaths_smoke.json
 grep -q '"round_geometry_incremental"' /tmp/isrl_hotpaths_smoke.json
 grep -q '"rounds_per_sec"' /tmp/isrl_hotpaths_smoke.json
