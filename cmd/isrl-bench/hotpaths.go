@@ -57,7 +57,7 @@ type hotpathsReport struct {
 	GOARCH     string       `json:"goarch"`
 	GOMAXPROCS int          `json:"gomaxprocs"`
 	NumCPU     int          `json:"num_cpu"`
-	SIMD       string       `json:"simd"` // vec.SIMD(): the kernel behind the GEMM rows
+	SIMD       string       `json:"simd"` // vec.SIMD(): the kernels behind the GEMM and SELU rows
 	Quick      bool         `json:"quick"`
 	Note       string       `json:"note"`
 	Benchmarks []benchRow   `json:"benchmarks"`
@@ -324,16 +324,50 @@ func runHotpaths(quick bool, outPath, comparePath string) error {
 	add(gen, simd)
 	speed("dense_forward_simd", gen, simd)
 
-	// One DQN gradient step at AA's d=20 shape (state 3d+1=61, action 2d=40):
-	// the paper's minibatch of 64 with m_h = 5 next actions per transition.
-	agent := rl.NewAgent(61, 40, rl.Config{}, rand.New(rand.NewSource(25)))
-	batch := hotBatch(rand.New(rand.NewSource(26)), 61, 40, 64, 5)
-	add(row("dqn_train_step_aa_d20", func(b *testing.B) {
+	// The hidden SELU over a training step's next-action rows at the same
+	// shape: 64 transitions × 5 next actions, 64 outputs each. The generic
+	// row runs the single-vector Forward row by row, the scalar math.Exp loop
+	// that is also the batched pass's fallback; the other is
+	// Activate.ForwardBatch, whose whole blocks run on the SELU kernel when
+	// this host has it (a "simd" of "avx2+fma").
+	seluX := vec.NewMat(320, 64)
+	for i := range seluX.Data {
+		seluX.Data[i] = fwdRng.NormFloat64()
+	}
+	selu := nn.NewActivate(nn.SELU)
+	gen = row("selu_forward_aa_d20_generic", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			agent.TrainBatch(batch)
+			for r := 0; r < seluX.Rows; r++ {
+				selu.Forward(seluX.Row(r))
+			}
 		}
-	}))
+	})
+	simd = row("selu_forward_aa_d20", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			selu.ForwardBatch(seluX)
+		}
+	})
+	add(gen, simd)
+	speed("selu_forward_simd", gen, simd)
+
+	// One DQN gradient step at AA's d=20 shape (state 3d+1=61, action 2d=40)
+	// and at EA's d=4 shape (state 5d+1=21, action 2d=8): the paper's
+	// minibatch of 64 with m_h = 5 next actions per transition.
+	for _, c := range []struct {
+		name                string
+		stateDim, actionDim int
+	}{{"dqn_train_step_aa_d20", 61, 40}, {"dqn_train_step_ea_d4", 21, 8}} {
+		agent := rl.NewAgent(c.stateDim, c.actionDim, rl.Config{}, rand.New(rand.NewSource(25)))
+		batch := hotBatch(rand.New(rand.NewSource(26)), c.stateDim, c.actionDim, 64, 5)
+		add(row(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				agent.TrainBatch(batch)
+			}
+		}))
+	}
 
 	// Hit-and-run sampling at d=4: 256 points from the default 4 chains.
 	poly := hotPoly(4, 11)
@@ -499,8 +533,11 @@ func runHotpaths(quick bool, outPath, comparePath string) error {
 var fixedWorkloadRows = map[string]bool{
 	"dqn_score_ea_d4_loaded":       true,
 	"dqn_train_step_aa_d20":        true,
+	"dqn_train_step_ea_d4":         true,
 	"dense_forward_aa_d20":         true,
 	"dense_forward_aa_d20_generic": true,
+	"selu_forward_aa_d20":          true,
+	"selu_forward_aa_d20_generic":  true,
 	"sample_d4":                    true,
 	"vertices_d4":                  true,
 	"lp_solve_d4":                  true,

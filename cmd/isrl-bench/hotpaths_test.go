@@ -75,3 +75,25 @@ func TestCompareReportsSIMDKernelIsHardware(t *testing.T) {
 		t.Fatalf("speedup flip on the same kernel not caught: %v", err)
 	}
 }
+
+// An AVX2 host whose math.Exp does not take its FMA branch (no FMA, or
+// GODEBUG=cpu.fma=off) runs the GEMM kernel but not the SELU kernel: another
+// host for the speedup checks, since its SELU rows run the scalar loop.
+func TestCompareReportsSELUKernelIsHardware(t *testing.T) {
+	base := hotpathsReport{
+		GOOS: "linux", GOARCH: "amd64", NumCPU: 2, GOMAXPROCS: 2, SIMD: "avx2+fma",
+		Speedups: []speedupRow{{Name: "selu_forward_simd", Speedup: 4}},
+	}
+	path := writeBaseline(t, base)
+	noFMA := base
+	noFMA.SIMD = "avx2"
+	noFMA.Speedups = []speedupRow{{Name: "selu_forward_simd", Speedup: 0.95}}
+	if err := compareReports(path, noFMA); err != nil {
+		t.Fatalf("speedup gated across SELU kernels: %v", err)
+	}
+	same := noFMA
+	same.SIMD = "avx2+fma"
+	if err := compareReports(path, same); err == nil || !strings.Contains(err.Error(), "selu_forward_simd") {
+		t.Fatalf("speedup flip on the same kernels not caught: %v", err)
+	}
+}

@@ -181,16 +181,7 @@ func (a *Activate) ForwardBatch(x *vec.Mat) *vec.Mat {
 		// BackwardBatch needs exp(x) of the non-positive inputs again; it
 		// reads them from ginB, whose cells it overwrites one by one.
 		a.ginB = vec.EnsureMat(a.ginB, x.Rows, x.Cols)
-		ex := a.ginB.Data
-		for i, xi := range in {
-			if xi > 0 {
-				out[i] = seluLambda * xi
-			} else {
-				e := math.Exp(xi)
-				ex[i] = e
-				out[i] = seluLambda * seluAlpha * (e - 1)
-			}
-		}
+		seluForward(out, a.ginB.Data, in)
 	case ReLU:
 		for i, xi := range in {
 			if xi > 0 {
@@ -207,6 +198,52 @@ func (a *Activate) ForwardBatch(x *vec.Mat) *vec.Mat {
 	return a.outB
 }
 
+// seluForward sets out = SELU(x) and ex[i] = exp(x[i]) wherever x[i] ≤ 0,
+// for BackwardBatch. Whole blocks go to the vec kernel where it runs; the
+// scalar loop takes the tail and every block the kernel's range gate refuses.
+// Both give the same bits.
+func seluForward(out, ex, x []float64) {
+	i := 0
+	if vec.SELUKernel() {
+		for {
+			i += vec.SELU(out[i:], ex[i:], x[i:], seluLambda, seluLambda*seluAlpha)
+			if len(x)-i < vec.SELUBlock {
+				break
+			}
+			j := i + vec.SELUBlock // a block with a lane below the gate
+			seluForwardScalar(out[i:j], ex[i:j], x[i:j])
+			i = j
+		}
+	}
+	seluForwardScalar(out[i:], ex[i:], x[i:])
+}
+
+// seluForwardScalar is seluForward's portable loop.
+func seluForwardScalar(out, ex, x []float64) {
+	for i, xi := range x {
+		if xi > 0 {
+			out[i] = seluLambda * xi
+		} else {
+			e := math.Exp(xi)
+			ex[i] = e
+			out[i] = seluLambda * seluAlpha * (e - 1)
+		}
+	}
+}
+
+// seluBackward sets gin[i] = dSELU/dx · g[i], where gin[i] holds
+// seluForward's exp(x[i]) when x[i] ≤ 0: the loop vec.SELUGrad runs without a
+// branch.
+func seluBackward(gin, g, x []float64) {
+	for i, xi := range x {
+		if xi > 0 {
+			gin[i] = g[i] * seluLambda
+		} else {
+			gin[i] = g[i] * seluLambda * seluAlpha * gin[i]
+		}
+	}
+}
+
 // BackwardBatch implements the batched gradient pass for Activate.
 func (a *Activate) BackwardBatch(gradOut *vec.Mat) *vec.Mat {
 	if gradOut.Rows != a.xb.Rows || gradOut.Cols != a.xb.Cols {
@@ -217,13 +254,8 @@ func (a *Activate) BackwardBatch(gradOut *vec.Mat) *vec.Mat {
 	gin, g, in := a.ginB.Data, gradOut.Data, a.xb.Data
 	switch a.Kind {
 	case SELU:
-		for i, xi := range in { // gin[i] holds ForwardBatch's exp(xi) when xi ≤ 0
-			if xi > 0 {
-				gin[i] = g[i] * seluLambda
-			} else {
-				gin[i] = g[i] * seluLambda * seluAlpha * gin[i]
-			}
-		}
+		i := vec.SELUGrad(gin, g, in, seluLambda, seluAlpha)
+		seluBackward(gin[i:], g[i:], in[i:])
 	case ReLU:
 		for i, xi := range in {
 			if xi > 0 {

@@ -33,6 +33,19 @@ import "fmt"
 // computes. Output runs narrower than a block take the generic loop.
 const SIMDBlock = 32
 
+// SIMD names the kernels this process selected at start-up: "avx2+fma" when
+// both the GEMM kernel and the SELU kernel (selu.go) run, "avx2" when only
+// the GEMM kernel does, and "generic" when neither does.
+func SIMD() string {
+	switch {
+	case hasSELU:
+		return "avx2+fma"
+	case hasAVX2:
+		return "avx2"
+	}
+	return "generic"
+}
+
 // mulAddRow sets dst[j] = init[j] + Σ_{p<n} a[p·as]·b[p·bs+j] for every
 // j < len(dst), walking p in index order per element. init may be dst
 // itself. Every bound is checked here, so the SIMD kernel it hands whole

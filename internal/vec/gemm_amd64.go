@@ -1,35 +1,26 @@
 package vec
 
-// hasAVX2 is fixed once at start-up: the CPU has AVX2 and the OS saves the
-// ymm registers across context switches.
-var hasAVX2 = detectAVX2()
+// hasAVX2 and hasFMA are fixed once at start-up: the CPU has AVX2 (and FMA)
+// and the OS saves the ymm registers across context switches.
+var hasAVX2, hasFMA = detectSIMD()
 
-func detectAVX2() bool {
+func detectSIMD() (avx2, fma bool) {
 	maxLeaf, _, _, _ := cpuid(0, 0)
 	if maxLeaf < 7 {
-		return false
+		return false, false
 	}
 	_, _, ecx1, _ := cpuid(1, 0)
-	const osxsave, avx = 1 << 27, 1 << 28
+	const fma3, osxsave, avx = 1 << 12, 1 << 27, 1 << 28
 	if ecx1&osxsave == 0 || ecx1&avx == 0 {
-		return false
+		return false, false
 	}
 	// XCR0 bits 1 and 2: the OS saves the SSE and AVX (ymm) state.
 	if xcr0, _ := xgetbv(); xcr0&6 != 6 {
-		return false
+		return false, false
 	}
 	_, ebx7, _, _ := cpuid(7, 0)
-	const avx2 = 1 << 5
-	return ebx7&avx2 != 0
-}
-
-// SIMD names the kernel that runs whole output blocks in this process:
-// "avx2" or "generic".
-func SIMD() string {
-	if hasAVX2 {
-		return "avx2"
-	}
-	return "generic"
+	const avx2Bit = 1 << 5
+	return ebx7&avx2Bit != 0, ecx1&fma3 != 0
 }
 
 // mulAddSIMD runs the AVX2 kernel over dst's leading whole 32-wide blocks

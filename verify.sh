@@ -9,10 +9,10 @@ set -eux
 test -z "$(gofmt -l .)"
 go build ./...
 go vet ./...
-# The GEMM kernels have an AVX2 assembly path on amd64 (vet's asmdecl check
-# covers it above) and generic Go loops everywhere else: vetting for arm64
-# builds every package with the generic kernels only, so the fallback keeps
-# compiling.
+# The GEMM and SELU kernels have AVX2 assembly paths on amd64 (vet's asmdecl
+# check covers them above) and generic Go loops everywhere else: vetting for
+# arm64 builds every package with the generic kernels only, so the fallback
+# keeps compiling.
 GOARCH=arm64 go vet ./...
 go test -race ./...
 go test -race -run 'Fault|Noisy|Chaos|Recover|Journal|Proxy|Client|Repl|Failover|Scrub|Repair' -count=2 ./...
@@ -21,6 +21,12 @@ go test -race -run 'Fault|Noisy|Chaos|Recover|Journal|Proxy|Client|Repl|Failover
 # sessions and training runs are pinned bit for bit, and must not depend on
 # how many cores the scheduler has.
 go test -count=1 -run 'Golden|IndependentOfCores' -cpu 1,2,4 ./internal/...
+
+# The SELU kernel reproduces the FMA branch of Go's amd64 math.Exp, so it may
+# run only where math.Exp takes that branch. With FMA switched off for the
+# runtime, math.Exp takes its SSE2 branch: the start-up probes must keep the
+# kernel off, and batched SELU must still give math.Exp's bits.
+GODEBUG=cpu.fma=off go test -count=1 -run 'SELU|Exp|BitIdentical' ./internal/vec ./internal/nn
 
 # Benchmark smoke: run every internal benchmark once, so a benchmark that
 # no longer works fails here rather than only compiling under go vet. The
@@ -62,6 +68,10 @@ grep -q '"dqn_score_ea_d4_loaded"' /tmp/isrl_hotpaths_smoke.json
 grep -q '"dqn_train_step_aa_d20"' /tmp/isrl_hotpaths_smoke.json
 grep -q '"dense_forward_aa_d20_generic"' /tmp/isrl_hotpaths_smoke.json
 grep -q '"dense_forward_aa_d20"' /tmp/isrl_hotpaths_smoke.json
+grep -q '"selu_forward_aa_d20_generic"' /tmp/isrl_hotpaths_smoke.json
+grep -q '"selu_forward_aa_d20"' /tmp/isrl_hotpaths_smoke.json
+grep -q '"selu_forward_simd"' /tmp/isrl_hotpaths_smoke.json
+grep -q '"dqn_train_step_ea_d4"' /tmp/isrl_hotpaths_smoke.json
 grep -q '"simd"' /tmp/isrl_hotpaths_smoke.json
 grep -q '"trace_disabled_span"' /tmp/isrl_hotpaths_smoke.json
 grep -q '"round_geometry_incremental"' /tmp/isrl_hotpaths_smoke.json
