@@ -28,6 +28,12 @@ import (
 // weight gradient's transpose, so that the vec kernels' SIMD lanes run along
 // the layer's outputs; each output's sum is the same either way.
 //
+// The SELU passes hand whole blocks of four to vec.SELU and vec.SELUGrad
+// where those kernels run. vec.SELU exponentiates with math.Exp's own
+// instruction sequence, lane for lane, and refuses a block with an input
+// below −708 or NaN; the scalar loops below run such blocks, the tails and
+// every host without the kernels, and are what the tests compare against.
+//
 // Like the single-vector path, batch passes cache activations on the layer,
 // so a network remains single-goroutine. Concurrent scorers each take a
 // View (shared weights, private scratch); only a Clone can be trained.
@@ -210,7 +216,7 @@ func seluForward(out, ex, x []float64) {
 			if len(x)-i < vec.SELUBlock {
 				break
 			}
-			j := i + vec.SELUBlock // a block with a lane below the gate
+			j := i + vec.SELUBlock // the block the range gate refused
 			seluForwardScalar(out[i:j], ex[i:j], x[i:j])
 			i = j
 		}

@@ -25,7 +25,8 @@ import "fmt"
 //     loops themselves, which moves every trained weight on its own.)
 //   - The generic loops run the narrower tails, and everything on other
 //     GOARCH or on CPUs without AVX2. The choice is made once at start-up,
-//     with no flag; SIMD names the kernel this process selected.
+//     with no flag; SIMD names the kernels this process selected, this one
+//     and the SELU kernel of selu.go.
 //   - MatMulNT reads B's rows along k, so it stays on the generic loop; a
 //     caller that wants SIMD packs Bᵀ and calls MatMulAcc.
 
