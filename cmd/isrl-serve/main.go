@@ -306,9 +306,9 @@ func publishTraining(st core.TrainStats) {
 
 // buildFactory trains RL agents once up front and hands each session its
 // own algorithm instance. An RL session's Load decodes nothing: every
-// session reads the one trained Q-network, decoded once and never written,
-// and owns only its forward scratch, so a live session costs tens of KiB;
-// baselines are cheap to rebuild. The
+// session reads the one trained Q-network, decoded once and never written.
+// Every session, RL or baseline, draws from its own 64-byte generator
+// (geom.NewRand), which seeds in O(1). The
 // per-session seed comes from the server, which journals it: rebuilding an
 // instance with the same seed after a restart reproduces the identical
 // question sequence, the property session replay recovery rests on.
@@ -334,11 +334,11 @@ func buildFactory(algo string, ds *dataset.Dataset, eps float64, episodes int, s
 			})
 	case "uh-random":
 		return func(sessionSeed int64) core.Algorithm {
-			return baselines.NewUHRandom(baselines.UHConfig{}, rand.New(rand.NewSource(sessionSeed)))
+			return baselines.NewUHRandom(baselines.UHConfig{}, geom.NewRand(sessionSeed))
 		}, nil
 	case "uh-simplex":
 		return func(sessionSeed int64) core.Algorithm {
-			return baselines.NewUHSimplex(baselines.UHConfig{}, rand.New(rand.NewSource(sessionSeed)))
+			return baselines.NewUHSimplex(baselines.UHConfig{}, geom.NewRand(sessionSeed))
 		}, nil
 	}
 	return nil, fmt.Errorf("unknown -algo %q", algo)
@@ -363,7 +363,7 @@ func trainedFactory(alg core.Trainable, users func() [][]float64, episodes int, 
 		return nil, err
 	}
 	return func(sessionSeed int64) core.Algorithm {
-		inst, err := load(blob, rand.New(rand.NewSource(sessionSeed)))
+		inst, err := load(blob, geom.NewRand(sessionSeed))
 		if err != nil {
 			panic(fmt.Sprintf("isrl-serve: reload trained agent: %v", err))
 		}

@@ -89,7 +89,8 @@ func New(ds *dataset.Dataset, eps float64, cfg Config, rng *rand.Rand) *AA {
 
 // Load restores an AA whose agent was serialized with Agent().MarshalBinary.
 // ds, eps and cfg must match the values used at training time; inputs New
-// would reject are an error.
+// would reject are an error. Load takes one draw from rng to seed the AA's
+// own generator (geom.NewRand) and keeps no reference to rng.
 func Load(ds *dataset.Dataset, eps float64, cfg Config, blob []byte, rng *rand.Rand) (*AA, error) {
 	if err := core.Validate(ds, eps); err != nil {
 		return nil, fmt.Errorf("aa: load: %w", err)
@@ -104,7 +105,7 @@ func Load(ds *dataset.Dataset, eps float64, cfg Config, blob []byte, rng *rand.R
 		return nil, fmt.Errorf("aa: load: model dims (%d,%d) do not match dataset (%d,%d)",
 			agent.StateDim, agent.ActionDim, 3*d+1, 2*d)
 	}
-	return &AA{cfg: cfg, ds: ds, eps: eps, agent: agent, rng: rng}, nil
+	return &AA{cfg: cfg, ds: ds, eps: eps, agent: agent, rng: geom.NewRand(rng.Int63())}, nil
 }
 
 // Name implements core.Algorithm.

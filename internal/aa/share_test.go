@@ -70,3 +70,49 @@ func TestConcurrentLoadedSessionsMatchSerial(t *testing.T) {
 		sameResult(t, "concurrent vs serial", conc[i], serial[i])
 	}
 }
+
+// drawingUser answers like its User but first draws from rng, the way a caller
+// that keeps using its generator after Load interleaves its own draws with
+// the session's.
+type drawingUser struct {
+	core.User
+	rng *rand.Rand
+}
+
+func (u drawingUser) Prefer(pi, pj []float64) bool {
+	u.rng.Int63()
+	return u.User.Prefer(pi, pj)
+}
+
+// A loaded session draws from a generator of its own, seeded by one draw
+// from the caller's: it asks the same questions whether or not the caller
+// keeps drawing from its generator after Load.
+func TestLoadedSessionOwnsItsGenerator(t *testing.T) {
+	ds := testData(t, 200, 4, 61)
+	blob, err := New(ds, 0.1, smallCfg(), rand.New(rand.NewSource(62))).Agent().MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	user := core.SimulatedUser{Utility: []float64{0.1, 0.4, 0.2, 0.3}}
+	run := func(callerDraws bool) core.Result {
+		rng := rand.New(rand.NewSource(7))
+		a, err := Load(ds, 0.1, smallCfg(), blob, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var u core.User = user
+		if callerDraws {
+			u = drawingUser{user, rng}
+		}
+		res, err := a.Run(ds, u, 0.1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	quiet := run(false)
+	if quiet.Rounds < 2 {
+		t.Fatalf("session ended after %d rounds; the caller's draws need a later round to show", quiet.Rounds)
+	}
+	sameResult(t, "caller drawing vs idle", run(true), quiet)
+}

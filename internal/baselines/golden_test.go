@@ -56,14 +56,14 @@ func TestBaselinesMatchGolden(t *testing.T) {
 		sessions [3]goldenSession // UH-Random, UH-Simplex, Adaptive
 		est      [goldenEstimateRounds]uint64
 	}{
-		{"anti/d3/s1", [3]goldenSession{{7, 184, 0xee92bdcf59f445ee}, {7, 184, 0x7603a66a230cfa6a}, {11, 184, 0x2e9973b31bea8749}}, [goldenEstimateRounds]uint64{0x3fe0c47c867cd074, 0x3fcfc6824873a4e7, 0x3fc8ed57b0b4390c}},
-		{"anti/d3/s6", [3]goldenSession{{8, 347, 0xba0222b03a06f9cb}, {6, 6, 0xd047855dd21c8a3}, {14, 347, 0x3f24c0e5a28e4f69}}, [goldenEstimateRounds]uint64{0x3fdb58a51f66f690, 0x3fc68bad7393bb24, 0x3fc1f6ffc93fe7fd}},
-		{"anti/d3/s7", [3]goldenSession{{8, 167, 0xac194a7640d0a007}, {4, 167, 0xa786dc56b7ffa9ba}, {15, 167, 0x21f625983176dba8}}, [goldenEstimateRounds]uint64{0x3fdd85cb1d387a8c, 0x3fdcb43ba789d62f, 0x3fd02d4946995115}},
-		{"anti/d3/s9", [3]goldenSession{{4, 351, 0x2dac94d7473cf47a}, {5, 351, 0xf062e7b8a613c16d}, {12, 351, 0x1bae817f50b5799e}}, [goldenEstimateRounds]uint64{0x3fdd57c533b474c1, 0x3fc4df2795331e55, 0x3fb16dbb367ebe31}},
-		{"anti/d4/s1", [3]goldenSession{{16, 293, 0x91ad87b4cb5b1816}, {8, 293, 0xe33250980a5513cc}, {22, 293, 0x5c09cf9663491e39}}, [goldenEstimateRounds]uint64{0x3fe24ebbfd0277b8, 0x3fd78f16135d48a3, 0x3fddc7f58d6e2785}},
-		{"anti/d4/s6", [3]goldenSession{{12, 371, 0x8d24b3681ec72426}, {6, 371, 0xa10c3e036cc3445b}, {24, 4, 0xf31e5475faadc92e}}, [goldenEstimateRounds]uint64{0x3fe6786931808cbe, 0x3fdc57dd0bd52c8f, 0x3fd53fc45b618282}},
-		{"anti/d4/s7", [3]goldenSession{{17, 272, 0x3235f54283c2b525}, {7, 104, 0xe8d917310c1f0017}, {20, 104, 0x1ba250aad443acf0}}, [goldenEstimateRounds]uint64{0x3fe199d02d8cc57e, 0x3fd5a2de330167da, 0x3fd3df953bbc7768}},
-		{"anti/d4/s9", [3]goldenSession{{9, 378, 0xca3c2cddc4047efc}, {7, 378, 0xbd52ca27ed0f6163}, {19, 378, 0x44ea08ed7f9fc07}}, [goldenEstimateRounds]uint64{0x3fee4395076d6e1f, 0x3fe67a54ad794ceb, 0x3fd4a3d493fc1553}},
+		{"anti/d3/s1", [3]goldenSession{{7, 184, 0xee92bdcf59f445ee}, {7, 184, 0x7603a66a230cfa6a}, {11, 184, 0x2e9973b31bea8749}}, [goldenEstimateRounds]uint64{0x3fe43038410ae278, 0x3fcdf0f5fa3a6d69, 0x3fc775c5efa47bab}},
+		{"anti/d3/s6", [3]goldenSession{{8, 347, 0xba0222b03a06f9cb}, {6, 6, 0xd047855dd21c8a3}, {14, 347, 0x3f24c0e5a28e4f69}}, [goldenEstimateRounds]uint64{0x3fdafa1b8075e341, 0x3fc6b8975d82d16d, 0x3fc1a9955bdfc8dd}},
+		{"anti/d3/s7", [3]goldenSession{{8, 167, 0xac194a7640d0a007}, {4, 167, 0xa786dc56b7ffa9ba}, {15, 167, 0x21f625983176dba8}}, [goldenEstimateRounds]uint64{0x3fd988b397a1d0a7, 0x3fd9be91bb98a824, 0x3fd00f766c719098}},
+		{"anti/d3/s9", [3]goldenSession{{4, 351, 0x2dac94d7473cf47a}, {5, 351, 0xf062e7b8a613c16d}, {12, 351, 0x1bae817f50b5799e}}, [goldenEstimateRounds]uint64{0x3fdeefc3dbbeaa56, 0x3fc64822e034be15, 0x3fb1bc43f9448763}},
+		{"anti/d4/s1", [3]goldenSession{{16, 293, 0x91ad87b4cb5b1816}, {8, 293, 0xe33250980a5513cc}, {22, 293, 0x5c09cf9663491e39}}, [goldenEstimateRounds]uint64{0x3fe37960eb1bc933, 0x3fdbd38d405032f6, 0x3fe00b9d97bdca55}},
+		{"anti/d4/s6", [3]goldenSession{{12, 371, 0x8d24b3681ec72426}, {6, 371, 0xa10c3e036cc3445b}, {24, 4, 0xf31e5475faadc92e}}, [goldenEstimateRounds]uint64{0x3fe7f01c8be7b1ff, 0x3fdc47fd238f4662, 0x3fd2ebe7827aa934}},
+		{"anti/d4/s7", [3]goldenSession{{17, 272, 0x3235f54283c2b525}, {7, 104, 0xe8d917310c1f0017}, {20, 104, 0x1ba250aad443acf0}}, [goldenEstimateRounds]uint64{0x3fe36987b47f435a, 0x3fd564bc887620c3, 0x3fd34f889905c5c7}},
+		{"anti/d4/s9", [3]goldenSession{{9, 378, 0xca3c2cddc4047efc}, {7, 378, 0xbd52ca27ed0f6163}, {19, 378, 0x44ea08ed7f9fc07}}, [goldenEstimateRounds]uint64{0x3fecfbb513a270f6, 0x3fded26eafa6016b, 0x3fcf1f91cb080c72}},
 		{"corr/d3/s1", [3]goldenSession{{0, 80, 0xcbf29ce484222325}, {0, 80, 0xcbf29ce484222325}, {11, 258, 0xc79bd1168c0c0070}}, [goldenEstimateRounds]uint64{0, 0, 0}},
 		{"corr/d3/s6", [3]goldenSession{{0, 36, 0xcbf29ce484222325}, {0, 36, 0xcbf29ce484222325}, {13, 316, 0xa78a298b08df12f1}}, [goldenEstimateRounds]uint64{0, 0, 0}},
 		{"corr/d3/s7", [3]goldenSession{{0, 70, 0xcbf29ce484222325}, {0, 70, 0xcbf29ce484222325}, {12, 70, 0x3f7d9db1e1f32543}}, [goldenEstimateRounds]uint64{0, 0, 0}},

@@ -7,6 +7,7 @@ import (
 
 	"isrl/internal/dataset"
 	"isrl/internal/geom"
+	"isrl/internal/obs"
 	"isrl/internal/vec"
 )
 
@@ -184,6 +185,23 @@ func TestMaxRegretEstimateShrinks(t *testing.T) {
 	}
 	if after > 1e-6 {
 		t.Errorf("after pinning the winner, estimate should be ≈0, got %v", after)
+	}
+}
+
+// The estimate solves R's inner ball once, on its handle's warm program:
+// the sampler starts from that ball instead of solving a scratch LP.
+func TestMaxRegretEstimateSolvesBallOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	d := dataset.Anticorrelated(rng, 200, 3).Skyline()
+	hs := []geom.Halfspace{geom.NewHalfspace(d.Points[0], d.Points[1])}
+	cold, scratch := obs.Default().Counter("lp.warm.cold"), obs.Default().Counter("geom.lp_solves")
+	cold0, scratch0 := cold.Value(), scratch.Value()
+	MaxRegretEstimate(d, hs, rng, 100)
+	if n := cold.Value() - cold0; n != 1 {
+		t.Errorf("%d inner-ball solves, want 1", n)
+	}
+	if n := scratch.Value() - scratch0; n != 0 {
+		t.Errorf("%d scratch LP solves, want 0", n)
 	}
 }
 

@@ -15,7 +15,8 @@ import (
 // and report the worst regret ratio of p over the samples — the current
 // worst-case performance if interaction stopped now. The paper draws 10,000
 // samples. The center itself is always included so the estimate is defined
-// even when sampling fails (degenerate R).
+// even when sampling fails (degenerate R). The inner ball is solved once:
+// SampleCtx starts its chains from the handle's ball.
 func MaxRegretEstimate(ds *dataset.Dataset, halfspaces []geom.Halfspace, rng *rand.Rand, numSamples int) float64 {
 	ctx := context.Background()
 	d := ds.Dim()

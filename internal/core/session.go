@@ -12,6 +12,14 @@ import (
 	"isrl/internal/fault"
 )
 
+// DrawVersion numbers the random draws a session makes from its seed: which
+// generator a seed builds (geom.NewRand) and how the algorithms and the
+// sampler consume it. A journaled session replays to the same questions only
+// under the draws it was journaled with, so a change that makes the same seed
+// and answers ask different questions must raise DrawVersion. Version 0 is
+// every journal written before the field existed.
+const DrawVersion = 1
+
 // Session inverts control of an interactive search: instead of the
 // algorithm calling back into a blocking User, the application pulls the
 // next question with Next, shows it to its real user (web form, chat,

@@ -21,16 +21,12 @@ func TestRunMatchesGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []core.QA{
-		{I: 1, J: 5, PreferredI: false},
-		{I: 16, J: 19, PreferredI: false},
-		{I: 19, J: 48, PreferredI: false},
-		{I: 0, J: 56, PreferredI: true},
-		{I: 0, J: 48, PreferredI: true},
-		{I: 0, J: 5, PreferredI: false},
-		{I: 0, J: 12, PreferredI: false},
+		{I: 1, J: 19, PreferredI: true},
+		{I: 37, J: 67, PreferredI: false},
+		{I: 0, J: 45, PreferredI: false},
 	}
-	if res.PointIndex != 12 || res.Rounds != 7 || res.Degraded {
-		t.Fatalf("got point %d in %d rounds (degraded %v), want point 12 in 7 rounds",
+	if res.PointIndex != 12 || res.Rounds != 3 || res.Degraded {
+		t.Fatalf("got point %d in %d rounds (degraded %v), want point 12 in 3 rounds",
 			res.PointIndex, res.Rounds, res.Degraded)
 	}
 	if len(res.Trace) != len(want) {
@@ -61,8 +57,8 @@ func TestTrainMatchesGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.TotalSteps != 173 || stats.AvgRounds != 4.325 {
-		t.Fatalf("trained %d steps, %v rounds on average; want 173 and 4.325", stats.TotalSteps, stats.AvgRounds)
+	if stats.TotalSteps != 169 || stats.AvgRounds != 4.225 {
+		t.Fatalf("trained %d steps, %v rounds on average; want 169 and 4.225", stats.TotalSteps, stats.AvgRounds)
 	}
 	blob, err := e.Agent().MarshalBinary()
 	if err != nil {
@@ -70,20 +66,23 @@ func TestTrainMatchesGolden(t *testing.T) {
 	}
 	h := fnv.New64a()
 	h.Write(blob)
-	if got := h.Sum64(); got != 0x93c5523172f41c62 {
-		t.Fatalf("model hash %x, want 93c5523172f41c62", got)
+	if got := h.Sum64(); got != 0x3212af3b5604adaa {
+		t.Fatalf("model hash %x, want 3212af3b5604adaa", got)
 	}
 	res, err := e.Run(ds, core.SimulatedUser{Utility: []float64{0.55, 0.3, 0.15}}, 0.1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := []core.QA{
-		{I: 35, J: 66, PreferredI: true},
-		{I: 13, J: 43, PreferredI: true},
-		{I: 35, J: 84, PreferredI: false},
+		{I: 0, J: 66, PreferredI: true},
+		{I: 11, J: 35, PreferredI: true},
+		{I: 11, J: 17, PreferredI: true},
+		{I: 11, J: 45, PreferredI: true},
+		{I: 0, J: 11, PreferredI: false},
+		{I: 7, J: 22, PreferredI: true},
 	}
-	if res.PointIndex != 40 || res.Rounds != 3 || res.Degraded {
-		t.Fatalf("got point %d in %d rounds (degraded %v), want point 40 in 3 rounds",
+	if res.PointIndex != 11 || res.Rounds != 6 || res.Degraded {
+		t.Fatalf("got point %d in %d rounds (degraded %v), want point 11 in 6 rounds",
 			res.PointIndex, res.Rounds, res.Degraded)
 	}
 	if len(res.Trace) != len(want) {

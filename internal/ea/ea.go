@@ -96,7 +96,8 @@ func New(ds *dataset.Dataset, eps float64, cfg Config, rng *rand.Rand) *EA {
 
 // Load restores an EA whose agent was serialized with Agent().MarshalBinary.
 // ds, eps and cfg must match the values used at training time; inputs New
-// would reject are an error.
+// would reject are an error. Load takes one draw from rng to seed the EA's
+// own generator (geom.NewRand) and keeps no reference to rng.
 func Load(ds *dataset.Dataset, eps float64, cfg Config, blob []byte, rng *rand.Rand) (*EA, error) {
 	if err := core.Validate(ds, eps); err != nil {
 		return nil, fmt.Errorf("ea: load: %w", err)
@@ -112,7 +113,7 @@ func Load(ds *dataset.Dataset, eps float64, cfg Config, blob []byte, rng *rand.R
 			agent.StateDim, agent.ActionDim, cfg.Me*d+d+1, 2*d)
 	}
 	ds.BuildTopIndex()
-	return &EA{cfg: cfg, ds: ds, eps: eps, agent: agent, rng: rng}, nil
+	return &EA{cfg: cfg, ds: ds, eps: eps, agent: agent, rng: geom.NewRand(rng.Int63())}, nil
 }
 
 // Name implements core.Algorithm.

@@ -75,9 +75,10 @@ func TestConcurrentLoadedSessionsMatchSerial(t *testing.T) {
 }
 
 // loadAllocBound caps the allocations of a Load that hits the decoded-model
-// cache: the EA and agent structs only, since a loaded agent borrows its
-// network view and scoring scratch per call. Measured at 2; the bound leaves
-// slack for a few more, not for a per-agent View (12 more) or a decode.
+// cache: the EA and agent structs and the EA's generator only, since a
+// loaded agent borrows its network view and scoring scratch per call.
+// Measured at 3; the bound leaves slack for one more, not for a per-agent
+// View (12 more) or a decode.
 const loadAllocBound = 4
 
 // Sessions loaded from one model read the same weights, carry no training
@@ -106,4 +107,47 @@ func TestWarmLoadSharesModel(t *testing.T) {
 	if allocs > loadAllocBound {
 		t.Fatalf("warm ea.Load allocates %.0f, bound %d", allocs, loadAllocBound)
 	}
+}
+
+// drawingUser answers like its User but first draws from rng, the way a caller
+// that keeps using its generator after Load interleaves its own draws with
+// the session's.
+type drawingUser struct {
+	core.User
+	rng *rand.Rand
+}
+
+func (u drawingUser) Prefer(pi, pj []float64) bool {
+	u.rng.Int63()
+	return u.User.Prefer(pi, pj)
+}
+
+// A loaded session draws from a generator of its own, seeded by one draw
+// from the caller's: it asks the same questions whether or not the caller
+// keeps drawing from its generator after Load.
+func TestLoadedSessionOwnsItsGenerator(t *testing.T) {
+	blob := trainedBlob(t)
+	ds := testData(t, 200, 3, 51)
+	user := core.SimulatedUser{Utility: []float64{0.2, 0.5, 0.3}}
+	run := func(callerDraws bool) core.Result {
+		rng := rand.New(rand.NewSource(7))
+		e, err := Load(ds, 0.1, smallCfg(), blob, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var u core.User = user
+		if callerDraws {
+			u = drawingUser{user, rng}
+		}
+		res, err := e.Run(ds, u, 0.1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	quiet := run(false)
+	if quiet.Rounds < 2 {
+		t.Fatalf("session ended after %d rounds; the caller's draws need a later round to show", quiet.Rounds)
+	}
+	sameResult(t, "caller drawing vs idle", run(true), quiet)
 }

@@ -63,10 +63,14 @@ func BenchmarkOuterRect20D(b *testing.B) {
 func BenchmarkHitAndRunSample(b *testing.B) {
 	p := benchPolytope(4, 8, 4)
 	rng := rand.New(rand.NewSource(5))
+	ib, err := p.InnerBallCtx(context.Background())
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := p.SampleCtx(context.Background(), rng, 64); err != nil {
+		if _, err := p.SampleCtx(context.Background(), rng, 64, ib); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -35,6 +35,22 @@ func testPoly(t *testing.T, d int, seed int64) *polytope {
 	return p
 }
 
+// scratchSample draws n points from p with every chain started at p's
+// scratch inner ball.
+func scratchSample(t testing.TB, p *polytope, rng *rand.Rand, n int) [][]float64 {
+	t.Helper()
+	ctx := context.Background()
+	ib, err := p.InnerBallCtx(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts, err := p.SampleCtx(ctx, rng, n, ib)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pts
+}
+
 // sampleHash is FNV-1a over the IEEE-754 bits of every sampled coordinate.
 func sampleHash(pts [][]float64) uint64 {
 	h := fnv.New64a()
@@ -48,17 +64,58 @@ func sampleHash(pts [][]float64) uint64 {
 	return h.Sum64()
 }
 
-// A seeded Sample is a fixed function of (rng state, n, opts): its chains
-// draw from per-chain streams seeded in chain order. The hashes pin the
-// exact draws, so a change to the chain decomposition, the seeding order or
-// the hit-and-run step shows here.
-func TestSampleMatchesGolden(t *testing.T) {
-	want := map[int]uint64{3: 0xffada63c7222f547, 5: 0xf01e0e7f776bc260}
-	for _, d := range []int{3, 5} {
-		pts, err := testPoly(t, d, 21).SampleCtx(context.Background(), rand.New(rand.NewSource(22)), 40)
-		if err != nil {
-			t.Fatal(err)
+// NewRand's draws are pinned: served sessions and the sampler's chains draw
+// from it, so a change to its seeding or its output changes every session's
+// questions and must come with a new core.DrawVersion.
+func TestNewRandGolden(t *testing.T) {
+	want := map[int64][3]int64{
+		0:       {6396883617853464008, 7746815404870163736, 2905227621171934003},
+		1:       {6327163162935937956, 6607791070604395065, 53834897026223804},
+		-1:      {3610355676713190413, 2682109513741822533, 9205433851532965472},
+		1 << 40: {4121361515241186679, 8383281840918999865, 6785389650214293296},
+	}
+	for seed, w := range want {
+		r := NewRand(seed)
+		if got := [3]int64{r.Int63(), r.Int63(), r.Int63()}; got != w {
+			t.Errorf("seed %d: first draws %v, want %v", seed, got, w)
 		}
+	}
+}
+
+// Re-seeding a used generator yields exactly a fresh generator's stream,
+// and costs no allocation.
+func TestNewRandReseedMatchesFresh(t *testing.T) {
+	r := NewRand(3)
+	for i := 0; i < 10; i++ {
+		r.NormFloat64()
+	}
+	r.Seed(11)
+	fresh := NewRand(11)
+	for i := 0; i < 100; i++ {
+		if a, b := r.Float64(), fresh.Float64(); a != b {
+			t.Fatalf("draw %d: re-seeded %v, fresh %v", i, a, b)
+		}
+		if a, b := r.NormFloat64(), fresh.NormFloat64(); a != b {
+			t.Fatalf("normal draw %d: re-seeded %v, fresh %v", i, a, b)
+		}
+		if a, b := r.Intn(97), fresh.Intn(97); a != b {
+			t.Fatalf("int draw %d: re-seeded %d, fresh %d", i, a, b)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { r.Seed(7) }); n != 0 {
+		t.Errorf("Seed allocates %v times, want 0", n)
+	}
+}
+
+// A seeded Sample is a fixed function of (ball, rng state, n): its chains
+// start at the ball's center and draw from per-chain PCG streams seeded in
+// chain order. The hashes pin the exact draws, so a change to the chain
+// decomposition, the seeding order, the chain generator or the hit-and-run
+// step shows here.
+func TestSampleMatchesGolden(t *testing.T) {
+	want := map[int]uint64{3: 0x38f82f9991046d48, 5: 0x3bc4330b7ae814c1}
+	for _, d := range []int{3, 5} {
+		pts := scratchSample(t, testPoly(t, d, 21), rand.New(rand.NewSource(22)), 40)
 		if len(pts) != 40 {
 			t.Fatalf("d=%d: got %d points, want 40", d, len(pts))
 		}

@@ -329,10 +329,7 @@ func TestSampleInsidePolytope(t *testing.T) {
 	p := newPolytope(4)
 	p.Add(Halfspace{Normal: []float64{1, -1, 0, 0}})
 	p.Add(Halfspace{Normal: []float64{0, 1, -1, 0}})
-	samples, err := p.SampleCtx(context.Background(), rng, 200)
-	if err != nil {
-		t.Fatal(err)
-	}
+	samples := scratchSample(t, p, rng, 200)
 	if len(samples) != 200 {
 		t.Fatalf("%d samples, want 200", len(samples))
 	}
@@ -348,10 +345,7 @@ func TestSampleInsidePolytope(t *testing.T) {
 func TestSampleRoughlyUniform(t *testing.T) {
 	rng := rand.New(rand.NewSource(2024))
 	p := newPolytope(3)
-	samples, err := p.SampleCtx(context.Background(), rng, 2000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	samples := scratchSample(t, p, rng, 2000)
 	inHalf := 0
 	for _, s := range samples {
 		if s[0] >= s[1] {
@@ -365,9 +359,10 @@ func TestSampleRoughlyUniform(t *testing.T) {
 }
 
 func TestSampleEmptyPolytopeFails(t *testing.T) {
-	p := newPolytope(2)
-	p.Add(Halfspace{Normal: []float64{-1, -1}})
-	if _, err := p.SampleCtx(context.Background(), rand.New(rand.NewSource(1)), 5); err == nil {
+	ctx := context.Background()
+	g := NewIncremental(2)
+	g.AddCtx(ctx, Halfspace{Normal: []float64{-1, -1}})
+	if _, err := g.SampleCtx(ctx, rand.New(rand.NewSource(1)), 5); err == nil {
 		t.Error("sampling an empty polytope must fail")
 	}
 }

@@ -73,8 +73,12 @@ func TestKernelHistogramAndSpanShareOneClock(t *testing.T) {
 		}},
 		{"geom.sample", sampleMS, func(t *testing.T) func(context.Context) {
 			p := testPoly(t, 3, 12)
+			ib, err := p.InnerBallCtx(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
 			return func(ctx context.Context) {
-				if _, err := p.SampleCtx(ctx, rand.New(rand.NewSource(1)), 16); err != nil {
+				if _, err := p.SampleCtx(ctx, rand.New(rand.NewSource(1)), 16, ib); err != nil {
 					t.Fatal(err)
 				}
 			}

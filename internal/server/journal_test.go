@@ -234,6 +234,47 @@ func TestJournalRecoverRefusesFingerprintMismatch(t *testing.T) {
 	}
 }
 
+// A session journaled under another draw version would replay its answers
+// against other questions, so recovery refuses it and counts it as skipped.
+// A create without the field is version 0, from before draws were
+// versioned; the same create at the current version comes back.
+func TestJournalRecoverRefusesDrawVersionMismatch(t *testing.T) {
+	dir := t.TempDir()
+	log1, _, err := wal.Open(dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := dataset.Anticorrelated(rand.New(rand.NewSource(1)), 500, 3).Skyline().Fingerprint()
+	for _, st := range []wal.SessionState{
+		{ID: "s1", Algo: "UH-Simplex", Eps: 0.1, Seed: 2, Fingerprint: fp},
+		{ID: "s2", Algo: "UH-Simplex", Eps: 0.1, Seed: 2, Fingerprint: fp, DrawVersion: core.DrawVersion},
+	} {
+		if err := log1.AppendCreateCtx(context.Background(), st); err != nil {
+			t.Fatal(err)
+		}
+	}
+	log1.Close()
+
+	log2, states, err := wal.Open(dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer log2.Close()
+	srv, reg, _ := obsServer(t, WithJournal(log2))
+	if n := srv.Recover(states); n != 1 {
+		t.Fatalf("recovered %d sessions, want only the current-version one", n)
+	}
+	if got := reg.Counter("sessions.recovery_skipped").Value(); got != 1 {
+		t.Errorf("recovery_skipped = %d, want 1", got)
+	}
+	if rec := get(t, srv, "/sessions/s1"); rec.Code != http.StatusNotFound {
+		t.Errorf("version-0 session served after recovery: %d", rec.Code)
+	}
+	if rec := get(t, srv, "/sessions/s2"); rec.Code != http.StatusOK {
+		t.Errorf("current-version session not recovered: %d", rec.Code)
+	}
+}
+
 // With -max-sessions saturated, creates shed with 429 + Retry-After while
 // existing sessions keep answering.
 func TestMaxSessionsShedsWith429(t *testing.T) {

@@ -359,8 +359,9 @@ func New(ds *dataset.Dataset, eps float64, factory AlgorithmFactory, opts ...Opt
 // live — valid because the algorithms are deterministic given seed + trace.
 // Tombstoned sessions are refused outright, as are sessions journaled
 // against a different dataset fingerprint, threshold or algorithm (the
-// operator changed flags between runs; replaying would silently produce a
-// different search). Returns how many sessions came back.
+// operator changed flags between runs) or under another core.DrawVersion (an
+// older binary drew other questions from the same seed): replaying would
+// silently produce a different search. Returns how many sessions came back.
 func (s *Server) Recover(states []wal.SessionState) int {
 	n := 0
 	maxID := 0
@@ -375,6 +376,11 @@ func (s *Server) Recover(states []wal.SessionState) int {
 		if st.Fingerprint != s.fingerprint {
 			s.recSkipped.Inc()
 			s.log.Warn("recovery skipped: dataset fingerprint mismatch", "id", st.ID)
+			continue
+		}
+		if st.DrawVersion != core.DrawVersion {
+			s.recSkipped.Inc()
+			s.log.Warn("recovery skipped: draw version mismatch", "id", st.ID, "journaled", st.DrawVersion, "serving", core.DrawVersion)
 			continue
 		}
 		if st.Eps != s.eps {
@@ -423,6 +429,7 @@ func (s *Server) journalCreate(ctx context.Context, id, algo string, seed int64,
 	}
 	err := s.journal.AppendCreateCtx(ctx, wal.SessionState{
 		ID: id, Algo: algo, Eps: s.eps, Seed: seed, Fingerprint: s.fingerprint, IdemKey: idemKey,
+		DrawVersion: core.DrawVersion,
 	})
 	if err != nil {
 		s.journalErr.Inc()

@@ -6,9 +6,16 @@
 // reconstructed by replaying its journaled answers — no polytope snapshots,
 // no custom serialization, just three tiny record kinds:
 //
-//	create  {id, algorithm, eps, seed, dataset fingerprint}
+//	create  {id, algorithm, eps, seed, dataset fingerprint, draw version}
 //	answer  {id, round index, prefer-first}
 //	finish  {id, reason}        — the tombstone: finished | aborted | expired
+//
+// Replay holds only while the binary draws the same random numbers from a
+// seed, so a create carries the draw version (core.DrawVersion) it was
+// served under. The journal stores the version without judging it; the
+// server's recovery refuses a session journaled under any other version than
+// its own and counts it as skipped. A create without the field, written
+// before it existed, reads as version 0, which no build serves.
 //
 // On-disk format: numbered segment files (wal-00000001.log, ...) holding
 // length- and CRC32-framed JSON records. Appends fsync before returning
@@ -102,6 +109,7 @@ type Record struct {
 	Prefer bool    `json:"a,omitempty"`   // answer payload
 	Reason string  `json:"why,omitempty"` // finish payload
 	IK     string  `json:"ik,omitempty"`  // Idempotency-Key the create carried
+	DV     int     `json:"dv,omitempty"`  // draw version the create was served under
 	Epoch  uint64  `json:"ep,omitempty"`  // control payload: failover epoch
 }
 
@@ -114,6 +122,7 @@ type SessionState struct {
 	Seed        int64
 	Fingerprint uint64
 	IdemKey     string // Idempotency-Key of the create, if the client sent one
+	DrawVersion int    // the serving build's draw version; 0 when not journaled
 	Answers     []bool
 	Finished    bool   // a tombstone was journaled
 	Reason      string // tombstone reason when Finished
@@ -480,7 +489,7 @@ func (l *Log) check(rec Record) (dup bool, err error) {
 func (l *Log) fold(rec Record) {
 	switch rec.Kind {
 	case KindCreate:
-		l.sessions[rec.ID] = &SessionState{ID: rec.ID, Algo: rec.Algo, Eps: rec.Eps, Seed: rec.Seed, Fingerprint: rec.FP, IdemKey: rec.IK}
+		l.sessions[rec.ID] = &SessionState{ID: rec.ID, Algo: rec.Algo, Eps: rec.Eps, Seed: rec.Seed, Fingerprint: rec.FP, IdemKey: rec.IK, DrawVersion: rec.DV}
 	case KindAnswer:
 		st := l.sessions[rec.ID]
 		st.Answers = append(st.Answers, rec.Prefer)
@@ -508,7 +517,7 @@ func (l *Log) replay(rec Record) {
 
 // createRecord renders st's create record.
 func createRecord(st *SessionState) Record {
-	return Record{Kind: KindCreate, ID: st.ID, Algo: st.Algo, Eps: st.Eps, Seed: st.Seed, FP: st.Fingerprint, IK: st.IdemKey}
+	return Record{Kind: KindCreate, ID: st.ID, Algo: st.Algo, Eps: st.Eps, Seed: st.Seed, FP: st.Fingerprint, IK: st.IdemKey, DV: st.DrawVersion}
 }
 
 // stateRecords renders st as the records that rebuild it: its create, its
