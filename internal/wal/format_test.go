@@ -25,7 +25,8 @@ func goldenFrames(payloads ...string) []byte {
 }
 
 // TestFrameBytesGolden pins the exact bytes the primary's appends write for
-// each of the four record kinds, the control record's empty id included.
+// each of the four record kinds, the control record's empty id included, and
+// a create with and without a draw version.
 // Journals written by an older binary must replay on a newer one, so these
 // bytes may only change together with a format version. It also pins that a
 // follower fed the primary's tail stream writes byte-identical frames, and
@@ -53,7 +54,7 @@ func TestFrameBytesGolden(t *testing.T) {
 	if err := l.AppendFinishCtx(ctx, "s1", ReasonFinished); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.AppendCreateCtx(ctx, SessionState{ID: "s2", Algo: "aa", Seed: -3}); err != nil {
+	if err := l.AppendCreateCtx(ctx, SessionState{ID: "s2", Algo: "aa", Seed: -3, DrawVersion: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.AppendAnswerCtx(ctx, "s2", true); err != nil {
@@ -68,7 +69,7 @@ func TestFrameBytesGolden(t *testing.T) {
 		`{"k":2,"id":"s1","n":1,"a":true}`,
 		`{"k":2,"id":"s1","n":2}`,
 		`{"k":3,"id":"s1","why":"finished"}`,
-		`{"k":1,"id":"s2","algo":"aa","seed":-3}`,
+		`{"k":1,"id":"s2","algo":"aa","seed":-3,"dv":1}`,
 		`{"k":2,"id":"s2","n":1,"a":true}`,
 	)
 	got, err := os.ReadFile(filepath.Join(dir, segName(1)))
@@ -109,7 +110,7 @@ func TestFrameBytesGolden(t *testing.T) {
 	}
 	want = goldenFrames(
 		`{"k":4,"id":"","ep":5}`,
-		`{"k":1,"id":"s2","algo":"aa","seed":-3}`,
+		`{"k":1,"id":"s2","algo":"aa","seed":-3,"dv":1}`,
 		`{"k":2,"id":"s2","n":1,"a":true}`,
 	)
 	if got, err := os.ReadFile(filepath.Join(dir, segName(2))); err != nil || !bytes.Equal(got, want) {
