@@ -53,10 +53,12 @@ func (n *Node) serve(conn net.Conn) {
 			return
 		}
 		if m.T == "hello" && n.opts.Token != "" && m.Token != n.opts.Token {
+			mHandshakeRejected.Inc()
 			n.opts.logger().Warn("repl: dropping hello with bad replication token")
 			return
 		}
 		if m.T != "hello" && !greeted {
+			mHandshakeRejected.Inc()
 			return // no handshake: drop before the message reaches anything
 		}
 		if n.deposedPrimary(m, conn, ioDeadline) {

@@ -200,6 +200,8 @@ var (
 	mRepairsServed   = obs.Default().Counter("repl.repairs_served")
 	mRepairsApplied  = obs.Default().Counter("repl.repairs_applied")
 	mRepairsRejected = obs.Default().Counter("repl.repairs_rejected")
+	// A hello with a bad token, or any message before a hello.
+	mHandshakeRejected = obs.Default().Counter("repl.handshake_rejected")
 
 	mLagRecords = obs.Default().Gauge("repl.lag_records")
 	mLagBytes   = obs.Default().Gauge("repl.lag_bytes")

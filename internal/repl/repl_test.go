@@ -464,7 +464,8 @@ func TestReplTokenGatesHandshake(t *testing.T) {
 	defer follower.Close()
 
 	// Unauthenticated hello claiming a huge epoch: must be dropped, not
-	// welcomed, and must not bump the follower's epoch.
+	// welcomed, must not bump the follower's epoch, and is counted.
+	rejected := mHandshakeRejected.Value()
 	conn, err := net.Dial("tcp", follower.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -478,6 +479,9 @@ func TestReplTokenGatesHandshake(t *testing.T) {
 	conn.Close()
 	if got := fLog.Epoch(); got != 0 {
 		t.Fatalf("unauthenticated hello bumped the epoch to %d", got)
+	}
+	if mHandshakeRejected.Value() == rejected {
+		t.Error("the unauthenticated hello left repl.handshake_rejected unmoved")
 	}
 
 	pLog, _ := openLog(t, wal.Options{})
