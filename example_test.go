@@ -58,7 +58,8 @@ func Example_customUser() {
 // server side is the same handler isrl-serve mounts, and the client brings
 // retries, backoff and the exactly-once round protocol. Against a healthy
 // in-process server no retry fires, but the same code survives dropped and
-// truncated connections unchanged (see TestChaosClientProxyExactlyOnce).
+// truncated connections unchanged (see the client-proxy row of
+// TestChaosScenarios).
 func Example_resilientClient() {
 	rng := rand.New(rand.NewSource(3))
 	ds := isrl.Anticorrelated(rng, 1000, 3).Skyline()
