@@ -106,7 +106,7 @@ func main() {
 		logger.Warn("fault injection active", "plan", plan.String(), "seed", *faultSeed)
 	}
 
-	ds, err := loadData(*csvPath, *data, *n, *d, *seed)
+	ds, err := dataset.Load(*csvPath, *data, *n, *d, *seed)
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -278,21 +278,6 @@ func sweeper(ctx context.Context, srv *server.Server, ttl time.Duration) {
 			srv.Sweep()
 		}
 	}
-}
-
-func loadData(csvPath, kind string, n, d int, seed int64) (*dataset.Dataset, error) {
-	if csvPath != "" {
-		ds, err := dataset.LoadFile(csvPath)
-		if err != nil {
-			return nil, err
-		}
-		return ds.Skyline(), nil
-	}
-	ds, err := dataset.Generate(kind, rand.New(rand.NewSource(seed)), n, d)
-	if err != nil {
-		return nil, err
-	}
-	return ds.Skyline(), nil
 }
 
 // publishTraining pushes a finished training run into the default obs

@@ -50,7 +50,7 @@ func main() {
 		fatalf("-out is required")
 	}
 
-	ds, err := loadData(*csvPath, *data, *n, *d, *seed)
+	ds, err := dataset.Load(*csvPath, *data, *n, *d, *seed)
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -139,22 +139,6 @@ func reportStats(name string, st core.TrainStats, start time.Time) {
 		name, st.Episodes, st.AvgRounds, time.Since(start).Round(time.Millisecond))
 	fmt.Fprintf(os.Stderr, "  dqn: %d updates, %d target syncs, loss ema %.5f, replay %d/%d, final eps %.3f\n",
 		st.RL.Updates, st.RL.TargetSyncs, st.RL.LossEMA, st.RL.ReplaySize, st.RL.ReplayCap, st.RL.Epsilon)
-}
-
-// loadData builds the skyline-preprocessed training dataset.
-func loadData(csvPath, kind string, n, d int, seed int64) (*dataset.Dataset, error) {
-	if csvPath != "" {
-		ds, err := dataset.LoadFile(csvPath)
-		if err != nil {
-			return nil, err
-		}
-		return ds.Skyline(), nil
-	}
-	ds, err := dataset.Generate(kind, rand.New(rand.NewSource(seed)), n, d)
-	if err != nil {
-		return nil, err
-	}
-	return ds.Skyline(), nil
 }
 
 func fatalf(format string, args ...any) {

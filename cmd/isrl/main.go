@@ -54,7 +54,7 @@ func main() {
 		return
 	}
 
-	ds, err := loadData(*csvPath, *data, *n, *d, *seed)
+	ds, err := dataset.Load(*csvPath, *data, *n, *d, *seed)
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -159,21 +159,6 @@ func formatRemote(attrs []string, p []float64) string {
 		fmt.Fprintf(&b, "%s=%.3f", name, v)
 	}
 	return b.String()
-}
-
-func loadData(csvPath, kind string, n, d int, seed int64) (*dataset.Dataset, error) {
-	if csvPath != "" {
-		ds, err := dataset.LoadFile(csvPath)
-		if err != nil {
-			return nil, err
-		}
-		return ds.Skyline(), nil
-	}
-	ds, err := dataset.Generate(kind, rand.New(rand.NewSource(seed)), n, d)
-	if err != nil {
-		return nil, err
-	}
-	return ds.Skyline(), nil
 }
 
 func buildAlgorithm(name string, ds *dataset.Dataset, eps float64, episodes int, modelPath string, rng *rand.Rand) (core.Algorithm, error) {

@@ -35,7 +35,7 @@ func TestParseUtility(t *testing.T) {
 
 func TestLoadDataKinds(t *testing.T) {
 	for _, kind := range []string{"anti", "indep", "corr"} {
-		ds, err := loadData("", kind, 200, 3, 1)
+		ds, err := dataset.Load("", kind, 200, 3, 1)
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}
@@ -43,16 +43,16 @@ func TestLoadDataKinds(t *testing.T) {
 			t.Errorf("%s: shape %dx%d", kind, ds.Len(), ds.Dim())
 		}
 	}
-	if _, err := loadData("", "nope", 10, 2, 1); err == nil {
+	if _, err := dataset.Load("", "nope", 10, 2, 1); err == nil {
 		t.Error("unknown kind must fail")
 	}
-	if _, err := loadData("/does/not/exist.csv", "", 0, 0, 1); err == nil {
+	if _, err := dataset.Load("/does/not/exist.csv", "", 0, 0, 1); err == nil {
 		t.Error("missing csv must fail")
 	}
 }
 
 func TestBuildAlgorithmNames(t *testing.T) {
-	ds, err := loadData("", "anti", 200, 3, 2)
+	ds, err := dataset.Load("", "anti", 200, 3, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

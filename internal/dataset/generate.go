@@ -5,6 +5,22 @@ import (
 	"math/rand"
 )
 
+// Load builds the skyline a command serves or trains on: the CSV dataset
+// at csvPath when it is set, otherwise Generate's kind drawn from seed.
+func Load(csvPath, kind string, n, d int, seed int64) (*Dataset, error) {
+	var ds *Dataset
+	var err error
+	if csvPath != "" {
+		ds, err = LoadFile(csvPath)
+	} else {
+		ds, err = Generate(kind, rand.New(rand.NewSource(seed)), n, d)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return ds.Skyline(), nil
+}
+
 // Generate builds a named dataset kind: "anti", "indep", "corr", "car", or
 // "player". n and d apply only to the synthetic distributions; the car and
 // player stand-ins have fixed shapes matching the paper's real datasets.
