@@ -26,7 +26,6 @@ func extNoise(c Config) (*Table, error) {
 	t := &Table{ID: "ext-noise", Title: "answer noise sweep (d=3, extension of §VI)",
 		Columns: []string{"flip_prob", "algorithm", "user_questions", "time_s", "regret"}}
 	users := c.testUsers(ds.Dim())
-	noiseRng := c.rng(59)
 	type variant struct {
 		label    string
 		alg      core.Algorithm
@@ -43,8 +42,11 @@ func extNoise(c Config) (*Table, error) {
 		{"AA majority-of-3", a, 3},
 		{"EA resilient", er, 0},
 	}
-	for _, flip := range []float64{0, 0.05, 0.1, 0.2, 0.3} {
-		for _, v := range variants {
+	for fi, flip := range []float64{0, 0.05, 0.1, 0.2, 0.3} {
+		for vi, v := range variants {
+			// Each cell flips from its own stream, so a change to one
+			// variant's questions moves no other row.
+			noiseRng := c.rng(59<<16 | int64(fi*len(variants)+vi))
 			var questions, secs, regret float64
 			for _, u := range users {
 				var user core.User = core.NoisyUser{Utility: u, FlipProb: flip, Rng: noiseRng}
