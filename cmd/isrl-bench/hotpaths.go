@@ -442,6 +442,59 @@ func runHotpaths(quick bool, outPath, comparePath string) error {
 	add(scr, inc)
 	speed("round_geometry_d4", scr, inc)
 
+	// Scoring every row of a skyline at d=4 (the ea_anti_d4 workload's,
+	// 2,686 rows) and d=20 (the player stand-in's, 3,359 rows), the scan
+	// under EA's top-1 queries and stopping test. The dot row is
+	// Dataset.Scores without a top-1 index, one vec.Dot per row; the other
+	// is Scores on the index's column-major copy, 32 rows per vec.DotCols
+	// call, and must give the same bits. Building the player index takes a
+	// few seconds. The player skyline's own construction is a row too.
+	rawAnti, err := dataset.Generate("anti", rand.New(rand.NewSource(1)), 10000, 4)
+	if err != nil {
+		return err
+	}
+	rawPlayer, err := dataset.Generate("player", rand.New(rand.NewSource(1)), 0, 0)
+	if err != nil {
+		return err
+	}
+	add(row("skyline_player", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			rawPlayer.Skyline()
+		}
+	}))
+	for _, sc := range []struct {
+		name string
+		ds   *dataset.Dataset
+	}{{"scan_d4", rawAnti.Skyline()}, {"scan_d20", rawPlayer.Skyline()}} {
+		plain := &dataset.Dataset{Points: sc.ds.Points}
+		sc.ds.BuildTopIndex()
+		u := geom.SampleSimplex(rand.New(rand.NewSource(29)), sc.ds.Dim())
+		want, got := plain.Scores(u, nil), sc.ds.Scores(u, nil)
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				return fmt.Errorf("hotpaths: %s: row %d scores %v on the kernel, %v by vec.Dot", sc.name, i, got[i], want[i])
+			}
+		}
+		dot := row(sc.name+"_dot", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				plain.Scores(u, want)
+			}
+		})
+		kernel := row(sc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sc.ds.Scores(u, got)
+			}
+		})
+		if dot.AllocsPerOp != 0 || kernel.AllocsPerOp != 0 {
+			return fmt.Errorf("hotpaths: %s scans allocate (%d and %d allocs/op), want 0", sc.name, dot.AllocsPerOp, kernel.AllocsPerOp)
+		}
+		add(dot, kernel)
+		speed(sc.name+"_simd", dot, kernel)
+	}
+
 	// End-to-end sessions: one op runs a full seeded interaction to
 	// completion on the round-incremental engine; rounds_per_sec divides the
 	// deterministic round count by the per-op wall time. The d=20 AA row is
@@ -550,6 +603,11 @@ var fixedWorkloadRows = map[string]bool{
 	"ea_session_d4_incremental":    true,
 	"aa_session_d4_incremental":    true,
 	"aa_session_d20_incremental":   true,
+	"skyline_player":               true,
+	"scan_d4_dot":                  true,
+	"scan_d4":                      true,
+	"scan_d20_dot":                 true,
+	"scan_d20":                     true,
 }
 
 // compareReports gates the fresh report against a committed baseline:

@@ -13,7 +13,9 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
+	"slices"
 
 	"isrl/internal/dataset"
 	"isrl/internal/geom"
@@ -225,12 +227,10 @@ func StoppablePoint(ds *dataset.Dataset, E [][]float64, tops []int, eps float64)
 	// top-1 point of a vertex is the most likely certificate).
 	thr := make([]float64, len(E))
 	cands := make([]int, 0, len(E))
-	seen := map[int]bool{}
 	for k, e := range E {
 		ti := tops[k]
 		thr[k] = (1 - eps) * vec.Dot(e, ds.Points[ti])
-		if !seen[ti] {
-			seen[ti] = true
+		if !slices.Contains(cands, ti) {
 			cands = append(cands, ti)
 		}
 	}
@@ -248,12 +248,32 @@ func StoppablePoint(ds *dataset.Dataset, E [][]float64, tops []int, eps float64)
 			return ti
 		}
 	}
-	for pi := range ds.Points {
-		if seen[pi] {
-			continue
+	// Sweep every row, one block of vec.SIMDBlock rows at a time: each
+	// vertex scores the block and drops the rows below its threshold, and
+	// the next vertex runs only while a row survives. A row survives every
+	// vertex exactly when ok passes it (the scores have vec.Dot's bits), so
+	// the lowest survivor that is not a candidate is the row a row-by-row
+	// sweep would return.
+	var buf [vec.SIMDBlock]float64
+	n := ds.Len()
+	for lo := 0; lo < n; lo += len(buf) {
+		scores := buf[:min(len(buf), n-lo)]
+		alive := uint64(1)<<len(scores) - 1
+		for k, e := range E {
+			ds.ScoreRows(e, lo, scores)
+			for j, s := range scores {
+				if s+1e-12 < thr[k] {
+					alive &^= 1 << j
+				}
+			}
+			if alive == 0 {
+				break
+			}
 		}
-		if ok(pi) {
-			return pi
+		for ; alive != 0; alive &= alive - 1 {
+			if pi := lo + bits.TrailingZeros64(alive); !slices.Contains(cands, pi) {
+				return pi
+			}
 		}
 	}
 	return -1

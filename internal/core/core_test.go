@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"isrl/internal/dataset"
@@ -135,6 +136,117 @@ func clampNorm(u []float64) {
 	for i := range u {
 		u[i] /= s
 	}
+}
+
+// stoppablePointRowwise is StoppablePoint's row-by-row reference: one
+// vec.Dot per row and vertex, rows in index order, candidates first.
+func stoppablePointRowwise(ds *dataset.Dataset, E [][]float64, tops []int, eps float64) int {
+	thr := make([]float64, len(E))
+	var cands []int
+	seen := map[int]bool{}
+	for k, e := range E {
+		thr[k] = (1 - eps) * vec.Dot(e, ds.Points[tops[k]])
+		if !seen[tops[k]] {
+			seen[tops[k]] = true
+			cands = append(cands, tops[k])
+		}
+	}
+	ok := func(pi int) bool {
+		for k, e := range E {
+			if vec.Dot(e, ds.Points[pi])+1e-12 < thr[k] {
+				return false
+			}
+		}
+		return true
+	}
+	for _, ti := range cands {
+		if ok(ti) {
+			return ti
+		}
+	}
+	for pi := range ds.Points {
+		if !seen[pi] && ok(pi) {
+			return pi
+		}
+	}
+	return -1
+}
+
+// The block sweep must return the row-by-row sweep's row: on the kernel's
+// whole blocks and the generic tail (row counts below, at and past 32), at
+// d = 3, 4 and 20, with and without a built top-1 index (the column-major
+// copy or per-row vec.Dot), on grid rows with repeats whose scores tie
+// exactly, and with a NaN vertex whose threshold drops no row. Every
+// outcome — a candidate, a row found by the sweep, and none — must occur.
+func TestStoppablePointMatchesRowwise(t *testing.T) {
+	outcomes := map[string]int{}
+	for _, d := range []int{3, 4, 20} {
+		for _, n := range []int{7, 31, 32, 33, 100} {
+			rng := rand.New(rand.NewSource(int64(100*d + n)))
+			pts := dataset.Anticorrelated(rng, n, d).Points
+			for i := range pts {
+				switch {
+				case i%5 == 4:
+					pts[i] = vec.Clone(pts[i/2])
+				case i%4 == 0:
+					for k := range pts[i] {
+						pts[i][k] = float64(1+rng.Intn(4)) / 4
+					}
+				}
+			}
+			// A balanced row, late in the order: the sweep's certificate
+			// when the vertices lean to different axes.
+			vec.Fill(pts[n-1-n/8], 0.6)
+			indexed := &dataset.Dataset{Points: pts}
+			indexed.BuildTopIndex()
+			plain := &dataset.Dataset{Points: pts}
+			for trial := 0; trial < 30; trial++ {
+				// A small cloud around one utility, or vertices leaning to
+				// different axes, whose distinct tops fail each other's
+				// thresholds.
+				base := geom.SampleSimplex(rng, d)
+				E := make([][]float64, 1+rng.Intn(d))
+				for k := range E {
+					e := vec.Clone(base)
+					if trial%2 == 0 {
+						vec.Fill(e, 0.3/float64(d))
+						e[rng.Intn(d)] = 0.7
+					}
+					e[rng.Intn(d)] += 0.05 * rng.Float64()
+					clampNorm(e)
+					E[k] = e
+				}
+				tops := indexed.TopPoints(E, nil)
+				if trial%10 == 9 {
+					E = append(E, vec.Clone(E[0]))
+					E[len(E)-1][0] = math.NaN()
+					tops = append(tops, 0)
+				}
+				for _, eps := range []float64{0, 0.02, 0.1, 0.3, 0.5} {
+					want := stoppablePointRowwise(plain, E, tops, eps)
+					for name, ds := range map[string]*dataset.Dataset{"indexed": indexed, "plain": plain} {
+						if got := StoppablePoint(ds, E, tops, eps); got != want {
+							t.Fatalf("d=%d n=%d trial %d eps %v %s: StoppablePoint %d, row by row %d", d, n, trial, eps, name, got, want)
+						}
+					}
+					switch {
+					case want < 0:
+						outcomes["none"]++
+					case slices.Contains(tops, want):
+						outcomes["candidate"]++
+					default:
+						outcomes["sweep"]++
+					}
+				}
+			}
+		}
+	}
+	for _, o := range []string{"none", "candidate", "sweep"} {
+		if outcomes[o] == 0 {
+			t.Errorf("no case ended in outcome %q (%v)", o, outcomes)
+		}
+	}
+	t.Logf("outcomes: %v", outcomes)
 }
 
 func TestStoppablePointEmptyVertices(t *testing.T) {

@@ -149,6 +149,10 @@ func Dominates(a, b []float64) bool {
 // serial on purpose: its output order — which the dataset fingerprint, and
 // so every journaled session, depends on — is then a function of the input
 // alone, never of the host's core count.
+//
+// A dominance signature (skylineSigs) screens each pair first: Dominates
+// runs only where the signatures allow it, which skips pairs that cannot
+// dominate and so leaves the result, and its order, unchanged.
 func (d *Dataset) Skyline() *Dataset {
 	pts := d.Points
 	idx := make([]int, len(pts))
@@ -161,21 +165,63 @@ func (d *Dataset) Skyline() *Dataset {
 	}
 	sort.Slice(idx, func(a, b int) bool { return sums[idx[a]] > sums[idx[b]] })
 
+	sigs := skylineSigs(pts)
 	var sky [][]float64
+	var skySigs []uint64
 	for _, i := range idx {
-		p := pts[i]
+		p, sig := pts[i], sigs[i]
 		dominated := false
-		for _, s := range sky {
-			if Dominates(s, p) {
+		for k, s := range sky {
+			if sig&^skySigs[k] == 0 && Dominates(s, p) {
 				dominated = true
 				break
 			}
 		}
 		if !dominated {
 			sky = append(sky, p)
+			skySigs = append(skySigs, sig)
 		}
 	}
 	return &Dataset{Name: d.Name + "-skyline", Points: sky, Attrs: append([]string(nil), d.Attrs...)}
+}
+
+// skylineSigs returns one dominance signature per point. Each attribute
+// takes k = min(16, 64/d) bits: its value quantized monotonically to a level
+// q = min(k, ⌊v·(k+1)⌋) in 0..k, set as q low bits. If s dominates p, every
+// level of s is at least p's, so sig(p)&^sig(s) == 0; a pair with
+// sig(p)&^sig(s) != 0 cannot dominate. Every signature is 0, which screens
+// nothing, when d > 64, the rows are ragged or any value is non-finite
+// (NaN passes Dominates' comparisons, and converting ±Inf is undefined).
+func skylineSigs(pts [][]float64) []uint64 {
+	sigs := make([]uint64, len(pts))
+	if len(pts) == 0 || len(pts[0]) == 0 || len(pts[0]) > 64 {
+		return sigs
+	}
+	dim := len(pts[0])
+	k := min(16, 64/dim)
+	levels := float64(k + 1)
+	for i, p := range pts {
+		if len(p) != dim {
+			clear(sigs)
+			return sigs
+		}
+		var sig uint64
+		for j, v := range p {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				clear(sigs)
+				return sigs
+			}
+			q := k
+			if x := v * levels; x <= 0 {
+				q = 0
+			} else if x < float64(k) {
+				q = int(x)
+			}
+			sig |= (uint64(1)<<q - 1) << (j * k)
+		}
+		sigs[i] = sig
+	}
+	return sigs
 }
 
 // Scores writes u·pᵢ for every point into dst (allocated when nil or
@@ -184,9 +230,7 @@ func (d *Dataset) Scores(u []float64, dst []float64) []float64 {
 	if len(dst) != len(d.Points) {
 		dst = make([]float64, len(d.Points))
 	}
-	for i, p := range d.Points {
-		dst[i] = vec.Dot(u, p)
-	}
+	d.ScoreRows(u, 0, dst)
 	return dst
 }
 

@@ -16,9 +16,13 @@ import (
 // cannot. A row is left out only when an LP certificate, rechecked in
 // float64, shows it loses to the kept rows by a margin of topTau·Σu under
 // every u ≥ 0 — see DESIGN.md §2 "Exact top-1 candidate index".
+//
+// It also holds read-only column-major copies of the kept rows and of every
+// row, which the scans feed to vec.DotCols 32 rows at a time.
 type topIndex struct {
-	rows []int       // kept row indices, ascending
-	pts  [][]float64 // pts[k] aliases Points[rows[k]]
+	rows []int     // kept row indices, ascending
+	cols []float64 // kept rows, column-major: cols[k·len(rows)+i] = Points[rows[i]][k]
+	all  []float64 // every row, column-major: all[k·Len()+i] = Points[i][k]
 }
 
 const (
@@ -65,11 +69,11 @@ func (d *Dataset) BuildTopIndex() {
 		if rows == nil {
 			return
 		}
-		ix := &topIndex{rows: rows, pts: make([][]float64, len(rows))}
-		for k, i := range rows {
-			ix.pts[k] = d.Points[i]
+		all := make([]int, len(d.Points))
+		for i := range all {
+			all[i] = i
 		}
-		d.top.Store(ix)
+		d.top.Store(&topIndex{rows: rows, cols: columns(d.Points, rows), all: columns(d.Points, all)})
 		mIndexRows.Set(int64(len(rows)))
 	})
 }
@@ -85,26 +89,41 @@ func (d *Dataset) TopIndexRows() int {
 
 // TopPoint returns the index of the point with the highest utility w.r.t.
 // u: the lowest index among the rows whose u·p is largest. With a built
-// index and a finite non-negative u it scans only the kept rows (same
-// order, same strict comparison, so the same answer); otherwise — negative,
-// NaN or Inf components, or a utility mass outside the certified range — it
-// scans every row.
+// index and a u the certificate covers (see indexable) it scans only the
+// kept rows (same order, same strict comparison, so the same answer);
+// otherwise — NaN or Inf components, negative mass beyond the margin, or a
+// utility mass outside the certified range — it scans every row.
 func (d *Dataset) TopPoint(u []float64) int {
-	if ix := d.top.Load(); ix != nil && indexable(u) {
+	ix := d.top.Load()
+	if ix != nil && indexable(u) {
 		mIndexedScans.Inc()
-		best, bi := math.Inf(-1), -1
-		for k, p := range ix.pts {
-			if s := vec.Dot(u, p); s > best {
-				best, bi = s, ix.rows[k]
-			}
+		if k := blockTop(ix.cols, len(ix.rows), u); k >= 0 {
+			return ix.rows[k]
 		}
-		return bi
+		return -1
 	}
 	mFullScans.Inc()
+	if ix != nil {
+		return blockTop(ix.all, len(d.Points), u)
+	}
 	return topScan(d.Points, u)
 }
 
-// topScan is the full top-1 scan over pts.
+// ScoreRows writes u·Points[lo+j] into dst[j] for every j < len(dst), each
+// with vec.Dot's bits. With a built index it runs on the column-major copy
+// of every row.
+func (d *Dataset) ScoreRows(u []float64, lo int, dst []float64) {
+	if ix := d.top.Load(); ix != nil {
+		vec.DotCols(dst, u, ix.all[lo:], len(d.Points))
+		return
+	}
+	for j, p := range d.Points[lo : lo+len(dst)] {
+		dst[j] = vec.Dot(u, p)
+	}
+}
+
+// topScan is the full top-1 scan over pts, one vec.Dot per row: the
+// reference every block scan must agree with.
 func topScan(pts [][]float64, u []float64) int {
 	best, bi := math.Inf(-1), -1
 	for i, p := range pts {
@@ -115,17 +134,56 @@ func topScan(pts [][]float64, u []float64) int {
 	return bi
 }
 
+// blockTop is topScan over the n rows of the column-major block cols: it
+// scores vec.SIMDBlock rows per vec.DotCols call into a stack buffer and
+// keeps the first maximum under the same strict comparison.
+func blockTop(cols []float64, n int, u []float64) int {
+	var buf [vec.SIMDBlock]float64
+	best, bi := math.Inf(-1), -1
+	for lo := 0; lo < n; lo += len(buf) {
+		s := buf[:min(len(buf), n-lo)]
+		vec.DotCols(s, u, cols[lo:], n)
+		for j, v := range s {
+			if v > best {
+				best, bi = v, lo+j
+			}
+		}
+	}
+	return bi
+}
+
+// columns returns the listed rows of pts as one column-major block:
+// element k·len(rows)+i is pts[rows[i]][k].
+func columns(pts [][]float64, rows []int) []float64 {
+	n := len(rows)
+	cols := make([]float64, n*len(pts[0]))
+	for i, r := range rows {
+		for k, v := range pts[r] {
+			cols[k*n+i] = v
+		}
+	}
+	return cols
+}
+
 // indexable reports whether the certificate covers u: every component
-// finite and non-negative, and the mass Σu inside [topMinSum, topMaxSum].
+// finite, the positive mass Σu⁺ inside [topMinSum, topMaxSum], and the
+// negative mass Σu⁻ at most topTau·Σu⁺/4. On rows in [0,1] the negative
+// part moves any score by at most Σu⁻, so an excluded row still loses by
+// (3/4)·topTau·Σu⁺ — see DESIGN.md. Vertices of a utility range carry
+// components like −5.55e−17 from rounding; this keeps them on the index.
 func indexable(u []float64) bool {
-	var s float64
+	var pos, neg float64
 	for _, v := range u {
-		if !(v >= 0) || math.IsInf(v, 1) {
+		switch {
+		case v >= 0 && v <= math.MaxFloat64:
+			pos += v
+		case v < 0 && v >= -math.MaxFloat64:
+			neg -= v
+		default: // NaN or ±Inf
 			return false
 		}
-		s += v
 	}
-	return s >= topMinSum && s <= topMaxSum
+	return pos >= topMinSum && pos <= topMaxSum && neg <= topTau*pos/4
 }
 
 // topCandidates returns, in ascending order, the rows of pts the index

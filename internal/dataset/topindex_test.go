@@ -7,12 +7,13 @@ import (
 	"testing"
 
 	"isrl/internal/lp"
+	"isrl/internal/vec"
 )
 
 // topUtilities returns the utility mix the equivalence tests probe: random
 // simplex points, the axes, vectors with some components zeroed, integer
-// weights (exact dot products, so ties stay exact), and both extremes of
-// the certified mass range.
+// weights (exact dot products, so ties stay exact), vectors with tiny
+// negative components, and both extremes of the certified mass range.
 func topUtilities(rng *rand.Rand, d, random int) [][]float64 {
 	var us [][]float64
 	for i := 0; i < random; i++ {
@@ -40,6 +41,20 @@ func topUtilities(rng *rand.Rand, d, random int) [][]float64 {
 			w[k] = float64(rng.Intn(4))
 		}
 		us = append(us, w)
+	}
+	// Vertices of a utility range carry rounding residue: tiny negative
+	// components, well inside the certificate's topTau·Σu⁺/4 allowance.
+	for i := 0; i < random/4; i++ {
+		u := make([]float64, d)
+		for k := range u {
+			u[k] = rng.ExpFloat64()
+		}
+		for k := range u {
+			if rng.Intn(2) == 0 {
+				u[k] = -rng.Float64() * 1e-16
+			}
+		}
+		us = append(us, u)
 	}
 	tiny, huge := make([]float64, d), make([]float64, d)
 	for k := range tiny {
@@ -121,10 +136,11 @@ func TestTopIndexPrunes(t *testing.T) {
 	}
 }
 
-// Utilities outside the certificate's reach — a negative, NaN or infinite
-// component, zero mass, or mass beyond the overflow guard — take the full
-// scan, and still get the full scan's answer (including its −1 when every
-// score is NaN).
+// Utilities outside the certificate's reach — a NaN or infinite component,
+// negative mass beyond topTau·Σu⁺/4, zero mass, or mass beyond the overflow
+// guard — take the full scan, and still get the full scan's answer
+// (including its −1 when every score is NaN). Utilities inside it, rounding
+// residue such as −1e−300 or −5.55e−17 included, take the index.
 func TestTopIndexFallsBackOutsideCertifiedRange(t *testing.T) {
 	ds := Anticorrelated(rand.New(rand.NewSource(6)), 500, 3).Skyline()
 	ds.BuildTopIndex()
@@ -133,30 +149,41 @@ func TestTopIndexFallsBackOutsideCertifiedRange(t *testing.T) {
 	}
 	for _, u := range [][]float64{
 		{-1, 0.5, 0.5},
-		{0.4, -1e-300, 0.6},
+		{0.4, -topTau / 4 * 1.01, 0.6},
 		{math.NaN(), 0.5, 0.5},
 		{math.Inf(1), 0.2, 0.3},
+		{math.Inf(-1), 0.2, 0.3},
 		{0, 0, 0},
 		{math.MaxFloat64, math.MaxFloat64, 1},
 		{1e-310, 0, 0},
 	} {
-		if !indexable(u) {
-			before := mFullScans.Value()
-			if got, want := ds.TopPoint(u), topScan(ds.Points, u); got != want {
-				t.Fatalf("u=%v: TopPoint %d, full scan %d", u, got, want)
-			}
-			if mFullScans.Value() == before {
-				t.Fatalf("u=%v: full-scan counter did not move", u)
-			}
-			continue
+		if indexable(u) {
+			t.Fatalf("u=%v is indexable; it must take the full scan", u)
 		}
-		t.Fatalf("u=%v is indexable; it must take the full scan", u)
+		before := mFullScans.Value()
+		if got, want := ds.TopPoint(u), topScan(ds.Points, u); got != want {
+			t.Fatalf("u=%v: TopPoint %d, full scan %d", u, got, want)
+		}
+		if mFullScans.Value() == before {
+			t.Fatalf("u=%v: full-scan counter did not move", u)
+		}
 	}
-	// In-range utilities take the index.
-	before := mIndexedScans.Value()
-	ds.TopPoint([]float64{0.2, 0.3, 0.5})
-	if mIndexedScans.Value() != before+1 {
-		t.Fatal("indexed-scan counter did not move for an in-range utility")
+	for _, u := range [][]float64{
+		{0.2, 0.3, 0.5},
+		{0.4, -1e-300, 0.6},
+		{0.5, -5.55e-17, 0.5},
+		{0.4, -topTau / 4 * 0.99, 0.6},
+	} {
+		if !indexable(u) {
+			t.Fatalf("u=%v is not indexable; it must take the index", u)
+		}
+		before := mIndexedScans.Value()
+		if got, want := ds.TopPoint(u), topScan(ds.Points, u); got != want {
+			t.Fatalf("u=%v: TopPoint %d, full scan %d", u, got, want)
+		}
+		if mIndexedScans.Value() != before+1 {
+			t.Fatalf("u=%v: indexed-scan counter did not move", u)
+		}
 	}
 }
 
@@ -273,5 +300,77 @@ func TestTopIndexExcludesOnlyRowsThatCannotWin(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// The block scans run on vec.DotCols — the kernel on whole 32-row blocks,
+// the generic loop on the tail — and must agree with the per-row vec.Dot
+// reference bit for bit: every score ScoreRows and Scores write, and the row
+// TopPoint returns on the index and on the full scan. The row counts give
+// fewer rows than a block, exact blocks and ragged tails. A third of the
+// rows sit on a quarter grid and one row is repeated, so integer-weight
+// utilities tie exactly; NaN and infinite utilities take the full scan.
+func TestBlockScanBitIdentical(t *testing.T) {
+	for _, d := range []int{3, 4, 20} {
+		for _, n := range []int{1, 7, 31, 32, 33, 70, 100} {
+			rng := rand.New(rand.NewSource(int64(100*d + n)))
+			ds := &Dataset{}
+			for i := 0; i < n; i++ {
+				p := make([]float64, d)
+				for k := range p {
+					if i%3 == 0 {
+						p[k] = float64(1+rng.Intn(4)) / 4
+					} else {
+						p[k] = rng.Float64()
+					}
+				}
+				ds.Points = append(ds.Points, p)
+			}
+			if n > 2 {
+				ds.Points[n-1] = append([]float64(nil), ds.Points[n/2]...)
+			}
+			ds.BuildTopIndex()
+			ix := ds.top.Load()
+			if ix == nil {
+				t.Fatalf("d=%d n=%d: no index built", d, n)
+			}
+			us := topUtilities(rng, d, 40)
+			for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+				for _, at := range []int{0, d - 1} {
+					u := make([]float64, d)
+					for k := range u {
+						u[k] = rng.Float64()
+					}
+					u[at] = bad
+					us = append(us, u)
+				}
+			}
+			for _, u := range us {
+				want := make([]float64, n)
+				for i, p := range ds.Points {
+					want[i] = vec.Dot(u, p)
+				}
+				for i, s := range ds.Scores(u, nil) {
+					if math.Float64bits(s) != math.Float64bits(want[i]) {
+						t.Fatalf("d=%d n=%d u=%v: Scores[%d] = %v, Dot %v", d, n, u, i, s, want[i])
+					}
+				}
+				lo := n / 3
+				part := make([]float64, n-lo)
+				ds.ScoreRows(u, lo, part)
+				for j, s := range part {
+					if math.Float64bits(s) != math.Float64bits(want[lo+j]) {
+						t.Fatalf("d=%d n=%d u=%v: ScoreRows[%d] = %v, Dot %v", d, n, u, lo+j, s, want[lo+j])
+					}
+				}
+				ref := topScan(ds.Points, u)
+				if got := ds.TopPoint(u); got != ref {
+					t.Fatalf("d=%d n=%d u=%v: TopPoint %d, topScan %d", d, n, u, got, ref)
+				}
+				if got := blockTop(ix.all, n, u); got != ref {
+					t.Fatalf("d=%d n=%d u=%v: full block scan %d, topScan %d", d, n, u, got, ref)
+				}
+			}
+		}
 	}
 }

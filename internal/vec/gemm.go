@@ -13,10 +13,10 @@ import "fmt"
 //   - The generic Go loops keep four accumulators advancing in lock-step
 //     over k, which breaks the one-add-per-cycle latency chain of a lone
 //     accumulator.
-//   - MatMul, MatMulAcc and MatMulTNAcc, whose B rows are contiguous along
-//     the outputs, run every whole block of SIMDBlock = 32 contiguous outputs
-//     through an AVX2 kernel (gemm_amd64.s) when the CPU has AVX2 and the OS
-//     saves the ymm registers. Each of the kernel's 32 lanes is one output: it
+//   - MatMul, MatMulAcc, MatMulTNAcc and DotCols, whose B rows are
+//     contiguous along the outputs, run every whole block of SIMDBlock = 32
+//     contiguous outputs through an AVX2 kernel (gemm_amd64.s) when the CPU
+//     has AVX2 and the OS saves the ymm registers. Each of the kernel's 32 lanes is one output: it
 //     broadcasts a[p], multiplies by B's row with VMULPD and adds with VADDPD,
 //     p in index order. That is the MULSD-then-ADDSD pair Go emits for
 //     s += a*b at its default GOAMD64=v1 (and v2), so the lanes round exactly
@@ -66,6 +66,26 @@ func mulAddRow(dst, init, a []float64, as int, b []float64, bs, n int) {
 	j := mulAddSIMD(dst, init, a, as, b, bs, n)
 	mulAddGeneric(dst[j:], init[j:m], a, as, b[j:], bs, n)
 }
+
+// DotCols sets dst[j] = Σ_{p<len(u)} u[p]·b[p·bs+j] for every j < len(dst):
+// the dot product of u with column j of a column-major block whose row p
+// starts at b[p·bs]. Each output has Dot's bits: it starts from zero and
+// adds the rounded products in Dot's order, so a kernel lane makes the same
+// MULSD/ADDSD steps as Dot's loop.
+func DotCols(dst, u, b []float64, bs int) {
+	// Each block starts from a zero block nothing writes. Zeroing dst
+	// first made a d=4 top-1 scan about a quarter slower on an AVX2 host:
+	// the kernel's 32-byte init loads then follow eight-byte stores to the
+	// same lines.
+	for len(dst) > SIMDBlock {
+		mulAddRow(dst[:SIMDBlock], zeroBlock[:], u, 1, b, bs, len(u))
+		dst, b = dst[SIMDBlock:], b[SIMDBlock:]
+	}
+	mulAddRow(dst, zeroBlock[:len(dst)], u, 1, b, bs, len(u))
+}
+
+// zeroBlock is DotCols' read-only zero init.
+var zeroBlock [SIMDBlock]float64
 
 // mulAddGeneric is mulAddRow's portable loop: four independent output
 // accumulators advance together over p.

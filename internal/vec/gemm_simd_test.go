@@ -214,3 +214,30 @@ func BenchmarkMatMulAccForwardAAd20(b *testing.B) {
 		MatMulAcc(dst, x, wT)
 	}
 }
+
+// DotCols must give every column Dot's bits, on whole kernel blocks and on
+// the generic tail alike, including the signed zeros and subnormals a
+// reordered or fused sum would change.
+func TestDotColsMatchesDot(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, d := range []int{1, 3, 4, 20} {
+		for _, n := range simdOuts {
+			cols := awkwardMat(rng, d, n) // column j is one point
+			u := awkwardMat(rng, 1, d).Data
+			want := make([]float64, n)
+			point := make([]float64, d)
+			for j := range want {
+				for p := range point {
+					point[p] = cols.At(p, j)
+				}
+				want[j] = Dot(u, point)
+			}
+			got := make([]float64, n)
+			for i := range got {
+				got[i] = math.NaN() // DotCols must overwrite, not accumulate
+			}
+			DotCols(got, u, cols.Data, n)
+			sameBits(t, "DotCols", got, want)
+		}
+	}
+}

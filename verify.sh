@@ -41,9 +41,12 @@ go test -count=1 -run '^$' -bench . -benchtime 1x ./internal/...
 # minimization would spend the entire burst shrinking, so minimization is
 # capped and the burst goes to mutation. The top-1 candidate index gets a
 # burst too: on small tie-heavy grid datasets its indexed scan must return
-# the full scan's row, bit for bit.
+# the full scan's row, bit for bit. So does the skyline: its signature screen
+# must leave the reference block-nested loop's rows and order unchanged, on
+# grids, repeated rows and non-finite or out-of-range values alike.
 go test -fuzz '^FuzzReadFrame$' -fuzztime=5s -run '^FuzzReadFrame$' ./internal/wal/
 go test -fuzz '^FuzzTopIndex$' -fuzztime=5s -run '^FuzzTopIndex$' ./internal/dataset/
+go test -fuzz '^FuzzSkyline$' -fuzztime=5s -run '^FuzzSkyline$' ./internal/dataset/
 go test -fuzz '^FuzzUnmarshalAgent$' -fuzztime=5s -fuzzminimizetime=1s -run '^FuzzUnmarshalAgent$' ./internal/rl/
 
 # End-to-end benchmark harness (its own module): vet it and run its smoke
@@ -77,4 +80,7 @@ grep -q '"trace_disabled_span"' /tmp/isrl_hotpaths_smoke.json
 grep -q '"round_geometry_incremental"' /tmp/isrl_hotpaths_smoke.json
 grep -q '"rounds_per_sec"' /tmp/isrl_hotpaths_smoke.json
 grep -q '"aa_session_d20_incremental"' /tmp/isrl_hotpaths_smoke.json
+grep -q '"skyline_player"' /tmp/isrl_hotpaths_smoke.json
+grep -q '"scan_d4_simd"' /tmp/isrl_hotpaths_smoke.json
+grep -q '"scan_d20_simd"' /tmp/isrl_hotpaths_smoke.json
 rm -f /tmp/isrl_hotpaths_smoke.json
