@@ -18,6 +18,7 @@ import (
 	"sync"
 
 	"isrl/internal/fault"
+	"isrl/internal/vec"
 )
 
 // arena recycles the simplex working set — tableau rows, index maps,
@@ -422,9 +423,7 @@ func (tb *tableau) run(obj []float64, banned []bool) (float64, Status) {
 		if cb == 0 {
 			continue
 		}
-		for j := 0; j <= cols; j++ {
-			red[j] -= cb * tb.t[i][j]
-		}
+		vec.SubScaled(red, cb, tb.t[i][:cols+1])
 	}
 	maxIter := 200 * (m + cols + 10)
 	blandAfter := maxIter / 2
@@ -476,12 +475,8 @@ func (tb *tableau) run(obj []float64, banned []bool) (float64, Status) {
 		tb.pivot(leave, enter)
 		tb.pivots++
 		// Update reduced costs.
-		f := red[enter]
-		if f != 0 {
-			prow := tb.t[leave]
-			for j := 0; j <= cols; j++ {
-				red[j] -= f * prow[j]
-			}
+		if f := red[enter]; f != 0 {
+			vec.SubScaled(red, f, tb.t[leave][:cols+1])
 			red[enter] = 0
 		}
 	}
@@ -491,10 +486,9 @@ func (tb *tableau) run(obj []float64, banned []bool) (float64, Status) {
 // pivot makes column enter basic in row leave.
 func (tb *tableau) pivot(leave, enter int) {
 	m, cols := len(tb.t), tb.cols
-	prow := tb.t[leave]
-	p := prow[enter]
-	inv := 1 / p
-	for j := 0; j <= cols; j++ {
+	prow := tb.t[leave][:cols+1]
+	inv := 1 / prow[enter]
+	for j := range prow {
 		prow[j] *= inv
 	}
 	prow[enter] = 1 // kill rounding residue
@@ -502,14 +496,12 @@ func (tb *tableau) pivot(leave, enter int) {
 		if i == leave {
 			continue
 		}
-		f := tb.t[i][enter]
+		row := tb.t[i]
+		f := row[enter]
 		if f == 0 {
 			continue
 		}
-		row := tb.t[i]
-		for j := 0; j <= cols; j++ {
-			row[j] -= f * prow[j]
-		}
+		vec.SubScaled(row[:cols+1], f, prow)
 		row[enter] = 0
 	}
 	tb.basis[leave] = enter

@@ -15,6 +15,7 @@ import (
 
 	"isrl/internal/fault"
 	"isrl/internal/obs"
+	"isrl/internal/vec"
 )
 
 // Warm-start telemetry. solves counts warm attempts (Push and SolveWith on a
@@ -323,9 +324,7 @@ func (s *Solver) pushWarm(c Constraint) bool {
 		if cb == 0 {
 			continue
 		}
-		for j := 0; j <= cols; j++ {
-			red[j] -= cb * s.rows[i][j]
-		}
+		vec.SubScaled(red, cb, s.rows[i][:cols+1])
 	}
 
 	// New row in tableau coordinates, reduced against the basis so existing
@@ -344,10 +343,7 @@ func (s *Solver) pushWarm(c Constraint) bool {
 		if f == 0 {
 			continue
 		}
-		ti := s.rows[i]
-		for j := 0; j <= cols; j++ {
-			row[j] -= f * ti[j]
-		}
+		vec.SubScaled(row, f, s.rows[i][:cols+1])
 		row[bi] = 0
 	}
 	s.rows = append(s.rows, row)
@@ -403,7 +399,7 @@ func (s *Solver) pushWarm(c Constraint) bool {
 	// beyond tolerance means the warm basis went numerically stale.
 	var dot float64
 	for j, aj := range c.Coeffs {
-		dot += aj * x[j]
+		dot += float64(aj * x[j])
 	}
 	viol := 0.0
 	switch c.Sense {
@@ -422,32 +418,26 @@ func (s *Solver) pushWarm(c Constraint) bool {
 // pivotWarm is tableau.pivot plus the reduced-cost update the run loop
 // normally performs.
 func (s *Solver) pivotWarm(leave, enter int, red []float64) {
-	cols := s.cols
-	prow := s.rows[leave]
+	prow := s.rows[leave][:s.cols+1]
 	inv := 1 / prow[enter]
-	for j := 0; j <= cols; j++ {
+	for j := range prow {
 		prow[j] *= inv
 	}
 	prow[enter] = 1
-	for i := range s.rows {
+	for i, row := range s.rows {
 		if i == leave {
 			continue
 		}
-		f := s.rows[i][enter]
+		f := row[enter]
 		if f == 0 {
 			continue
 		}
-		row := s.rows[i]
-		for j := 0; j <= cols; j++ {
-			row[j] -= f * prow[j]
-		}
+		vec.SubScaled(row[:s.cols+1], f, prow)
 		row[enter] = 0
 	}
 	s.basis[leave] = enter
 	if f := red[enter]; f != 0 {
-		for j := 0; j <= cols; j++ {
-			red[j] -= f * prow[j]
-		}
+		vec.SubScaled(red, f, prow)
 		red[enter] = 0
 	}
 }

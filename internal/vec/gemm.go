@@ -25,8 +25,14 @@ import "fmt"
 //     loops themselves, which moves every trained weight on its own.)
 //   - The generic loops run the narrower tails, and everything on other
 //     GOARCH or on CPUs without AVX2. The choice is made once at start-up,
-//     with no flag; SIMD names the kernels this process selected, this one
-//     and the SELU kernel of selu.go.
+//     with no flag; SIMD names the kernels this process selected: this one,
+//     the SELU kernel of selu.go, and the simplex row update of
+//     subscaled.go.
+//   - SubScaled, the LP's dst[j] -= f·src[j], takes whole blocks of four
+//     through its own AVX2 kernel (subscaled_amd64.s): one VMULPD then one
+//     VSUBPD, the MULSD/SUBSD pair of the scalar loop, never FMA. Its
+//     generic loop writes the product as float64(f*src[j]), so no GOARCH
+//     fuses it either.
 //   - MatMulNT reads B's rows along k, so it stays on the generic loop; a
 //     caller that wants SIMD packs Bᵀ and calls MatMulAcc.
 
@@ -35,8 +41,8 @@ import "fmt"
 const SIMDBlock = 32
 
 // SIMD names the kernels this process selected at start-up: "avx2+fma" when
-// both the GEMM kernel and the SELU kernel (selu.go) run, "avx2" when only
-// the GEMM kernel does, and "generic" when neither does.
+// the GEMM and SubScaled kernels and the SELU kernel (selu.go) run, "avx2"
+// when only the GEMM and SubScaled kernels do, and "generic" when none does.
 func SIMD() string {
 	switch {
 	case hasSELU:

@@ -14,6 +14,14 @@ go vet ./...
 # arm64 builds every package with the generic kernels only, so the fallback
 # keeps compiling.
 GOARCH=arm64 go vet ./...
+# The LP rounds every product on its own, as amd64 does: on arm64 Go fuses
+# x*y+z into one FMA (one rounding instead of two) unless the product is
+# wrapped in an explicit float64 conversion. The arm64 listing of
+# internal/lp must hold no fused multiply-add.
+GOARCH=arm64 go build -gcflags=-S ./internal/lp 2>/tmp/isrl_lp_arm64.s
+grep -q 'STEXT' /tmp/isrl_lp_arm64.s
+if grep -E 'FMADDD|FMSUBD|FNMADDD|FNMSUBD' /tmp/isrl_lp_arm64.s; then exit 1; fi
+rm -f /tmp/isrl_lp_arm64.s
 go test -race ./...
 go test -race -run 'Fault|Noisy|Chaos|Recover|Journal|Proxy|Client|Repl|Failover|Scrub|Repair' -count=2 ./...
 
