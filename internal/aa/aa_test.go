@@ -295,7 +295,7 @@ func TestTopKTieOrder(t *testing.T) {
 		}
 		sort.SliceStable(want, func(x, y int) bool { return scores[want[x]] > scores[want[y]] })
 		for _, k := range []int{0, 1, 20, n, n + 5} {
-			got := topK(scores, k)
+			got := topK(nil, scores, k)
 			w := want[:min(k, n)]
 			if len(got) != len(w) {
 				t.Fatalf("n=%d k=%d: %d indices, want %d", n, k, len(got), len(w))

@@ -111,14 +111,32 @@ func (d *Dataset) TopPoint(u []float64) int {
 
 // ScoreRows writes u·Points[lo+j] into dst[j] for every j < len(dst), each
 // with vec.Dot's bits. With a built index it runs on the column-major copy
-// of every row.
+// of every row. Without one it reads the rows in place, four per pass: four
+// independent accumulators, each walking u in vec.Dot's order, break the
+// one-add-at-a-time latency chain of a lone sum and need no copy.
 func (d *Dataset) ScoreRows(u []float64, lo int, dst []float64) {
 	if ix := d.top.Load(); ix != nil {
 		vec.DotCols(dst, u, ix.all[lo:], len(d.Points))
 		return
 	}
-	for j, p := range d.Points[lo : lo+len(dst)] {
-		dst[j] = vec.Dot(u, p)
+	pts := d.Points[lo : lo+len(dst)]
+	j := 0
+	for ; j+4 <= len(pts); j += 4 {
+		p0, p1, p2, p3 := pts[j], pts[j+1], pts[j+2], pts[j+3]
+		if len(p0) != len(u) || len(p1) != len(u) || len(p2) != len(u) || len(p3) != len(u) {
+			break // vec.Dot below panics on the ragged row
+		}
+		var s0, s1, s2, s3 float64
+		for k, uk := range u {
+			s0 += uk * p0[k]
+			s1 += uk * p1[k]
+			s2 += uk * p2[k]
+			s3 += uk * p3[k]
+		}
+		dst[j], dst[j+1], dst[j+2], dst[j+3] = s0, s1, s2, s3
+	}
+	for ; j < len(pts); j++ {
+		dst[j] = vec.Dot(u, pts[j])
 	}
 }
 
