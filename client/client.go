@@ -261,6 +261,21 @@ type response struct {
 func (c *Client) do(ctx context.Context, method, path, sid string, hdr http.Header, body []byte) (*response, error) {
 	c.mRequests.Inc()
 	var lastErr error
+	// notBefore[i] is the earliest time endpoint i's last Retry-After lets
+	// this call try it again; nil until an endpoint sends one. A hint holds
+	// back only the endpoint that sent it: after a follower's 503 the call
+	// rotates to the primary and retries it on the plain backoff schedule.
+	var notBefore []time.Time
+	// floor is the backoff floor for the attempt after now: how long the
+	// endpoint that attempt will pick still asked to be left alone. With one
+	// endpoint it is exactly the last Retry-After, as it always was.
+	floor := func(now time.Time) time.Duration {
+		if notBefore == nil {
+			return 0
+		}
+		_, next := c.pickEndpoint()
+		return max(notBefore[next].Sub(now), 0)
+	}
 	for attempt := 0; attempt < c.attempts; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -274,7 +289,7 @@ func (c *Client) do(ctx context.Context, method, path, sid string, hdr http.Head
 			// breaker counts as a (cheap) failed attempt, and the backoff
 			// sleep gives the cooldown a chance to elapse into half-open.
 			lastErr = fmt.Errorf("%w (host %s)", ErrBreakerOpen, ep.host)
-			if err := c.sleep(ctx, c.backoff(attempt, 0)); err != nil {
+			if err := c.sleep(ctx, c.backoff(attempt, floor(time.Now()))); err != nil {
 				return nil, err
 			}
 			continue
@@ -291,11 +306,19 @@ func (c *Client) do(ctx context.Context, method, path, sid string, hdr http.Head
 			// resets the breaker — but a shedding node (draining, follower
 			// catching up, or fenced after a failover) is exactly when the
 			// standby should get the next attempt, so rotate as well as
-			// back off, honoring Retry-After as a floor.
+			// back off, honoring its Retry-After as a floor on the next
+			// attempt at it.
 			c.br.success(ep.host)
+			now := time.Now()
+			if hint := retryAfterAt(resp.header, now); hint > 0 || notBefore != nil {
+				if notBefore == nil {
+					notBefore = make([]time.Time, len(c.eps))
+				}
+				notBefore[idx] = now.Add(hint)
+			}
 			c.rotateEndpoint(idx, sid, fmt.Sprintf("status %d", resp.status))
 			lastErr = fmt.Errorf("client: server returned %d", resp.status)
-			if err := c.sleep(ctx, c.backoff(attempt, retryAfterHint(resp.header))); err != nil {
+			if err := c.sleep(ctx, c.backoff(attempt, floor(now))); err != nil {
 				return nil, err
 			}
 			continue
@@ -304,7 +327,7 @@ func (c *Client) do(ctx context.Context, method, path, sid string, hdr http.Head
 		c.rotateEndpoint(idx, sid, "transport error")
 		lastErr = err
 		c.log.Debug("client attempt failed", "method", method, "path", path, "host", ep.host, "attempt", attempt+1, "err", err)
-		if err := c.sleep(ctx, c.backoff(attempt, 0)); err != nil {
+		if err := c.sleep(ctx, c.backoff(attempt, floor(time.Now()))); err != nil {
 			return nil, err
 		}
 	}
@@ -435,14 +458,9 @@ func (c *Client) sleep(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// retryAfterHint parses a Retry-After header into a backoff floor,
-// accepting both RFC 9110 §10.2.3 forms: delta-seconds and HTTP-date.
-func retryAfterHint(h http.Header) time.Duration {
-	return retryAfterAt(h, time.Now())
-}
-
-// retryAfterAt is retryAfterHint against an injected clock, so the
-// HTTP-date arithmetic is testable. Absent, unparseable, negative or
+// retryAfterAt parses a Retry-After header, at time now, into how long the
+// server asked to be left alone, accepting both RFC 9110 §10.2.3 forms:
+// delta-seconds and HTTP-date. Absent, unparseable, negative or
 // already-past values all return 0 — "use the backoff schedule".
 func retryAfterAt(h http.Header, now time.Time) time.Duration {
 	v := h.Get("Retry-After")

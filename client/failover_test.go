@@ -4,6 +4,7 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -159,5 +160,76 @@ func TestClientSkipsQuarantinedEndpoint(t *testing.T) {
 	}
 	if got := c.mFailovers.Value(); got != fails {
 		t.Errorf("post-trip request rotated endpoints (%d -> %d failovers); want direct pick of the live host", fails, got)
+	}
+}
+
+// TestClientRetryAfterHoldsOnlyItsEndpoint pins where a Retry-After
+// applies: to the next attempt at the endpoint that sent it. A follower
+// answering 503 with Retry-After: 2 rotates the call to the primary, which
+// is retried on the plain backoff schedule, not after 2 s. When the primary
+// then sheds too (with no hint), the call rotates back to the follower and
+// must wait out the follower's 2 s first.
+func TestClientRetryAfterHoldsOnlyItsEndpoint(t *testing.T) {
+	start := time.Now()
+	var mu sync.Mutex
+	var followerAt, primaryAt []time.Duration
+	follower := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		followerAt = append(followerAt, time.Since(start))
+		mu.Unlock()
+		w.Header().Set("Retry-After", "2")
+		http.Error(w, `{"error":"follower catching up"}`, http.StatusServiceUnavailable)
+	}))
+	defer follower.Close()
+	primary := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		primaryAt = append(primaryAt, time.Since(start))
+		first := len(primaryAt) == 1 && r.URL.Path == "/sessions/shed"
+		mu.Unlock()
+		if first {
+			http.Error(w, `{"error":"draining"}`, http.StatusServiceUnavailable)
+			return
+		}
+		w.Write([]byte(`{"id":"s1","done":false,"round":1}`))
+	}))
+	defer primary.Close()
+	newClient := func() *Client {
+		return NewMulti([]string{follower.URL, primary.URL},
+			WithRegistry(obs.NewRegistry()),
+			WithJitterSeed(1),
+			WithBackoff(time.Millisecond, 5*time.Millisecond),
+			WithAttempts(6),
+		)
+	}
+
+	// The follower's hint does not delay the rotation to the primary.
+	if _, err := newClient().do(context.Background(), http.MethodGet, "/sessions/s1", "s1", nil, nil); err != nil {
+		t.Fatalf("do: %v", err)
+	}
+	mu.Lock()
+	if len(followerAt) != 1 || len(primaryAt) != 1 {
+		t.Fatalf("follower saw %d requests and primary %d, want 1 each", len(followerAt), len(primaryAt))
+	}
+	if gap := primaryAt[0] - followerAt[0]; gap > time.Second {
+		t.Errorf("primary retried %v after the follower's 503, want at once (the follower's Retry-After held it)", gap)
+	}
+	followerAt, primaryAt = nil, nil
+	start = time.Now()
+	mu.Unlock()
+
+	// The hint still holds the follower back.
+	if _, err := newClient().do(context.Background(), http.MethodGet, "/sessions/shed", "s1", nil, nil); err != nil {
+		t.Fatalf("do: %v", err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(followerAt) != 2 || len(primaryAt) != 2 {
+		t.Fatalf("follower saw %d requests and primary %d, want 2 each", len(followerAt), len(primaryAt))
+	}
+	if gap := primaryAt[0] - followerAt[0]; gap > time.Second {
+		t.Errorf("primary tried %v after the follower's 503, want at once", gap)
+	}
+	if gap := followerAt[1] - followerAt[0]; gap < 2*time.Second-50*time.Millisecond {
+		t.Errorf("follower retried %v after its Retry-After: 2, want >= 2s", gap)
 	}
 }
