@@ -445,9 +445,10 @@ func runHotpaths(quick bool, outPath, comparePath string) error {
 	// Scoring every row of a skyline at d=4 (the ea_anti_d4 workload's,
 	// 2,686 rows) and d=20 (the player stand-in's, 3,359 rows), the scan
 	// under EA's top-1 queries and stopping test. The dot row is
-	// Dataset.Scores without a top-1 index, one vec.Dot per row; the other
-	// is Scores on the index's column-major copy, 32 rows per vec.DotCols
-	// call, and must give the same bits. Building the player index takes a
+	// Dataset.Scores without a top-1 index, AA's scan: four rows per pass
+	// in place, each in vec.Dot's order. The other is Scores on the index's
+	// column-major copy, 32 rows per vec.DotCols call, and must give the
+	// same bits. Building the player index takes a
 	// few seconds. The player skyline's own construction is a row too.
 	rawAnti, err := dataset.Generate("anti", rand.New(rand.NewSource(1)), 10000, 4)
 	if err != nil {
