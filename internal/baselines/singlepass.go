@@ -11,28 +11,22 @@ import (
 
 // SinglePassConfig tunes the streaming baseline.
 type SinglePassConfig struct {
-	// Particles is the size of the utility-vector particle set that
-	// approximates the learned range for the skip filter (default 128).
-	Particles int
-	// StopCheckEvery controls how often the ε-coverage termination test
-	// runs (default every 25 questions).
-	StopCheckEvery int
-	// CoverSample is how many dataset points the termination test samples
-	// (default 200).
-	CoverSample int
-	MaxRounds   int // cap, default 5000
+	MaxRounds int // cap, default 5000
 }
 
+const (
+	// spParticles is the size of the utility-vector particle set that
+	// approximates the learned range for the skip filter.
+	spParticles = 128
+	// spStopCheckEvery is how many questions pass between runs of the
+	// ε-coverage termination test.
+	spStopCheckEvery = 25
+	// spCoverSample is how many dataset points the termination test
+	// samples.
+	spCoverSample = 200
+)
+
 func (c SinglePassConfig) defaults() SinglePassConfig {
-	if c.Particles == 0 {
-		c.Particles = 128
-	}
-	if c.StopCheckEvery == 0 {
-		c.StopCheckEvery = 25
-	}
-	if c.CoverSample == 0 {
-		c.CoverSample = 200
-	}
 	if c.MaxRounds == 0 {
 		c.MaxRounds = 5000
 	}
@@ -74,7 +68,7 @@ func (s *SinglePass) Run(ds *dataset.Dataset, user core.User, eps float64, obs c
 	order := s.rng.Perm(ds.Len())
 	champion := order[0]
 	var halfspaces []geom.Halfspace
-	particles := make([][]float64, s.cfg.Particles)
+	particles := make([][]float64, spParticles)
 	for i := range particles {
 		particles[i] = geom.SampleSimplex(s.rng, d)
 	}
@@ -133,7 +127,7 @@ func (s *SinglePass) Run(ds *dataset.Dataset, user core.User, eps float64, obs c
 		// the ε-guarantee. A healthy particle cloud is required so the
 		// consistent set is represented; larger ε stops earlier — the
 		// published algorithm's mild ε-sensitivity.
-		if rounds%s.cfg.StopCheckEvery == 0 && len(particles) >= s.cfg.Particles/2 {
+		if rounds%spStopCheckEvery == 0 && len(particles) >= spParticles/2 {
 			if s.championCovers(ds, ds.Points[champion], particles, eps) {
 				break
 			}
@@ -152,11 +146,7 @@ func (s *SinglePass) Run(ds *dataset.Dataset, user core.User, eps float64, obs c
 // all consistent u.
 func (s *SinglePass) championCovers(ds *dataset.Dataset, b []float64, particles [][]float64, eps float64) bool {
 	n := ds.Len()
-	sample := s.cfg.CoverSample
-	if sample > n {
-		sample = n
-	}
-	for k := 0; k < sample; k++ {
+	for k := 0; k < min(spCoverSample, n); k++ {
 		q := ds.Points[s.rng.Intn(n)]
 		for _, u := range particles {
 			if vec.Dot(u, b) < (1-eps)*vec.Dot(u, q) {
@@ -181,7 +171,7 @@ func (s *SinglePass) updateParticles(particles [][]float64, halfspaces []geom.Ha
 	if len(kept) == 0 {
 		return kept
 	}
-	want := s.cfg.Particles
+	want := spParticles
 	d := len(kept[0])
 	// Replenished particles are rejection-tested against a window of the
 	// most recent halfspaces (plus whatever killed their siblings): testing

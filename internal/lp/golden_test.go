@@ -2,10 +2,12 @@ package lp
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash"
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -148,5 +150,125 @@ func TestResultsMatchGolden(t *testing.T) {
 	const want uint64 = 0xf936e84d671b9bcf
 	if got := h.Sum64(); got != want {
 		t.Fatalf("result hash %#x, want %#x", got, want)
+	}
+}
+
+// solverWalk drives one seeded Solver over the golden program's shape: a
+// cold solve and 40 pushed cuts (the 32nd refactorizes cold), with an
+// outer-rectangle pass after the cold solve and after every 8th cut. It
+// returns every Result in order.
+func solverWalk(seed int64, d int, slack bool) []Result {
+	g := newGoldenProgram(seed, d, slack)
+	s := NewSolver(g.problem(2 * d))
+	out := []Result{s.Solve()}
+	obj := make([]float64, g.vars())
+	for k := 0; k <= 40; k++ {
+		if k > 0 {
+			out = append(out, s.Push(g.cut()))
+		}
+		if k%8 != 0 {
+			continue
+		}
+		for i := 0; i < d; i++ {
+			for _, sign := range []float64{1, -1} {
+				clear(obj)
+				obj[i] = sign
+				out = append(out, s.SolveWith(obj))
+			}
+		}
+	}
+	return out
+}
+
+// firstBitDiff returns the index of the first Result whose status,
+// objective or X bits differ between a and b, or -1 when none does.
+func firstBitDiff(a, b []Result) int {
+	for k := range a {
+		if k >= len(b) {
+			return k
+		}
+		same := a[k].Status == b[k].Status &&
+			math.Float64bits(a[k].Objective) == math.Float64bits(b[k].Objective) &&
+			len(a[k].X) == len(b[k].X)
+		for j := 0; same && j < len(a[k].X); j++ {
+			same = math.Float64bits(a[k].X[j]) == math.Float64bits(b[k].X[j])
+		}
+		if !same {
+			return k
+		}
+	}
+	if len(b) > len(a) {
+		return len(a)
+	}
+	return -1
+}
+
+// Solve and a Solver's cold solves borrow their tableaux from one package
+// arena pool, and a Solver keeps only what it copied out. Solver walks run
+// on several goroutines while others call Solve on programs of other sizes,
+// and every Result must carry the bits of the same walk or solve run
+// serially: a tableau that still pointed into a returned arena would be
+// overwritten by whichever solve borrowed it next.
+func TestConcurrentSolversMatchSerial(t *testing.T) {
+	type walk struct {
+		seed  int64
+		d     int
+		slack bool
+	}
+	var walks []walk
+	for _, d := range []int{4, 12} {
+		for _, slack := range []bool{false, true} {
+			walks = append(walks, walk{int64(10*d + len(walks)), d, slack})
+		}
+	}
+	var probs []*Problem
+	for _, d := range []int{3, 8, 20} {
+		probs = append(probs, newGoldenProgram(int64(d), d, d == 8).problem(3*d))
+	}
+	solveAll := func() []Result {
+		out := make([]Result, len(probs))
+		for i, p := range probs {
+			out[i] = Solve(p)
+		}
+		return out
+	}
+
+	wantWalks := make([][]Result, len(walks))
+	for i, w := range walks {
+		wantWalks[i] = solverWalk(w.seed, w.d, w.slack)
+	}
+	wantSolves := solveAll()
+
+	const reps = 3
+	var wg sync.WaitGroup
+	errs := make(chan string, len(walks)+2)
+	for i, w := range walks {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < reps; r++ {
+				if k := firstBitDiff(solverWalk(w.seed, w.d, w.slack), wantWalks[i]); k >= 0 {
+					errs <- fmt.Sprintf("walk %+v, rep %d: result %d differs from the serial walk", w, r, k)
+					return
+				}
+			}
+		}()
+	}
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < 10*reps; r++ {
+				if k := firstBitDiff(solveAll(), wantSolves); k >= 0 {
+					errs <- fmt.Sprintf("Solve goroutine %d, rep %d: program %d differs from the serial solve", g, r, k)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
 	}
 }

@@ -53,19 +53,17 @@ type Solver struct {
 	solved     bool // res reflects prob
 	infeasible bool // sticky: adding constraints cannot restore feasibility
 
-	// Warm tableau state; meaningful only when warm is true.
+	// The last cold solve's optimal tableau and column map, copied into
+	// owned storage and grown by each warm push; meaningful only when warm
+	// is true.
 	warm   bool
-	rows   [][]float64 // m × (cols+1), RHS last; cap leaves growth headroom
-	basis  []int
-	banned []bool // dead artificial columns (phase 1); nil when none
-	obj    []float64
-	posCol []int
-	negCol []int
-	cols   int
+	tb     tableau
+	lay    layout
 	pushes int // warm pushes since the last cold solve
 
-	ar *arena    // owned scratch for cold solves and reduced-cost rows
-	xs []float64 // column-value scratch for X recovery
+	// Owned scratch, resized per re-solve: the expanded objective (reused
+	// for the column values X is read from) and the reduced-cost row.
+	obj, red []float64
 }
 
 // NewSolver returns a solver owning a copy of p. Later changes to p are not
@@ -103,31 +101,9 @@ func (s *Solver) Push(c Constraint) Result {
 	}
 	own := Constraint{Coeffs: append([]float64(nil), c.Coeffs...), Sense: c.Sense, RHS: c.RHS}
 	s.prob.Constraints = append(s.prob.Constraints, own)
-	if s.infeasible {
-		// A superset of an infeasible system stays infeasible.
-		s.res = Result{Status: Infeasible}
-		return s.res
-	}
-	if !s.solved || !s.warm || c.Sense == EQ {
-		s.cold()
-		return s.res
-	}
-	if s.pushes+1 >= refactorEvery {
-		s.cold()
-		return s.res
-	}
-	warmSolves.Inc()
-	if err := fault.Hit(fault.PointLPWarm); err != nil {
-		warmFallbacks.Inc()
-		s.cold()
-		return s.res
-	}
-	s.pushes++
-	if s.pushWarm(own) {
-		warmHits.Inc()
-	} else {
-		warmFallbacks.Inc()
-		s.cold()
+	if s.startWarm(c.Sense == EQ || s.pushes+1 >= refactorEvery) {
+		s.pushes++
+		s.endWarm(s.pushWarm(own))
 	}
 	return s.res
 }
@@ -141,40 +117,57 @@ func (s *Solver) SolveWith(objective []float64) Result {
 		panic(fmt.Sprintf("lp: objective has %d coefficients, want %d", len(objective), s.prob.NumVars))
 	}
 	s.prob.Maximize = append(s.prob.Maximize[:0], objective...)
-	if s.infeasible {
-		s.res = Result{Status: Infeasible}
-		return s.res
-	}
-	if !s.solved || !s.warm {
-		s.cold()
-		return s.res
-	}
-	warmSolves.Inc()
-	if err := fault.Hit(fault.PointLPWarm); err != nil {
-		warmFallbacks.Inc()
-		s.cold()
+	if !s.startWarm(false) {
 		return s.res
 	}
 	s.expandObj()
-	s.ar.reset()
-	tab := &tableau{t: s.rows, basis: s.basis, cols: s.cols, banned: s.banned, ar: s.ar}
-	z, st := tab.run(s.obj, s.banned)
-	warmPrimalPivots.Add(int64(tab.pivots))
+	s.tb.pivots = 0
+	z, st := s.tb.run(s.obj, s.red)
+	warmPrimalPivots.Add(int64(s.tb.pivots))
 	switch st {
 	case Optimal:
-		warmHits.Inc()
-		s.res = Result{Status: Optimal, X: s.extractX(), Objective: z}
+		s.res = Result{Status: Optimal, X: s.tb.solution(s.lay, s.obj), Objective: z}
 	case Unbounded:
 		// The tableau stayed primal-feasible but dual feasibility is gone;
 		// the next Push must not assume an optimal basis.
-		warmHits.Inc()
 		s.warm = false
 		s.res = Result{Status: Unbounded}
-	default:
-		warmFallbacks.Inc()
-		s.cold()
 	}
+	s.endWarm(st != IterLimit)
 	return s.res
+}
+
+// startWarm reports whether a re-solve may run warm. When it may not, s.res
+// already holds the answer: the sticky infeasible one, or a cold solve's
+// when there is no live basis, when force asks for one, or when the lp.warm
+// fault point fires.
+func (s *Solver) startWarm(force bool) bool {
+	if s.infeasible {
+		// A superset of an infeasible system stays infeasible, whatever
+		// the objective.
+		s.res = Result{Status: Infeasible}
+		return false
+	}
+	if force || !s.warm {
+		s.cold()
+		return false
+	}
+	warmSolves.Inc()
+	if err := fault.Hit(fault.PointLPWarm); err != nil {
+		s.endWarm(false)
+		return false
+	}
+	return true
+}
+
+// endWarm counts how a warm attempt ended and rebuilds cold when it failed.
+func (s *Solver) endWarm(ok bool) {
+	if ok {
+		warmHits.Inc()
+		return
+	}
+	warmFallbacks.Inc()
+	s.cold()
 }
 
 // cold rebuilds the tableau from scratch over the accumulated problem. It is
@@ -182,105 +175,58 @@ func (s *Solver) SolveWith(objective []float64) Result {
 // poison cold solves poison lazily-initialized warm solvers the same way.
 func (s *Solver) cold() {
 	warmCold.Inc()
-	s.solved = true
-	s.pushes = 0
+	s.solved, s.warm, s.pushes = true, false, 0
 	if err := fault.Hit(fault.PointLPSolve); err != nil {
 		s.res = Result{Status: IterLimit}
-		s.warm = false
 		return
 	}
-	if s.ar == nil {
-		s.ar = new(arena)
-	}
-	s.ar.reset()
-	res, tab, lay := solveCore(&s.prob, s.ar)
+	ar := arenaPool.Get().(*arena)
+	ar.reset()
+	defer arenaPool.Put(ar)
+	res, tab, lay := solveCore(&s.prob, ar)
 	s.res = res
-	if res.Status == Infeasible {
-		s.infeasible = true
-	}
+	s.infeasible = res.Status == Infeasible
 	if res.Status != Optimal {
-		s.warm = false
 		return
 	}
-	// Copy the arena-backed tableau into owned storage with growth headroom;
-	// the arena is reused by the next cold solve or reduced-cost row.
-	s.cols = lay.cols
-	s.posCol = append(s.posCol[:0], lay.posCol...)
-	s.negCol = append(s.negCol[:0], lay.negCol...)
-	s.basis = append(s.basis[:0], tab.basis...)
-	if tab.banned != nil {
-		if cap(s.banned) < lay.cols+growReserve {
-			s.banned = make([]bool, lay.cols, lay.cols+growReserve)
-		} else {
-			s.banned = s.banned[:lay.cols]
-		}
-		copy(s.banned, tab.banned)
-	} else {
-		s.banned = nil
+	// Copy the arena-backed tableau into owned rows with growth headroom;
+	// the arena goes back to the pool when cold returns. banned is not
+	// carved from the arena and is taken as it is.
+	s.lay.posCol = append(s.lay.posCol[:0], lay.posCol...)
+	s.lay.negCol = append(s.lay.negCol[:0], lay.negCol...)
+	tb := &s.tb
+	tb.cols, tb.banned = tab.cols, tab.banned
+	tb.basis = append(tb.basis[:0], tab.basis...)
+	if cap(tb.t) < len(tab.t) {
+		tb.t = append(make([][]float64, 0, len(tab.t)+growReserve), tb.t...)
 	}
-	m := len(tab.t)
-	if cap(s.rows) < m {
-		old := s.rows
-		s.rows = make([][]float64, len(old), m+growReserve)
-		copy(s.rows, old)
-	}
-	for i := 0; i < m; i++ {
-		var row []float64
-		if i < len(s.rows) && cap(s.rows[i]) >= lay.cols+1 {
-			row = s.rows[i][:lay.cols+1]
-		} else {
-			row = make([]float64, lay.cols+1, lay.cols+1+growReserve)
+	tb.t = tb.t[:len(tab.t)]
+	for i, row := range tab.t {
+		if cap(tb.t[i]) < len(row) {
+			tb.t[i] = make([]float64, 0, len(row)+growReserve)
 		}
-		copy(row, tab.t[i])
-		if i < len(s.rows) {
-			s.rows[i] = row
-		} else {
-			s.rows = append(s.rows, row)
-		}
+		tb.t[i] = append(tb.t[i][:0], row...)
 	}
-	s.rows = s.rows[:m]
 	s.warm = true
 }
 
-// expandObj spreads prob.Maximize over the standard-form columns.
+// expandObj spreads prob.Maximize over the tableau's columns into s.obj and
+// sizes s.red to match.
 func (s *Solver) expandObj() {
-	if cap(s.obj) < s.cols {
-		s.obj = make([]float64, s.cols, s.cols+growReserve)
-	}
-	s.obj = s.obj[:s.cols]
-	for k := range s.obj {
-		s.obj[k] = 0
-	}
-	for j, cj := range s.prob.Maximize {
-		s.obj[s.posCol[j]] = cj
-		if s.negCol[j] >= 0 {
-			s.obj[s.negCol[j]] = -cj
-		}
-	}
+	s.obj = resize(s.obj, s.tb.cols)
+	s.lay.expand(s.obj, s.prob.Maximize, 1)
+	s.red = resize(s.red, s.tb.cols+1)
 }
 
-// extractX recovers the original variables from the current basis.
-func (s *Solver) extractX() []float64 {
-	cols := s.cols
-	if cap(s.xs) < cols {
-		s.xs = make([]float64, cols, cols+growReserve)
+// resize returns buf zeroed at length n, reallocated with growth headroom
+// when its capacity is short.
+func resize(buf []float64, n int) []float64 {
+	if cap(buf) < n {
+		return make([]float64, n, n+growReserve)
 	}
-	s.xs = s.xs[:cols]
-	for k := range s.xs {
-		s.xs[k] = 0
-	}
-	for i, b := range s.basis {
-		s.xs[b] = s.rows[i][cols]
-	}
-	n := s.prob.NumVars
-	x := make([]float64, n)
-	for j := 0; j < n; j++ {
-		x[j] = s.xs[s.posCol[j]]
-		if s.negCol[j] >= 0 {
-			x[j] -= s.xs[s.negCol[j]]
-		}
-	}
-	return x
+	buf = buf[:n]
+	clear(buf)
+	return buf
 }
 
 // pushWarm repairs optimality after appending constraint c: a new slack
@@ -296,68 +242,51 @@ func (s *Solver) pushWarm(c Constraint) bool {
 		sign, b = -1, -b
 	}
 
-	// Grow every structure by the new slack column at index cols, shifting
-	// the RHS right by one.
-	cols := s.cols
-	for i := range s.rows {
-		row := append(s.rows[i], 0)
-		row[cols+1] = row[cols]
-		row[cols] = 0
-		s.rows[i] = row
+	// Grow every row by the new slack column at index cols, shifting the
+	// RHS right by one.
+	tb := &s.tb
+	slack := tb.cols
+	for i, row := range tb.t {
+		row = append(row, row[slack])
+		row[slack] = 0
+		tb.t[i] = row
 	}
-	if s.banned != nil {
-		s.banned = append(s.banned, false)
+	if tb.banned != nil {
+		tb.banned = append(tb.banned, false)
 	}
-	s.cols = cols + 1
-	cols = s.cols
-	slack := cols - 1
+	tb.cols++
+	cols := tb.cols
 
 	// Rebuild the reduced-cost row for the current objective at the current
 	// basis (the basis is optimal for it, so red ≤ 0 up to roundoff — dual
 	// feasibility, the precondition for the dual ratio test).
 	s.expandObj()
-	s.ar.reset()
-	red := s.ar.floats(cols + 1)
-	copy(red, s.obj)
-	for i, bi := range s.basis {
-		cb := s.obj[bi]
-		if cb == 0 {
-			continue
-		}
-		vec.SubScaled(red, cb, s.rows[i][:cols+1])
-	}
+	red := s.red
+	tb.reduce(red, s.obj)
 
 	// New row in tableau coordinates, reduced against the basis so existing
 	// basic columns stay clean.
 	row := make([]float64, cols+1, cols+1+growReserve)
-	for j, aj := range c.Coeffs {
-		row[s.posCol[j]] = sign * aj
-		if s.negCol[j] >= 0 {
-			row[s.negCol[j]] = -sign * aj
-		}
-	}
+	s.lay.expand(row, c.Coeffs, sign)
 	row[slack] = 1
 	row[cols] = b
-	for i, bi := range s.basis {
-		f := row[bi]
-		if f == 0 {
-			continue
+	for i, bi := range tb.basis {
+		if f := row[bi]; f != 0 {
+			vec.SubScaled(row, f, tb.t[i][:cols+1])
+			row[bi] = 0
 		}
-		vec.SubScaled(row, f, s.rows[i][:cols+1])
-		row[bi] = 0
 	}
-	s.rows = append(s.rows, row)
-	s.basis = append(s.basis, slack)
+	tb.t = append(tb.t, row)
+	tb.basis = append(tb.basis, slack)
 
 	// Dual simplex: pick the most-negative RHS row, enter the column
 	// minimizing red/t over t < 0 (smallest index on ties, which also breaks
 	// degenerate cycles in practice), pivot, repeat.
-	m := len(s.rows)
-	maxIter := 200 + 20*m
+	maxIter := 200 + 20*len(tb.t)
 	for iter := 0; iter < maxIter; iter++ {
 		r, worst := -1, -eps
-		for i := 0; i < m; i++ {
-			if v := s.rows[i][cols]; v < worst {
+		for i, ti := range tb.t {
+			if v := ti[cols]; v < worst {
 				worst, r = v, i
 			}
 		}
@@ -365,9 +294,9 @@ func (s *Solver) pushWarm(c Constraint) bool {
 			break // primal feasible again: optimal
 		}
 		enter, best := -1, math.Inf(1)
-		tr := s.rows[r]
+		tr := tb.t[r]
 		for j := 0; j < cols; j++ {
-			if s.banned != nil && j < len(s.banned) && s.banned[j] {
+			if tb.banned != nil && tb.banned[j] {
 				continue
 			}
 			if tr[j] < -eps {
@@ -387,14 +316,14 @@ func (s *Solver) pushWarm(c Constraint) bool {
 			s.res = Result{Status: Infeasible}
 			return true
 		}
-		s.pivotWarm(r, enter, red)
+		tb.pivot(r, enter, red)
 		warmPivots.Inc()
 		if iter == maxIter-1 {
 			return false // cap hit with rows still negative
 		}
 	}
 
-	x := s.extractX()
+	x := tb.solution(s.lay, s.obj)
 	// Sanity: the pushed constraint must hold at the recovered point; drift
 	// beyond tolerance means the warm basis went numerically stale.
 	var dot float64
@@ -413,31 +342,4 @@ func (s *Solver) pushWarm(c Constraint) bool {
 	}
 	s.res = Result{Status: Optimal, X: x, Objective: -red[cols]}
 	return true
-}
-
-// pivotWarm is tableau.pivot plus the reduced-cost update the run loop
-// normally performs.
-func (s *Solver) pivotWarm(leave, enter int, red []float64) {
-	prow := s.rows[leave][:s.cols+1]
-	inv := 1 / prow[enter]
-	for j := range prow {
-		prow[j] *= inv
-	}
-	prow[enter] = 1
-	for i, row := range s.rows {
-		if i == leave {
-			continue
-		}
-		f := row[enter]
-		if f == 0 {
-			continue
-		}
-		vec.SubScaled(row[:s.cols+1], f, prow)
-		row[enter] = 0
-	}
-	s.basis[leave] = enter
-	if f := red[enter]; f != 0 {
-		vec.SubScaled(red, f, prow)
-		red[enter] = 0
-	}
 }

@@ -80,7 +80,7 @@ func TestMetricNameHygiene(t *testing.T) {
 // still be a span name started there.
 func TestE2EBenchNamesRegistered(t *testing.T) {
 	// Read 0 by design since internal/par was deleted, until the next
-	// benchmark change drops them (ROADMAP item 2).
+	// benchmark change drops them (ROADMAP item 3).
 	exempt := map[string]bool{"par.do_runs": true, "par.do_tasks": true, "par.inline_runs": true, "par.do": true}
 
 	root := repoRoot(t)

@@ -378,9 +378,8 @@ func (n *Node) snapshot(conn net.Conn, deadline time.Duration) (wal.Position, er
 		return wal.Position{}, err
 	}
 	states, pos, epoch := n.log.ReplSnapshot()
-	chunk := n.opts.snapshotChunk()
-	for i := 0; i < len(states); i += chunk {
-		end := i + chunk
+	for i := 0; i < len(states); i += snapshotChunk {
+		end := i + snapshotChunk
 		if end > len(states) {
 			end = len(states)
 		}

@@ -38,9 +38,12 @@ import (
 )
 
 // maxFrameBytes bounds one wire frame. Snapshot chunks are the largest
-// messages; SnapshotChunk sessions of bounded answer traces stay far under
+// messages; snapshotChunk sessions of bounded answer traces stay far under
 // this, and a frame announcing more is treated as stream corruption.
 const maxFrameBytes = 64 << 20
+
+// snapshotChunk caps sessions per snapshot frame.
+const snapshotChunk = 256
 
 // msg is the single wire message shape; T discriminates. Every message is
 // one CRC32 frame of JSON. Unknown types are ignored by both ends, so the
@@ -80,8 +83,6 @@ type Options struct {
 	DialTimeout time.Duration
 	// BatchMax caps entries per shipped batch. Default 256.
 	BatchMax int
-	// SnapshotChunk caps sessions per snapshot frame. Default 256.
-	SnapshotChunk int
 	// RingCap caps the in-memory tail ring; a follower further behind than
 	// this resynchronizes from a snapshot. Default 8192.
 	RingCap int
@@ -138,13 +139,6 @@ func (o Options) batchMax() int {
 		return 256
 	}
 	return o.BatchMax
-}
-
-func (o Options) snapshotChunk() int {
-	if o.SnapshotChunk <= 0 {
-		return 256
-	}
-	return o.SnapshotChunk
 }
 
 func (o Options) ringCap() int {
