@@ -3,9 +3,11 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -163,6 +165,72 @@ func TestJournalRecoverRefusesFinishedSessions(t *testing.T) {
 	}
 	if state.ID == id {
 		t.Errorf("journaled id %q reused", id)
+	}
+}
+
+// Regression: a round-indexed retry of the final answer that arrives while
+// the finishing tombstone is being fsynced must replay the final response,
+// not 404 the client out of its result. Every fsync from the final answer on
+// takes 300 ms: the answer record's first, then the tombstone's, so a retry
+// sent 450 ms later lands inside the tombstone's.
+func TestJournalFinalAnswerRetryDuringTombstoneFsync(t *testing.T) {
+	ds := journalDataset()
+	truth := core.SimulatedUser{Utility: []float64{0.3, 0.4, 0.3}}
+
+	// The seeded session asks the same questions with or without a journal,
+	// so an unjournaled run tells which answer is the final one.
+	srvA := New(ds, 0.1, seededFactory())
+	_, state := doJSON(t, srvA, http.MethodPost, "/sessions", nil)
+	var final statePayload
+	if err := json.Unmarshal(answerLoop(t, srvA, state.ID, state, truth), &final); err != nil {
+		t.Fatal(err)
+	}
+	rounds := final.Result.Rounds
+	if rounds < 2 {
+		t.Fatalf("session finished after %d rounds; the test needs at least 2", rounds)
+	}
+
+	log, _, err := wal.Open(t.TempDir(), wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer log.Close()
+	srv := New(ds, 0.1, seededFactory(), WithJournal(log))
+	_, state = doJSON(t, srv, http.MethodPost, "/sessions", nil)
+	id := state.ID
+	answer := func() answerPayload {
+		return answerPayload{PreferFirst: truth.Prefer(state.Question.First, state.Question.Second), Round: state.Round}
+	}
+	for r := 1; r < rounds; r++ {
+		rec, next := doJSON(t, srv, http.MethodPost, "/sessions/"+id+"/answer", answer())
+		if rec.Code != http.StatusOK || next.Done {
+			t.Fatalf("answer %d: %d done=%v", r, rec.Code, next.Done)
+		}
+		state = next
+	}
+
+	fault.Install(fault.NewPlan(1).Set(fault.PointWALSync, fault.Spec{Latency: 300 * time.Millisecond}))
+	defer fault.Install(nil)
+	last := answer()
+	first := make(chan *httptest.ResponseRecorder, 1)
+	go func() {
+		var buf bytes.Buffer
+		json.NewEncoder(&buf).Encode(last)
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/sessions/"+id+"/answer", &buf))
+		first <- rec
+	}()
+	time.Sleep(450 * time.Millisecond)
+	retry, got := doJSON(t, srv, http.MethodPost, "/sessions/"+id+"/answer", last)
+	orig := <-first
+	if orig.Code != http.StatusOK {
+		t.Fatalf("final answer: %d: %s", orig.Code, orig.Body.String())
+	}
+	if retry.Code != http.StatusOK || !got.Done {
+		t.Fatalf("retry during the tombstone fsync: %d: %s", retry.Code, retry.Body.String())
+	}
+	if !bytes.Equal(retry.Body.Bytes(), orig.Body.Bytes()) {
+		t.Errorf("retry replayed a different final response:\n got: %s\nwant: %s", retry.Body.Bytes(), orig.Body.Bytes())
 	}
 }
 
