@@ -10,10 +10,11 @@ import "container/list"
 // out — but within the window a retry is exactly-once, and the bound keeps a
 // hostile client from growing server memory without limit.
 //
-// lruMap is not self-locking: the idempotency table is only touched under
-// Server.mu (its lookup and the session-create must be one critical section
-// or two racing creates could both miss), while the completed cache wraps it
-// in its own mutex.
+// lruMap is not self-locking: both tables are only touched under Server.mu.
+// The idempotency lookup and the session-create must be one critical section
+// or two racing creates could both miss; a finishing session must leave the
+// live table and enter the completed cache in one, or a retry landing in
+// between finds it in neither.
 type lruMap struct {
 	cap int
 	m   map[string]*list.Element

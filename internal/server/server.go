@@ -162,9 +162,8 @@ type Server struct {
 
 	// completed caches the final response of recently finished sessions so a
 	// round-indexed retry of the last answer can be replayed after the
-	// session left the live table. Own lock: it is written on the finish path
-	// while other handlers hold mu.
-	cmu       sync.Mutex
+	// session left the live table. Guarded by mu: a finishing session moves
+	// from sessions to completed in one critical section (retire).
 	completed *lruMap
 
 	// Hot-path instruments, resolved once at construction.
@@ -769,10 +768,7 @@ func (s *Server) create(w http.ResponseWriter, r *http.Request) {
 		// leak a duplicate session.
 		if v, ok := s.idem.get(key); ok {
 			id := v.(string)
-			e := s.sessions[id]
-			if e != nil {
-				e.lastTouch = now
-			}
+			e, final := s.lookupLocked(id)
 			s.mu.Unlock()
 			s.idemReplay.Inc()
 			w.Header().Set("Idempotency-Replayed", "true")
@@ -781,8 +777,8 @@ func (s *Server) create(w http.ResponseWriter, r *http.Request) {
 				s.respondState(context.Background(), w, id, e, http.StatusOK)
 				return
 			}
-			if ent, ok := s.lookupCompleted(id); ok {
-				s.writeStored(w, http.StatusOK, ent.body)
+			if final != nil {
+				s.writeStored(w, http.StatusOK, final.body)
 				return
 			}
 			s.httpError(w, http.StatusConflict,
@@ -882,19 +878,51 @@ func (s *Server) finishSessionTrace(e *session, reason string, rounds int, degra
 }
 
 // lookup fetches a session and refreshes its TTL clock.
-func (s *Server) lookup(id string) (*session, bool) {
+// lookup returns the live session id, touching it. When id is not live,
+// final is the stored response of a session that finished recently, if any.
+// Both tables are read in one critical section, and retire moves a finishing
+// session between them in one, so a retry of its final answer always finds
+// it in one of them.
+func (s *Server) lookup(id string) (e *session, final *completedEntry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e, ok := s.sessions[id]
-	if ok {
+	return s.lookupLocked(id)
+}
+
+// lookupLocked is lookup for callers holding s.mu.
+func (s *Server) lookupLocked(id string) (*session, *completedEntry) {
+	if e := s.sessions[id]; e != nil {
 		e.lastTouch = s.now()
+		return e, nil
 	}
-	return e, ok
+	if v, ok := s.completed.get(id); ok {
+		ent := v.(completedEntry)
+		return nil, &ent
+	}
+	return nil, nil
+}
+
+// retire moves the finished session id from the live table to the completed
+// cache in one critical section, parking body, its final response, when
+// there is one. It reports whether id was still live, so exactly one caller
+// journals and counts the finish.
+func (s *Server) retire(id string, round int, body []byte) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, ok := s.sessions[id]; !ok {
+		return false
+	}
+	delete(s.sessions, id)
+	s.active.Set(int64(len(s.sessions)))
+	if body != nil {
+		s.completed.put(id, completedEntry{round: round, body: body})
+	}
+	return true
 }
 
 func (s *Server) state(w http.ResponseWriter, id string) {
-	e, ok := s.lookup(id)
-	if !ok {
+	e, _ := s.lookup(id)
+	if e == nil {
 		s.httpError(w, http.StatusNotFound, "unknown session %q", id)
 		return
 	}
@@ -939,23 +967,21 @@ func (s *Server) answer(w http.ResponseWriter, r *http.Request, id string) {
 		s.httpError(w, http.StatusBadRequest, "negative round %d", body.Round)
 		return
 	}
-	e, ok := s.lookup(id)
-	if !ok {
+	e, final := s.lookup(id)
+	if e == nil {
 		// The session may have just finished: a round-indexed retry of the
 		// final answer (whose response was lost on the wire) replays the
 		// stored final state instead of 404ing the client out of its result.
-		if body.Round > 0 {
-			if ent, ok := s.lookupCompleted(id); ok {
-				if body.Round == ent.round {
-					s.dupRounds.Inc()
-					s.writeStored(w, http.StatusOK, ent.body)
-					return
-				}
-				s.roundConf.Inc()
-				s.conflict(w, ent.round,
-					"round %d does not match finished session %q (last applied %d)", body.Round, id, ent.round)
+		if body.Round > 0 && final != nil {
+			if body.Round == final.round {
+				s.dupRounds.Inc()
+				s.writeStored(w, http.StatusOK, final.body)
 				return
 			}
+			s.roundConf.Inc()
+			s.conflict(w, final.round,
+				"round %d does not match finished session %q (last applied %d)", body.Round, id, final.round)
+			return
 		}
 		s.httpError(w, http.StatusNotFound, "unknown session %q", id)
 		return
@@ -1066,10 +1092,11 @@ func (s *Server) abort(w http.ResponseWriter, id string) {
 
 // respondState advances to the next question (or result) and serializes it.
 // It takes e.mu itself, so callers must not hold it. When the session
-// finishes, the exact response bytes are parked in the completed cache so a
-// round-indexed retry of the final answer can be replayed verbatim. ctx
-// carries the request's span, under which the finishing tombstone's WAL
-// append is traced.
+// finishes, the exact response bytes are parked in the completed cache as
+// the session leaves the live table, before its tombstone is journaled, so
+// a round-indexed retry of the final answer can be replayed verbatim at any
+// moment. ctx carries the request's span, under which the finishing
+// tombstone's WAL append is traced.
 func (s *Server) respondState(ctx context.Context, w http.ResponseWriter, id string, e *session, status int) {
 	e.mu.Lock()
 	pi, pj, done, ready := e.sess.NextTimeout(s.deadline)
@@ -1080,9 +1107,10 @@ func (s *Server) respondState(ctx context.Context, w http.ResponseWriter, id str
 	}
 	applied := e.sess.Applied()
 	out := statePayload{ID: id, Done: done}
-	present := false
+	var res core.Result
+	var err error
 	if done {
-		res, err := e.sess.Result()
+		res, err = e.sess.Result()
 		e.mu.Unlock()
 		var pe *core.PanicError
 		if err != nil {
@@ -1110,37 +1138,31 @@ func (s *Server) respondState(ctx context.Context, w http.ResponseWriter, id str
 				s.log.Warn("session degraded", "id", id, "reason", res.DegradedReason)
 			}
 		}
-		s.mu.Lock()
-		_, present = s.sessions[id]
-		delete(s.sessions, id)
-		s.active.Set(int64(len(s.sessions)))
-		s.mu.Unlock()
-		if present {
-			s.journalFinish(ctx, id, wal.ReasonFinished)
-			s.finished.Inc()
-			if err == nil {
-				s.rounds.Observe(float64(res.Rounds))
-				s.finishSessionTrace(e, wal.ReasonFinished, res.Rounds, res.Degraded)
-			} else {
-				s.finishSessionTrace(e, wal.ReasonFinished, -1, false)
-			}
-		}
 	} else {
 		e.mu.Unlock()
 		out.Round = applied + 1
 		out.Question = &questionPayload{First: pi, Second: pj, Attrs: s.ds.Attrs}
 	}
-	data, err := json.Marshal(out)
-	if err != nil {
+	data, merr := json.Marshal(out)
+	if merr == nil {
+		data = append(data, '\n')
+	}
+	if done && s.retire(id, applied, data) {
+		s.journalFinish(ctx, id, wal.ReasonFinished)
+		s.finished.Inc()
+		if err == nil {
+			s.rounds.Observe(float64(res.Rounds))
+			s.finishSessionTrace(e, wal.ReasonFinished, res.Rounds, res.Degraded)
+		} else {
+			s.finishSessionTrace(e, wal.ReasonFinished, -1, false)
+		}
+	}
+	if merr != nil {
 		s.encodeErr.Inc()
-		s.log.Warn("response encode failed", "err", err)
+		s.log.Warn("response encode failed", "err", merr)
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(status)
 		return
-	}
-	data = append(data, '\n')
-	if done && present {
-		s.storeCompleted(id, applied, data)
 	}
 	s.writeStored(w, status, data)
 }
@@ -1162,22 +1184,6 @@ func (s *Server) writeStored(w http.ResponseWriter, status int, body []byte) {
 		s.encodeErr.Inc()
 		s.log.Warn("response write failed", "err", err)
 	}
-}
-
-func (s *Server) storeCompleted(id string, round int, body []byte) {
-	s.cmu.Lock()
-	s.completed.put(id, completedEntry{round: round, body: body})
-	s.cmu.Unlock()
-}
-
-func (s *Server) lookupCompleted(id string) (completedEntry, bool) {
-	s.cmu.Lock()
-	defer s.cmu.Unlock()
-	v, ok := s.completed.get(id)
-	if !ok {
-		return completedEntry{}, false
-	}
-	return v.(completedEntry), true
 }
 
 // Drain puts the server into shutdown mode: new session creates are refused
