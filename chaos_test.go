@@ -173,6 +173,27 @@ func TestChaosVertexPanicGuardedEA(t *testing.T) {
 	}
 }
 
+// TestChaosVertexPanicGuardedUH: UH-Simplex runs its rounds on the same
+// guarded loop as EA, so a panic injected inside its vertex enumeration ends
+// the run degraded instead of escaping Run.
+func TestChaosVertexPanicGuardedUH(t *testing.T) {
+	fault.Install(fault.NewPlan(8).Set(fault.PointVertices, fault.Spec{PanicProb: 1}))
+	defer fault.Install(nil)
+
+	ds := chaosDataset()
+	alg := baselines.NewUHSimplex(baselines.UHConfig{MaxRounds: 60}, rand.New(rand.NewSource(9)))
+	res := runGuarded(t, alg, ds, core.SimulatedUser{Utility: []float64{0.25, 0.25, 0.5}}, 0.1, 60*time.Second)
+	if !res.Degraded {
+		t.Fatalf("expected degraded result after guarded panic, got %+v", res)
+	}
+	if res.PanicsRecovered == 0 {
+		t.Error("Result.PanicsRecovered should count the contained panic")
+	}
+	if res.PointIndex < 0 || res.PointIndex >= ds.Len() {
+		t.Fatalf("degraded result has invalid index %d", res.PointIndex)
+	}
+}
+
 // TestChaosReplayDeterministic: the same seed and single-threaded drive
 // produce the identical fault sequence — chaos runs are regressions, not
 // flakes. Every halfspace clip fails, so each round's vertex read runs the

@@ -56,58 +56,55 @@ func (a *Adaptive) Name() string { return "Adaptive" }
 // of the learned utility vector (per the algorithm's own goal), not as a
 // regret bound.
 func (a *Adaptive) Run(ds *dataset.Dataset, user core.User, eps float64, obs core.Observer) (core.Result, error) {
-	ctx := context.Background()
-	d := ds.Dim()
-	g := geom.NewIncremental(d)
-	var trace []core.QA
-	rounds := 0
-	degReason := ""
-	for rounds < a.cfg.MaxRounds {
-		ball, err := g.InnerBallCtx(ctx)
-		if err != nil {
-			degReason = "utility range empty (contradictory answers)"
-			break
-		}
-		emin, emax, err := g.OuterRectCtx(ctx)
-		if err != nil {
-			degReason = fmt.Sprintf("outer rectangle failed: %v", err)
-			break
-		}
-		// Stop only when the utility vector itself is localized: every
-		// coordinate pinned to within eps.
-		if maxSpread(emin, emax) <= eps {
-			break
-		}
-		act := a.pickPair(ds, g, ball)
-		if act == nil {
-			break
-		}
-		pi, pj := ds.Points[act[0]], ds.Points[act[1]]
-		prefI := user.Prefer(pi, pj)
-		if prefI {
-			g.AddCtx(ctx, geom.NewHalfspace(pi, pj))
-		} else {
-			g.AddCtx(ctx, geom.NewHalfspace(pj, pi))
-		}
-		rounds++
-		trace = append(trace, core.QA{I: act[0], J: act[1], PreferredI: prefI})
-		if obs != nil {
-			obs.Round(rounds, g.Halfspaces())
-		}
-		if rounds%8 == 0 && len(g.Halfspaces()) > 2*d {
-			g.Reduce()
-		}
+	return a.RunContext(context.Background(), ds, user, eps, obs)
+}
+
+// RunContext implements core.ContextAlgorithm: Run with per-round tracing
+// (see core.Loop.Run).
+func (a *Adaptive) RunContext(ctx context.Context, ds *dataset.Dataset, user core.User, eps float64, obs core.Observer) (core.Result, error) {
+	loop := core.Loop{Env: adaptiveEnv{a: a, ds: ds}, DS: ds, MaxRounds: a.cfg.MaxRounds,
+		CapReason: "round cap reached before the utility vector was localized"}
+	return loop.Run(ctx, ds, user, eps, obs)
+}
+
+// adaptiveEnv is Adaptive's side of the interaction loop for one session.
+type adaptiveEnv struct {
+	a  *Adaptive
+	ds *dataset.Dataset
+}
+
+// Round implements core.Env: stop only when the utility vector itself is
+// localized — every coordinate of R's outer rectangle pinned to within eps —
+// or when no sampled pair cuts R, answering with the top tuple at the inner
+// ball's center, the learned preference. Otherwise ask the pair whose
+// hyperplane bisects R most evenly.
+func (e adaptiveEnv) Round(ctx context.Context, geo *geom.Incremental, eps float64) (*core.Round, error) {
+	ball, err := geo.InnerBallCtx(ctx)
+	if err != nil {
+		return &core.Round{Terminal: true, Point: -1,
+			Degraded: true, Reason: "utility range empty (contradictory answers)"}, nil
 	}
-	// Return the top tuple under the learned preference.
-	center := geom.SimplexCentroid(d)
-	if ball, err := g.InnerBallCtx(ctx); err == nil {
-		center = ball.Center
+	emin, emax, err := geo.OuterRectCtx(ctx)
+	if err != nil {
+		return nil, fmt.Errorf("adaptive: outer rectangle failed: %w", err)
 	}
-	if degReason != "" {
-		return core.BestEffortResult(ds, center, rounds, trace, degReason), nil
+	r := &core.Round{Center: ball.Center, Point: -1}
+	if maxSpread(emin, emax) > eps {
+		r.Actions = e.a.pickPair(e.ds, geo, ball)
 	}
-	idx := ds.TopPoint(center)
-	return core.Result{PointIndex: idx, Point: ds.Points[idx], Rounds: rounds, Trace: trace}, nil
+	if len(r.Actions) == 0 {
+		r.Terminal = true
+		r.Point = e.ds.TopPoint(ball.Center)
+	}
+	return r, nil
+}
+
+// Prune implements core.Env: like AA, Adaptive drops redundant halfspaces
+// every 8th round so the per-round LPs stay small on long interactions.
+func (e adaptiveEnv) Prune(geo *geom.Incremental, rounds int) {
+	if rounds%8 == 0 && len(geo.Halfspaces()) > 2*geo.Dim() {
+		geo.Reduce()
+	}
 }
 
 func maxSpread(emin, emax []float64) float64 {
@@ -121,10 +118,10 @@ func maxSpread(emin, emax []float64) float64 {
 }
 
 // pickPair selects the sampled pair whose hyperplane passes nearest the
-// center of R's inner ball and still cuts R — the even-bisection heuristic.
-// ball must be the inner ball of g's current R; it certifies most cuts
-// without an LP.
-func (a *Adaptive) pickPair(ds *dataset.Dataset, g *geom.Incremental, ball geom.Ball) *[2]int {
+// center of R's inner ball and still cuts R — the even-bisection heuristic —
+// as the one action of a view; none when no candidate cuts R. ball must be
+// the inner ball of g's current R; it certifies most cuts without an LP.
+func (a *Adaptive) pickPair(ds *dataset.Dataset, g *geom.Incremental, ball geom.Ball) []core.Action {
 	n := ds.Len()
 	type cand struct {
 		i, j int
@@ -160,7 +157,7 @@ func (a *Adaptive) pickPair(ds *dataset.Dataset, g *geom.Incremental, ball geom.
 			break
 		}
 		if g.CutsBothSides(ball, geom.NewHalfspace(ds.Points[c.i], ds.Points[c.j]), 1e-9) {
-			return &[2]int{c.i, c.j}
+			return []core.Action{{I: c.i, J: c.j}}
 		}
 	}
 	return nil

@@ -2,6 +2,7 @@ package baselines
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"isrl/internal/core"
@@ -243,5 +244,29 @@ func TestAdaptiveAsksMoreThanUH(t *testing.T) {
 	}
 	if len(adRes.Trace) != adRes.Rounds {
 		t.Errorf("trace %d != rounds %d", len(adRes.Trace), adRes.Rounds)
+	}
+}
+
+// UH-Random, UH-Simplex and Adaptive end on the shared loop's terms: a
+// session the round cap stops before any view certifies a point is Degraded
+// with the cap reason, and a threshold outside (0,1) is rejected.
+func TestLoopBaselinesRoundCapAndThreshold(t *testing.T) {
+	ds := testData(t, 300, 3, 50)
+	user := core.SimulatedUser{Utility: []float64{0.2, 0.5, 0.3}}
+	for _, alg := range []core.ContextAlgorithm{
+		NewUHRandom(UHConfig{MaxRounds: 1}, rand.New(rand.NewSource(51))),
+		NewUHSimplex(UHConfig{MaxRounds: 1}, rand.New(rand.NewSource(52))),
+		NewAdaptive(AdaptiveConfig{MaxRounds: 1}, rand.New(rand.NewSource(53))),
+	} {
+		res, err := alg.Run(ds, user, 0.01, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", alg.Name(), err)
+		}
+		if res.Rounds != 1 || !res.Degraded || !strings.Contains(res.DegradedReason, "round cap") {
+			t.Errorf("%s at the cap: rounds=%d degraded=%v reason=%q", alg.Name(), res.Rounds, res.Degraded, res.DegradedReason)
+		}
+		if _, err := alg.Run(ds, user, 1, nil); err == nil {
+			t.Errorf("%s accepted eps = 1", alg.Name())
+		}
 	}
 }

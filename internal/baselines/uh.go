@@ -54,9 +54,15 @@ func (u *UHRandom) Name() string { return "UH-Random" }
 
 // Run implements core.Algorithm.
 func (u *UHRandom) Run(ds *dataset.Dataset, user core.User, eps float64, obs core.Observer) (core.Result, error) {
-	return runUH(ds, user, eps, obs, u.cfg, u.rng, func(pairs [][2]int, verts [][]float64) [2]int {
+	return u.RunContext(context.Background(), ds, user, eps, obs)
+}
+
+// RunContext implements core.ContextAlgorithm: Run with per-round tracing
+// (see core.Loop.Run).
+func (u *UHRandom) RunContext(ctx context.Context, ds *dataset.Dataset, user core.User, eps float64, obs core.Observer) (core.Result, error) {
+	return uhLoop(ds, u.cfg, u.rng, func(pairs [][2]int, verts [][]float64) [2]int {
 		return pairs[u.rng.Intn(len(pairs))]
-	})
+	}).Run(ctx, ds, user, eps, obs)
 }
 
 // UHSimplex is the SIGMOD'19 greedy variant: among candidate pairs it picks
@@ -78,7 +84,13 @@ func (u *UHSimplex) Name() string { return "UH-Simplex" }
 
 // Run implements core.Algorithm.
 func (u *UHSimplex) Run(ds *dataset.Dataset, user core.User, eps float64, obs core.Observer) (core.Result, error) {
-	return runUH(ds, user, eps, obs, u.cfg, u.rng, func(pairs [][2]int, verts [][]float64) [2]int {
+	return u.RunContext(context.Background(), ds, user, eps, obs)
+}
+
+// RunContext implements core.ContextAlgorithm: Run with per-round tracing
+// (see core.Loop.Run).
+func (u *UHSimplex) RunContext(ctx context.Context, ds *dataset.Dataset, user core.User, eps float64, obs core.Observer) (core.Result, error) {
+	return uhLoop(ds, u.cfg, u.rng, func(pairs [][2]int, verts [][]float64) [2]int {
 		// The first pair with the smallest imbalance wins.
 		best := pairs[0]
 		bestScore := math.MaxInt32
@@ -102,78 +114,67 @@ func (u *UHSimplex) Run(ds *dataset.Dataset, user core.User, eps float64, obs co
 			}
 		}
 		return best
-	})
+	}).Run(ctx, ds, user, eps, obs)
 }
 
-// runUH is the shared UH interaction loop: exact polytope maintenance on a
-// geom.Incremental (vertices clipped per answer, not re-enumerated),
-// candidate discovery from vertex top-1 points, Lemma-4 stopping.
-func runUH(ds *dataset.Dataset, user core.User, eps float64, obs core.Observer, cfg UHConfig,
-	rng *rand.Rand, pick func(pairs [][2]int, verts [][]float64) [2]int) (core.Result, error) {
-
+// uhLoop serves one UH session on the shared interaction loop. Its Env holds
+// the session's candidate set: initially every (skyline) point, pruned each
+// round by utility-range domination, as in the SIGMOD'19 algorithms.
+func uhLoop(ds *dataset.Dataset, cfg UHConfig, rng *rand.Rand, pick func(pairs [][2]int, verts [][]float64) [2]int) core.Loop {
 	ds.BuildTopIndex()
-	ctx := context.Background()
-	d := ds.Dim()
-	g := geom.NewIncremental(d)
-	// Candidate set: initially every (skyline) point; pruned each round by
-	// utility-range domination, as in the SIGMOD'19 algorithms.
-	cands := make([]int, ds.Len())
-	for i := range cands {
-		cands[i] = i
+	env := &uhEnv{ds: ds, rng: rng, pick: pick, cands: make([]int, ds.Len())}
+	for i := range env.cands {
+		env.cands[i] = i
 	}
-	var trace []core.QA
-	rounds := 0
-	degReason := ""
-	for rounds < cfg.MaxRounds {
-		verts, err := g.VerticesCtx(ctx)
-		if err != nil {
-			// Exhausted vertex budget or injected fault: degrade rather than
-			// fail the whole session (core's shared contract).
-			degReason = fmt.Sprintf("vertex enumeration failed: %v", err)
-			break
-		}
-		if len(verts) == 0 {
-			degReason = "utility range empty (contradictory answers)"
-			break
-		}
-		vtops := ds.TopPoints(verts, nil)
-		if idx := core.StoppablePoint(ds, verts, vtops, eps); idx >= 0 {
-			return core.Result{PointIndex: idx, Point: ds.Points[idx], Rounds: rounds, Trace: trace}, nil
-		}
-		cands = pruneByTops(ds, cands, verts, vtops)
-		pairs := cuttingPairs(ds, cands, verts, rng, uhPairPool)
-		if len(pairs) == 0 {
-			break
-		}
-		pr := pick(pairs, verts)
-		pi, pj := ds.Points[pr[0]], ds.Points[pr[1]]
-		prefI := user.Prefer(pi, pj)
-		if prefI {
-			g.AddCtx(ctx, geom.NewHalfspace(pi, pj))
-		} else {
-			g.AddCtx(ctx, geom.NewHalfspace(pj, pi))
-		}
-		g.Reduce()
-		rounds++
-		trace = append(trace, core.QA{I: pr[0], J: pr[1], PreferredI: prefI})
-		if obs != nil {
-			obs.Round(rounds, g.Halfspaces())
-		}
-	}
-	if rounds >= cfg.MaxRounds && degReason == "" {
-		degReason = "round cap reached without ε-certificate"
-	}
-	// Fallback: best point at the inner-ball center.
-	center := geom.SimplexCentroid(d)
-	if ball, err := g.InnerBallCtx(ctx); err == nil {
-		center = ball.Center
-	}
-	if degReason != "" {
-		return core.BestEffortResult(ds, center, rounds, trace, degReason), nil
-	}
-	idx := ds.TopPoint(center)
-	return core.Result{PointIndex: idx, Point: ds.Points[idx], Rounds: rounds, Trace: trace}, nil
+	return core.Loop{Env: env, DS: ds, MaxRounds: cfg.MaxRounds,
+		CapReason: "round cap reached without ε-certificate"}
 }
+
+// uhEnv is the UH family's side of the interaction loop: exact polytope
+// maintenance on a geom.Incremental (vertices clipped per answer, not
+// re-enumerated), candidate discovery from vertex top-1 points, Lemma-4
+// stopping.
+type uhEnv struct {
+	ds    *dataset.Dataset
+	rng   *rand.Rand
+	pick  func(pairs [][2]int, verts [][]float64) [2]int
+	cands []int
+}
+
+// Round implements core.Env: the Lemma-4 stop, else the candidate set pruned
+// to R and the pick among the candidate pairs that cut R. When no pair cuts
+// R, asking more cannot narrow it: the answer is the top point at the
+// inner-ball center.
+func (e *uhEnv) Round(ctx context.Context, geo *geom.Incremental, eps float64) (*core.Round, error) {
+	verts, err := geo.VerticesCtx(ctx)
+	if err != nil {
+		return nil, fmt.Errorf("uh: vertex enumeration failed: %w", err)
+	}
+	if len(verts) == 0 {
+		return &core.Round{Terminal: true, Point: -1,
+			Degraded: true, Reason: "utility range empty (contradictory answers)"}, nil
+	}
+	vtops := e.ds.TopPoints(verts, nil)
+	if idx := core.StoppablePoint(e.ds, verts, vtops, eps); idx >= 0 {
+		return &core.Round{Terminal: true, Point: idx}, nil
+	}
+	e.cands = pruneByTops(e.ds, e.cands, verts, vtops)
+	pairs := cuttingPairs(e.ds, e.cands, verts, e.rng, uhPairPool)
+	if len(pairs) == 0 {
+		ball, err := geo.InnerBallCtx(ctx)
+		if err != nil {
+			return nil, fmt.Errorf("uh: %w", err)
+		}
+		return &core.Round{Terminal: true, Point: e.ds.TopPoint(ball.Center)}, nil
+	}
+	pr := e.pick(pairs, verts)
+	return &core.Round{Actions: []core.Action{{I: pr[0], J: pr[1]}},
+		Center: core.VertexCentroid(verts), Point: -1}, nil
+}
+
+// Prune implements core.Env: the UH family keeps R's halfspace set
+// irredundant after every answer.
+func (e *uhEnv) Prune(geo *geom.Incremental, rounds int) { geo.Reduce() }
 
 // pruneByTops drops candidates that are utility-dominated inside R by one of
 // the current vertex-top points: if v·(p_t − p_c) ≥ 0 at every vertex v of R
@@ -229,28 +230,12 @@ func dominatedByTop(ds *dataset.Dataset, c int, topIdx []int, verts [][]float64)
 // vertices strictly on both sides (asking anything else cannot narrow R).
 // When the full pair set is larger than maxPairs it is randomly subsampled.
 func cuttingPairs(ds *dataset.Dataset, cands []int, verts [][]float64, rng *rand.Rand, maxPairs int) [][2]int {
-	cuts := func(x, y int) bool {
-		w := vec.Sub(nil, ds.Points[x], ds.Points[y])
-		pos, neg := false, false
-		for _, v := range verts {
-			s := vec.Dot(w, v)
-			if s > 1e-9 {
-				pos = true
-			} else if s < -1e-9 {
-				neg = true
-			}
-			if pos && neg {
-				return true
-			}
-		}
-		return false
-	}
 	total := len(cands) * (len(cands) - 1) / 2
 	var out [][2]int
 	if total <= maxPairs {
 		for x := 0; x < len(cands); x++ {
 			for y := x + 1; y < len(cands); y++ {
-				if cuts(cands[x], cands[y]) {
+				if core.CutsVertices(ds.Points[cands[x]], ds.Points[cands[y]], verts) {
 					out = append(out, [2]int{cands[x], cands[y]})
 				}
 			}
@@ -271,7 +256,7 @@ func cuttingPairs(ds *dataset.Dataset, cands []int, verts [][]float64, rng *rand
 			continue
 		}
 		seen[key] = true
-		if cuts(a, b) {
+		if core.CutsVertices(ds.Points[a], ds.Points[b], verts) {
 			out = append(out, key)
 		}
 	}

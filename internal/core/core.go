@@ -187,11 +187,11 @@ var ErrDatasetMismatch = fmt.Errorf("core: dataset differs from the training dat
 // degradedSessions counts best-effort terminations across every algorithm.
 var degradedSessions = obs.Default().Counter("core.sessions_degraded")
 
-// BestEffortResult implements the shared degradation contract: score the
+// bestEffortResult implements the shared degradation contract: score the
 // dataset at center — the last utility estimate that was still backed by a
 // non-empty range — and return its top point as a Degraded result. A nil
 // center falls back to the simplex centroid, the zero-information prior.
-func BestEffortResult(ds *dataset.Dataset, center []float64, rounds int, trace []QA, reason string) Result {
+func bestEffortResult(ds *dataset.Dataset, center []float64, rounds int, trace []QA, reason string) Result {
 	if center == nil {
 		center = geom.SimplexCentroid(ds.Dim())
 	}
@@ -277,6 +277,37 @@ func StoppablePoint(ds *dataset.Dataset, E [][]float64, tops []int, eps float64)
 		}
 	}
 	return -1
+}
+
+// CutsVertices reports whether the hyperplane of the pair ⟨pi,pj⟩ has
+// vertices strictly on both sides, so either answer shrinks R.
+func CutsVertices(pi, pj []float64, verts [][]float64) bool {
+	const tol = 1e-9
+	w := vec.Sub(nil, pi, pj)
+	pos, neg := false, false
+	for _, v := range verts {
+		s := vec.Dot(w, v)
+		if s > tol {
+			pos = true
+		} else if s < -tol {
+			neg = true
+		}
+		if pos && neg {
+			return true
+		}
+	}
+	return false
+}
+
+// VertexCentroid is the mean of the extreme vectors — a cheap interior
+// estimate of R that a degraded termination scores the dataset against.
+func VertexCentroid(verts [][]float64) []float64 {
+	c := make([]float64, len(verts[0]))
+	for _, v := range verts {
+		vec.Add(c, c, v)
+	}
+	vec.Scale(c, 1/float64(len(verts)), c)
+	return c
 }
 
 // MaxRegretOverVertices returns max over e ∈ E of regratio(p, e) — the

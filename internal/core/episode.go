@@ -39,9 +39,9 @@ type Round struct {
 }
 
 // Env is an algorithm's side of the interaction loop: the two places where
-// EA (§IV-B) and AA (§IV-C) differ. Everything else — choosing a question,
-// asking it, applying the answer as a halfspace, recording replay — is the
-// shared MDP episode of Loop.
+// one polytope algorithm differs from another. Everything else — choosing a
+// question, asking it, applying the answer as a halfspace, recording replay,
+// tracing and degrading — is the shared MDP episode of Loop.
 type Env interface {
 	// Round derives the MDP view of the utility range held by geo for the
 	// regret threshold eps.
@@ -54,6 +54,10 @@ type Env interface {
 // Env to the dataset, DQN agent and random stream it trains and serves with.
 // Training (Algorithms 1 and 3) and serving (Algorithms 2 and 4) run the same
 // episode; training differs only in ε-greedy choice and replay recording.
+//
+// A Loop with a nil Agent serves an Env that picks its own question, as the
+// short-term baselines do: every view that asks carries exactly one action.
+// Such a Loop only serves; it cannot Train.
 type Loop struct {
 	Env       Env
 	DS        *dataset.Dataset
@@ -102,11 +106,11 @@ type TrainStats struct {
 // episode.
 func (l Loop) Train(users [][]float64, eps float64) (TrainStats, error) {
 	cfg := l.Agent.Config()
-	replay := rl.NewReplay(cfg.ReplayCap)
+	replay := rl.NewReplay(rl.ReplayCap)
 	stats := TrainStats{Episodes: len(users)}
 	var epsilon float64
 	for ep, u := range users {
-		epsilon = cfg.Epsilon.At(ep)
+		epsilon = rl.Exploration().At(ep)
 		res, err := l.episode(context.Background(), SimulatedUser{Utility: u}, eps, nil, replay, epsilon)
 		if err != nil {
 			return stats, fmt.Errorf("training episode %d: %w", ep, err)
@@ -166,7 +170,7 @@ func (l Loop) episode(ctx context.Context, user User, eps float64, obs Observer,
 	var qas []QA
 	rounds, recovered := 0, 0
 	degrade := func(reason string) (Result, error) {
-		res := BestEffortResult(l.DS, lastCenter, rounds, qas, reason)
+		res := bestEffortResult(l.DS, lastCenter, rounds, qas, reason)
 		res.PanicsRecovered = recovered
 		return res, nil
 	}
@@ -191,10 +195,10 @@ func (l Loop) episode(ctx context.Context, user User, eps float64, obs Observer,
 			rsp.SetInt("round", int64(rounds+1))
 			rsp.SetInt("candidates", int64(len(cur.Actions)))
 		}
-		var ai int
+		ai := 0 // an agent-less Env's one action
 		if training {
 			ai = l.Agent.SelectEpsGreedy(l.Rng, cur.State, feats(cur.Actions), epsilon)
-		} else {
+		} else if l.Agent != nil {
 			ai = l.Agent.BestCtx(rctx, cur.State, feats(cur.Actions))
 		}
 		act := cur.Actions[ai]

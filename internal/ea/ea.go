@@ -206,7 +206,7 @@ func (e *EA) Round(ctx context.Context, geo *geom.Incremental, eps float64) (*co
 		r.Point = e.bestRep(reps, verts)
 		return r, nil
 	}
-	r.Center = vertexCentroid(verts)
+	r.Center = core.VertexCentroid(verts)
 	return r, nil
 }
 
@@ -254,7 +254,7 @@ func (e *EA) samplePairs(reps []int, verts [][]float64) []core.Action {
 		if vec.Dist(pi, pj) < 1e-12 {
 			continue // identical tuples induce no hyperplane
 		}
-		if !cutsVertices(pi, pj, verts) {
+		if !core.CutsVertices(pi, pj, verts) {
 			continue
 		}
 		feat := make([]float64, 0, 2*len(pi))
@@ -292,17 +292,6 @@ func (e *EA) encodeState(verts [][]float64, ball geom.Ball) []float64 {
 	return state
 }
 
-// vertexCentroid is the mean of the extreme vectors — a cheap interior
-// estimate of R that a degraded termination scores the dataset against.
-func vertexCentroid(verts [][]float64) []float64 {
-	c := make([]float64, len(verts[0]))
-	for _, v := range verts {
-		vec.Add(c, c, v)
-	}
-	vec.Scale(c, 1/float64(len(verts)), c)
-	return c
-}
-
 // Train runs Algorithm 1 over the given training utility vectors (one
 // episode each), learning the Q-function. It may be called with vectors
 // sampled uniformly from the utility space (the paper trains on 10,000).
@@ -312,26 +301,6 @@ func (e *EA) Train(users [][]float64) (core.TrainStats, error) {
 		return stats, fmt.Errorf("ea: %w", err)
 	}
 	return stats, nil
-}
-
-// cutsVertices reports whether the hyperplane of the pair ⟨pi,pj⟩ has
-// vertices strictly on both sides, so either answer shrinks R.
-func cutsVertices(pi, pj []float64, verts [][]float64) bool {
-	const tol = 1e-9
-	w := vec.Sub(nil, pi, pj)
-	pos, neg := false, false
-	for _, v := range verts {
-		s := vec.Dot(w, v)
-		if s > tol {
-			pos = true
-		} else if s < -tol {
-			neg = true
-		}
-		if pos && neg {
-			return true
-		}
-	}
-	return false
 }
 
 // Run implements core.Algorithm (Algorithm 2: inference). The dataset must

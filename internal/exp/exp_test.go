@@ -216,42 +216,31 @@ func TestSubsample(t *testing.T) {
 	}
 }
 
-func TestTableMarkdown(t *testing.T) {
-	tab := &Table{ID: "x", Title: "demo", Columns: []string{"a", "b"}}
-	tab.AddRow(1, 2)
-	var buf bytes.Buffer
-	if err := tab.Markdown(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"**x — demo**", "| a | b |", "| --- | --- |", "| 1 | 2 |"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("markdown missing %q:\n%s", want, out)
-		}
-	}
-}
-
-// Reproducibility: identical config and seed produce identical tables.
+// Reproducibility: identical config and seed produce identical tables, in
+// every column but the wall-clock ones. ext-adaptive covers the Adaptive
+// baseline beside the trained EA and AA.
 func TestExperimentsDeterministic(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs two tiny trainings")
+		t.Skip("runs four tiny trainings")
 	}
 	c := tinyCfg()
-	a, err := fig6b(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := fig6b(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.Rows) != len(b.Rows) {
-		t.Fatalf("row counts differ: %d vs %d", len(a.Rows), len(b.Rows))
-	}
-	for i := range a.Rows {
-		for j := range a.Rows[i] {
-			if a.Rows[i][j] != b.Rows[i][j] {
-				t.Fatalf("row %d col %d differs: %q vs %q", i, j, a.Rows[i][j], b.Rows[i][j])
+	for _, run := range []func(Config) (*Table, error){fig6b, extAdaptive} {
+		a, err := run(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := run(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(a.Rows) != len(b.Rows) {
+			t.Fatalf("%s: row counts differ: %d vs %d", a.ID, len(a.Rows), len(b.Rows))
+		}
+		for i := range a.Rows {
+			for j, col := range a.Columns {
+				if col != "time_s" && a.Rows[i][j] != b.Rows[i][j] {
+					t.Fatalf("%s: row %d col %s differs: %q vs %q", a.ID, i, col, a.Rows[i][j], b.Rows[i][j])
+				}
 			}
 		}
 	}

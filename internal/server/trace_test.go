@@ -13,6 +13,7 @@ import (
 	"sync"
 	"testing"
 
+	"isrl/internal/baselines"
 	"isrl/internal/core"
 	"isrl/internal/dataset"
 	"isrl/internal/ea"
@@ -232,6 +233,48 @@ func TestFinishingAnswerTracesTombstone(t *testing.T) {
 	if kinds[answer] != 1 || kinds[finish] != 1 || fsyncs != 2 {
 		t.Fatalf("finishing http.answer has wal.append kinds %v and %d wal.fsync children; "+
 			"want one answer and one tombstone append, each fsynced", kinds, fsyncs)
+	}
+}
+
+// A sampled UH-Simplex session runs on the same interaction loop as EA and
+// AA, so its trace carries the per-round spans too: session.round under the
+// session root, each with an oracle.wait leaf, and the geometry beneath.
+func TestTraceUHSimplexSessionRounds(t *testing.T) {
+	ds := dataset.Anticorrelated(rand.New(rand.NewSource(1)), 200, 3).Skyline()
+	reg := obs.NewRegistry()
+	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
+	tracer := trace.New(trace.Options{SampleRate: 1, Logger: quiet, Registry: reg})
+	srv := New(ds, 0.15, func(seed int64) core.Algorithm {
+		return baselines.NewUHSimplex(baselines.UHConfig{}, rand.New(rand.NewSource(seed)))
+	}, WithRegistry(reg), WithLogger(quiet), WithTracer(tracer))
+	traceID, err := driveSession(srv, "00-4af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01")
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := fetchTrace(t, srv, traceID).Spans[0]
+	if root.Attrs["algo"] != "UH-Simplex" {
+		t.Fatalf("root algo = %q, want UH-Simplex", root.Attrs["algo"])
+	}
+	rounds, waits := 0, 0
+	geometry := map[string]int{}
+	for _, c := range root.Children {
+		if c.Name != "session.round" {
+			continue
+		}
+		rounds++
+		for _, g := range c.Children {
+			if g.Name == "oracle.wait" {
+				waits++
+			}
+		}
+		collectNames(c.Children, geometry)
+	}
+	if rounds == 0 || waits != rounds {
+		t.Fatalf("%d session.round spans with %d oracle.wait children under the root; want one wait per round, at least one round",
+			rounds, waits)
+	}
+	if geometry["geom.inc.clip"] == 0 {
+		t.Fatalf("no geometry spans under the rounds: %v", geometry)
 	}
 }
 
