@@ -92,30 +92,6 @@ func (t *Table) Render(w io.Writer) error {
 	return nil
 }
 
-// Markdown emits the table as a GitHub-flavoured markdown table with a
-// bold caption — the format EXPERIMENTS.md embeds.
-func (t *Table) Markdown(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "**%s — %s**\n\n", t.ID, t.Title); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "| %s |\n", strings.Join(t.Columns, " | ")); err != nil {
-		return err
-	}
-	sep := make([]string, len(t.Columns))
-	for i := range sep {
-		sep[i] = "---"
-	}
-	if _, err := fmt.Fprintf(w, "| %s |\n", strings.Join(sep, " | ")); err != nil {
-		return err
-	}
-	for _, row := range t.Rows {
-		if _, err := fmt.Fprintf(w, "| %s |\n", strings.Join(row, " | ")); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // WriteCSV emits the table as CSV (header + rows).
 func (t *Table) WriteCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)

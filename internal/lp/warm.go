@@ -77,9 +77,6 @@ func NewSolver(p *Problem) *Solver {
 	return s
 }
 
-// NumConstraints reports how many constraints the accumulated problem holds.
-func (s *Solver) NumConstraints() int { return len(s.prob.Constraints) }
-
 // Solve returns the current optimum, cold-solving on first use. Subsequent
 // calls without intervening Push/SolveWith return the cached result.
 func (s *Solver) Solve() Result {

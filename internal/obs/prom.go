@@ -9,18 +9,6 @@ import (
 	"strings"
 )
 
-// SetHelp attaches a HELP string to a metric name, emitted by WriteProm.
-// Metrics without one get a generated line naming the kind. Safe to call
-// before or after the metric is registered.
-func (r *Registry) SetHelp(name, help string) {
-	r.mu.Lock()
-	if r.helps == nil {
-		r.helps = make(map[string]string)
-	}
-	r.helps[name] = help
-	r.mu.Unlock()
-}
-
 // promName maps the registry's dotted lowercase names onto the Prometheus
 // grammar [a-zA-Z_:][a-zA-Z0-9_:]* by replacing dots with underscores. The
 // hygiene test in hygiene_test.go pins every registered name to
@@ -37,15 +25,9 @@ func promLe(b float64) string {
 	return strconv.FormatFloat(b, 'g', -1, 64)
 }
 
-// promHelp escapes a HELP string (backslash and newline, per the text
-// exposition format).
-func promHelp(s string) string {
-	s = strings.ReplaceAll(s, `\`, `\\`)
-	return strings.ReplaceAll(s, "\n", `\n`)
-}
-
 // WriteProm writes every registered metric in the Prometheus text
-// exposition format (version 0.0.4): # HELP and # TYPE lines per family,
+// exposition format (version 0.0.4): # HELP and # TYPE lines per family
+// (the HELP text names the kind and the registry name),
 // counters and gauges as single samples, histograms as cumulative
 // _bucket{le="..."} series closed by +Inf plus _sum and _count. Names are
 // sanitized with promName; output is sorted by name so scrapes diff
@@ -54,13 +36,9 @@ func (r *Registry) WriteProm(w io.Writer) error {
 	r.mu.RLock()
 	names := make([]string, 0, len(r.metrics))
 	metrics := make(map[string]any, len(r.metrics))
-	helps := make(map[string]string, len(r.helps))
 	for name, m := range r.metrics {
 		names = append(names, name)
 		metrics[name] = m
-	}
-	for name, h := range r.helps {
-		helps[name] = h
 	}
 	r.mu.RUnlock()
 	sort.Strings(names)
@@ -68,23 +46,18 @@ func (r *Registry) WriteProm(w io.Writer) error {
 	var b strings.Builder
 	for _, name := range names {
 		pn := promName(name)
-		help, kind := helps[name], ""
 		switch m := metrics[name].(type) {
 		case *Counter:
-			kind = "counter"
-			writePromHeader(&b, pn, name, kind, help)
+			writePromHeader(&b, pn, name, "counter")
 			fmt.Fprintf(&b, "%s %d\n", pn, m.Value())
 		case *Gauge:
-			kind = "gauge"
-			writePromHeader(&b, pn, name, kind, help)
+			writePromHeader(&b, pn, name, "gauge")
 			fmt.Fprintf(&b, "%s %d\n", pn, m.Value())
 		case *FloatGauge:
-			kind = "gauge"
-			writePromHeader(&b, pn, name, kind, help)
+			writePromHeader(&b, pn, name, "gauge")
 			fmt.Fprintf(&b, "%s %s\n", pn, strconv.FormatFloat(m.Value(), 'g', -1, 64))
 		case *Histogram:
-			kind = "histogram"
-			writePromHeader(&b, pn, name, kind, help)
+			writePromHeader(&b, pn, name, "histogram")
 			s := m.Snapshot()
 			// The snapshot's per-bucket counts become the cumulative series
 			// Prometheus requires; the bound semantics already match (an
@@ -104,10 +77,7 @@ func (r *Registry) WriteProm(w io.Writer) error {
 	return err
 }
 
-func writePromHeader(b *strings.Builder, pn, name, kind, help string) {
-	if help == "" {
-		help = kind + " " + name
-	}
-	fmt.Fprintf(b, "# HELP %s %s\n", pn, promHelp(help))
+func writePromHeader(b *strings.Builder, pn, name, kind string) {
+	fmt.Fprintf(b, "# HELP %s %s %s\n", pn, kind, name)
 	fmt.Fprintf(b, "# TYPE %s %s\n", pn, kind)
 }

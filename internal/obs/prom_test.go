@@ -17,7 +17,6 @@ func TestWritePromFormat(t *testing.T) {
 	r.Counter("http.requests.total").Add(3)
 	r.Gauge("sessions.active").Set(2)
 	r.FloatGauge("runtime.gc_cpu_fraction").Set(0.25)
-	r.SetHelp("http.requests.total", "Total HTTP requests.")
 	h := r.Histogram("lp.solve_ms", []float64{0.1, 1, 10})
 	for _, v := range []float64{0.05, 0.5, 0.5, 5, 50} {
 		h.Observe(v)
@@ -36,7 +35,7 @@ func TestWritePromFormat(t *testing.T) {
 	}
 
 	for _, want := range []string{
-		"# HELP http_requests_total Total HTTP requests.",
+		"# HELP http_requests_total counter http.requests.total",
 		"# TYPE http_requests_total counter",
 		"http_requests_total 3",
 		"# TYPE sessions_active gauge",

@@ -15,7 +15,6 @@ import (
 type Registry struct {
 	mu      sync.RWMutex
 	metrics map[string]any
-	helps   map[string]string // optional HELP strings for WriteProm
 }
 
 // NewRegistry returns an empty registry.

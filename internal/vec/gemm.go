@@ -6,7 +6,7 @@ import "fmt"
 //
 // Every kernel computes each output element with a single accumulator that
 // walks the shared dimension k in index order — exactly the accumulation
-// order of the serial Dot/MulVec loops — so a batched result is bit-identical
+// order of the serial Dot loop — so a batched result is bit-identical
 // to the corresponding sequence of single-vector products. Speed comes only
 // from working on *independent* output elements at once, never from
 // reassociating a single sum:
@@ -161,7 +161,7 @@ func Transpose(dst, a *Mat) *Mat {
 
 // MatMul stores A·B into dst and returns dst (dst is reshaped as needed; it
 // must not alias A or B). Each dst element accumulates over k in index
-// order, matching MulVec applied row by row.
+// order, matching Dot of each A row with each B column.
 func MatMul(dst, a, b *Mat) *Mat {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("vec: MatMul shape mismatch %dx%d by %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))

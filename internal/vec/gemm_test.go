@@ -13,7 +13,7 @@ func randMat(rng *rand.Rand, rows, cols int) *Mat {
 	return m
 }
 
-// MatMul must agree bit-for-bit with row-by-row MulVec-style accumulation,
+// MatMul must agree bit-for-bit with row-by-row Dot accumulation,
 // since the batched NN path relies on exact equivalence with serial forwards.
 func TestMatMulBitIdenticalToSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))

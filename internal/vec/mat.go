@@ -36,35 +36,6 @@ func (m *Mat) Clone() *Mat {
 	return c
 }
 
-// MulVec stores m·x into dst and returns dst.
-func (m *Mat) MulVec(dst, x []float64) []float64 {
-	if len(x) != m.Cols {
-		panic(fmt.Sprintf("vec: MulVec shape mismatch %dx%d by %d", m.Rows, m.Cols, len(x)))
-	}
-	dst = ensure(dst, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		dst[i] = Dot(m.Row(i), x)
-	}
-	return dst
-}
-
-// MulTransVec stores mᵀ·x into dst and returns dst.
-func (m *Mat) MulTransVec(dst, x []float64) []float64 {
-	if len(x) != m.Rows {
-		panic(fmt.Sprintf("vec: MulTransVec shape mismatch %dx%d by %d", m.Rows, m.Cols, len(x)))
-	}
-	dst = ensure(dst, m.Cols)
-	Fill(dst, 0)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		xi := x[i]
-		for j, rij := range row {
-			dst[j] += rij * xi
-		}
-	}
-	return dst
-}
-
 // SolveLinear solves the square system A·x = b by Gaussian elimination with
 // partial pivoting. A and b are left unmodified. It reports failure when the
 // system is (numerically) singular, i.e. a pivot falls below tol.

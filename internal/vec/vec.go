@@ -150,21 +150,6 @@ func Max(a []float64) float64 {
 	return m
 }
 
-// ArgMax returns the index of the largest entry of a, breaking ties toward
-// the smallest index. It panics on an empty slice.
-func ArgMax(a []float64) int {
-	if len(a) == 0 {
-		panic("vec: ArgMax of empty slice")
-	}
-	k := 0
-	for i, ai := range a {
-		if ai > a[k] {
-			k = i
-		}
-	}
-	return k
-}
-
 // Normalize scales a in place to unit L2 norm and returns its former norm.
 // A zero vector is left untouched and 0 is returned.
 func Normalize(a []float64) float64 {
