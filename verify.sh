@@ -36,6 +36,12 @@ go test -count=1 -run 'Golden|IndependentOfCores' -cpu 1,2,4 ./internal/...
 # kernel off, and batched SELU must still give math.Exp's bits.
 GODEBUG=cpu.fma=off go test -count=1 -run 'SELU|Exp|BitIdentical' ./internal/vec ./internal/nn
 
+# Example smoke: the two fast examples run end to end through the public API
+# (quickstart trains and serves EA; car drives EA, AA, UH-Random, UH-Simplex
+# and SinglePass). examples/optimality takes minutes and is only compiled.
+go run ./examples/quickstart >/dev/null
+go run ./examples/car >/dev/null
+
 # Benchmark smoke: run every internal benchmark once, so a benchmark that
 # no longer works fails here rather than only compiling under go vet. The
 # root package's experiment benchmarks (about 100 s) are left out.
